@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import MomentFunctional, as_matrix, frobenius
+from .algebra import MAX_TENSOR_TUPLES, MomentFunctional, as_matrix, frobenius
 from .partitions import (
     canonical_pattern,
     delete_block,
@@ -352,19 +352,29 @@ def random_spec(rng, max_order, b_dim=1):
 
 @lru_cache(maxsize=None)
 def _pattern_table(k, n):
-    """Pattern id of every tuple in {1..k}^n (C order) plus the pattern list."""
-    ids = np.empty(k**n, dtype=np.int32)
-    patterns = []
-    index = {}
-    for flat, tup in enumerate(itertools.product(range(k), repeat=n)):
-        pat = canonical_pattern(tup)
-        pid = index.get(pat)
-        if pid is None:
-            pid = len(patterns)
-            index[pat] = pid
-            patterns.append(pat)
-        ids[flat] = pid
-    return ids, tuple(patterns)
+    """Pattern id of every tuple in {1..k}^n (C order) plus the pattern list.
+
+    Values are relabelled by first occurrence one position at a time over
+    all rows.  A canonical pattern is itself a tuple of the table and the
+    least one of its class, so the patterns, in C order of first occurrence,
+    are exactly the rows that equal their own pattern.
+    """
+    shape = (k,) * n
+    tuples = np.indices(shape, dtype=np.min_scalar_type(k)).reshape(n, -1)
+    labels = np.empty_like(tuples)
+    used = np.zeros_like(tuples[0])
+    for p in range(n):
+        label = used.copy()
+        for q in range(p):
+            same = tuples[q] == tuples[p]
+            label[same] = labels[q][same]
+        labels[p] = label
+        used += label == used  # earlier labels are all below `used`
+    home = np.ravel_multi_index(labels, shape)
+    is_pattern = home == np.arange(len(home))
+    ids = (np.cumsum(is_pattern) - 1)[home].astype(np.int32)
+    patterns = tuple(map(tuple, labels[:, is_pattern].T.tolist()))
+    return ids, patterns
 
 
 class CumulantMomentFunctional(MomentFunctional):
@@ -417,7 +427,7 @@ class CumulantMomentFunctional(MomentFunctional):
         return np.diag(diag)
 
     def scalar_moment_tensor(self, k, n):
-        if k**n > 2_000_000:
+        if k**n > MAX_TENSOR_TUPLES:
             raise ValueError(f"moment tensor with {k}^{n} entries is too large")
         ids, patterns = _pattern_table(k, n)
         values = np.array(
@@ -426,7 +436,7 @@ class CumulantMomentFunctional(MomentFunctional):
         return values[ids].reshape((k,) * n)
 
     def expectation_tensor(self, k, n, decorations=None):
-        if k**n > 2_000_000:
+        if k**n > MAX_TENSOR_TUPLES:
             raise ValueError(f"moment tensor with {k}^{n} entries is too large")
         deco = np.ones(self.b_dim, dtype=complex)
         if decorations is not None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qexch.algebra import (
+    MAX_TENSOR_TUPLES,
     BPolynomial,
     ConcreteMomentFunctional,
     center,
@@ -17,6 +18,7 @@ from qexch.cumulants import (
     CumulantExtractor,
     CumulantMomentFunctional,
     CumulantSpec,
+    _pattern_table,
     check_mixed_cumulants,
     cumulants_to_moments,
     moment_family,
@@ -25,7 +27,7 @@ from qexch.cumulants import (
     rho_pi,
     semicircular_spec,
 )
-from qexch.partitions import Partition, enumerate_noncrossing
+from qexch.partitions import Partition, canonical_pattern, enumerate_noncrossing
 
 NC10 = Partition(10, [[1, 10], [2, 5, 9], [3, 4], [6], [7, 8]])
 
@@ -264,6 +266,29 @@ def test_word_length_cap():
     mf = CumulantMomentFunctional(semicircular_spec())
     with pytest.raises(ValueError):
         mf.moment((1,) * 13)
+
+
+def test_moment_tensor_tuple_cap():
+    mf = CumulantMomentFunctional(semicircular_spec())
+    n = MAX_TENSOR_TUPLES.bit_length()  # smallest n with 2**n above the cap
+    with pytest.raises(ValueError):
+        mf.scalar_moment_tensor(2, n)
+    with pytest.raises(ValueError):
+        mf.expectation_tensor(2, n)
+
+
+def test_pattern_table_matches_canonical_pattern_loop():
+    for k in range(1, 6):
+        for n in range(1, 7):
+            if k**n > 5000:
+                continue
+            ids = []
+            patterns = {}
+            for tup in itertools.product(range(k), repeat=n):
+                ids.append(patterns.setdefault(canonical_pattern(tup), len(patterns)))
+            got_ids, got_patterns = _pattern_table(k, n)
+            assert got_ids.tolist() == ids, (k, n)
+            assert got_patterns == tuple(patterns), (k, n)
 
 
 def test_decorations_multiply_through_for_commutative_b():

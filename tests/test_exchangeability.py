@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qexch.algebra import (
     BPolynomial,
@@ -18,6 +20,10 @@ from qexch.cumulants import (
     semicircular_spec,
 )
 from qexch.exchangeability import (
+    InvarianceReport,
+    TupleRecord,
+    _coaction_all,
+    _operator_entries,
     check_classical_exchangeability,
     check_E_invariance,
     check_factorization,
@@ -28,12 +34,14 @@ from qexch.exchangeability import (
     permutation_coordinate_unitary,
 )
 from qexch.magic import (
+    MagicUnitary,
     block_chain,
     block_pair,
     from_permutation,
     noncommuting_projection_pair,
     random_projection,
     verify_relations,
+    word_product,
 )
 
 
@@ -105,12 +113,110 @@ def test_unitary_larger_than_family_rejected():
         check_quantum_invariance(mf, u, n_max=2)
 
 
-def test_sampled_path_used_above_exhaustive_limit():
+def test_long_words_scanned_exhaustively():
     mf = CumulantMomentFunctional(semicircular_spec())
     u = block_pair(*noncommuting_projection_pair(2, seed=2))
-    report = check_quantum_invariance(mf, u, n_max=9, seed=5, samples=40)
-    assert not report.exhaustive  # 4^9 > 10^5 forces sampling at n = 9
+    report = check_quantum_invariance(mf, u, n_max=9, seed=5)
+    assert report.exhaustive  # all 4^9 tuples at n = 9
     assert report.passed
+    assert len(report.per_length) == 9
+
+
+class _NaNAtLength(CumulantMomentFunctional):
+    """A free family whose moment tensor carries one NaN at word length `bad`."""
+
+    def __init__(self, spec, bad):
+        super().__init__(spec)
+        self.bad = bad
+
+    def scalar_moment_tensor(self, k, n):
+        phi = super().scalar_moment_tensor(k, n)
+        if n == self.bad:
+            phi = phi.copy()
+            phi.reshape(-1)[-1] = np.nan
+        return phi
+
+
+@pytest.mark.parametrize("bad", [1, 3])
+def test_nan_residual_at_any_length_fails(bad):
+    mf = _NaNAtLength(semicircular_spec(), bad)
+    u = block_pair(*noncommuting_projection_pair(2, seed=3))
+    report = check_quantum_invariance(mf, u, n_max=3)
+    assert not report.passed
+    assert report.worst.n == bad
+    assert np.isnan(report.max_residual)
+
+
+@pytest.mark.parametrize(
+    "residuals", [[np.nan, 1e-16], [1e-16, np.nan], [1e-16, np.inf, 1e-16]]
+)
+def test_invariance_report_non_finite_is_worst(residuals):
+    report = InvarianceReport(
+        check="quantum_invariance",
+        tolerance=1e-8,
+        seed=0,
+        exhaustive=True,
+        per_length=[TupleRecord(n, (1,) * n, r) for n, r in enumerate(residuals, 1)],
+    )
+    assert not np.isfinite(report.worst.residual)
+    assert not report.passed
+    assert "FAIL" in report.summary().splitlines()[-1]
+
+
+def test_nan_moment_fails_classical_exchangeability():
+    mf = _NaNAtLength(semicircular_spec(), 2)
+    report = check_classical_exchangeability(mf, 3, 3)
+    assert not report.passed
+    assert report.worst.n == 2
+
+
+# -- the coaction kernel against the literal j-sum ----------------------------------------
+
+def _literal_coaction(u, seed_tensor, n):
+    k = u.k
+    out = np.zeros_like(seed_tensor)
+    tuples = list(itertools.product(range(1, k + 1), repeat=n))
+    for a, i in enumerate(tuples):
+        for b, j in enumerate(tuples):
+            out[a] += word_product(u, i, j) @ seed_tensor[b]
+    return out
+
+
+def _random_seed_tensor(rng, count, d_out):
+    shape = (count, d_out, d_out)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["block_chain", "permutation"]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_coaction_kernel_matches_literal_sum(kind, blocks, n, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "block_chain":
+        u = block_chain([random_projection(d, int(rng.integers(0, d + 1)), (seed, t))
+                         for t in range(blocks)])
+    else:
+        u = from_permutation(rng.permutation(2 * blocks) + 1, d=d)
+    seed_tensor = _random_seed_tensor(rng, u.k**n, d)
+    got = _coaction_all(u.entries, seed_tensor, u.k, n, d)
+    assert np.max(np.abs(got - _literal_coaction(u, seed_tensor, n))) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_coaction_kernel_matches_literal_sum_on_operator_entries(blocks, n, seed):
+    # the E-invariance path: entries u_ij (x) 1_m with m = 2
+    rng = np.random.default_rng(seed)
+    qs = [random_projection(2, 1, (seed, t)) for t in range(blocks)]
+    op = MagicUnitary(_operator_entries(block_chain(qs).entries, 2))
+    seed_tensor = _random_seed_tensor(rng, op.k**n, op.d)
+    got = _coaction_all(op.entries, seed_tensor, op.k, n, op.d)
+    assert np.max(np.abs(got - _literal_coaction(op, seed_tensor, n))) <= 1e-12
 
 
 # -- classical exchangeability ------------------------------------------------------
