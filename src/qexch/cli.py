@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,19 +25,6 @@ import numpy as np
 from . import algebra, cumulants, exchangeability, magic
 
 ENV_TOL = "QEXCH_TOL"
-DEFAULT_TOL = 1e-8
-
-KNOWN_CHECKS = (
-    "relations",
-    "quantum_invariance",
-    "classical_invariance",
-    "e_invariance",
-    "factorization",
-    "freeness",
-    "collapse_lemma",
-    "crossing_sum",
-    "counterexample",
-)
 
 
 class ScenarioError(Exception):
@@ -47,15 +36,41 @@ def _fail(field, message):
 
 
 def _parse_complex(value, field):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
+    if not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+        for x in parts
     ):
-        return complex(value[0], value[1])
-    _fail(field, f"expected a number or [re, im] pair, got {value!r}")
+        _fail(field, f"expected a finite number or [re, im] pair, got {value!r}")
+    return complex(*parts)
+
+
+def _parse_int(value, field, minimum=None):
+    """An integer of at least minimum; bool, non-integral float, string and list are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        _fail(field, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        _fail(field, f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _parse_int_list(value, field, minimum=None):
+    if not isinstance(value, list):
+        _fail(field, f"expected a list of integers, got {value!r}")
+    return [_parse_int(x, f"{field}[{t}]", minimum) for t, x in enumerate(value)]
+
+
+def _check_tol(value, field):
+    """A tolerance: a finite, non-negative number."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (math.isfinite(value) and value >= 0)
+    ):
+        _fail(field, f"expected a finite non-negative number, got {value!r}")
+    return float(value)
 
 
 def _parse_matrix(value, field, dim=None):
@@ -95,7 +110,7 @@ def build_functional(spec, field="functional"):
         _fail(field, "must be an object")
     kind = _require(spec, "kind", field, str)
     if kind == "cumulant":
-        b_dim = int(spec.get("b_dim", 1))
+        b_dim = _parse_int(spec.get("b_dim", 1), f"{field}.b_dim")
         table = _require(spec, "cumulants", field, dict)
         kappa = {}
         for order, value in table.items():
@@ -109,12 +124,15 @@ def build_functional(spec, field="functional"):
             else:
                 kappa[n] = [_parse_complex(value, f"{field}.cumulants[{order}]")] * b_dim
         max_order = spec.get("max_order")
-        spec_obj = cumulants.CumulantSpec(
-            kappa, b_dim=b_dim, max_order=None if max_order is None else int(max_order)
-        )
+        if max_order is not None:
+            max_order = _parse_int(max_order, f"{field}.max_order")
+        try:
+            spec_obj = cumulants.CumulantSpec(kappa, b_dim=b_dim, max_order=max_order)
+        except ValueError as exc:
+            _fail(field, str(exc))
         return cumulants.CumulantMomentFunctional(spec_obj)
     if kind == "concrete":
-        dim = int(_require(spec, "dim", field, int))
+        dim = _parse_int(_require(spec, "dim", field), f"{field}.dim")
         density = _parse_matrix(_require(spec, "density", field), f"{field}.density", dim)
         b_choice = spec.get("b", "scalar")
         if b_choice == "scalar":
@@ -139,32 +157,154 @@ def build_unitary(spec, seed, field):
         _fail(field, "must be an object")
     kind = _require(spec, "kind", field, str)
     if kind == "permutation":
-        sigma = _require(spec, "sigma", field, list)
-        d = int(spec.get("d", 1))
+        sigma = _parse_int_list(_require(spec, "sigma", field), f"{field}.sigma")
+        d = _parse_int(spec.get("d", 1), f"{field}.d", minimum=1)
         try:
             return magic.from_permutation(sigma, d=d)
         except ValueError as exc:
             _fail(f"{field}.sigma", str(exc))
     if kind in ("block_pair", "block_chain"):
-        d = int(_require(spec, "d", field, int))
+        d = _parse_int(_require(spec, "d", field), f"{field}.d", minimum=1)
         if "projections" in spec:
             qs = [
                 magic.ensure_projection(_parse_matrix(m, f"{field}.projections[{t}]", d))
-                for t, m in enumerate(spec["projections"])
+                for t, m in enumerate(_require(spec, "projections", field, list))
             ]
         elif "seeds" in spec:
+            rank = _parse_int(spec.get("rank", 1), f"{field}.rank", minimum=0)
             qs = [
-                magic.random_projection(d, int(spec.get("rank", 1)), (seed, int(s)))
-                for s in spec["seeds"]
+                magic.random_projection(d, rank, (seed, s))
+                for s in _parse_int_list(spec["seeds"], f"{field}.seeds", minimum=0)
             ]
         else:
             _fail(field, "needs 'projections' or 'seeds'")
         if kind == "block_pair" and len(qs) != 2:
             _fail(field, f"block_pair needs exactly 2 projections, got {len(qs)}")
-        if "r" in spec and int(spec["r"]) != len(qs):
+        if "r" in spec and _parse_int(spec["r"], f"{field}.r") != len(qs):
             _fail(f"{field}.r", f"r={spec['r']} but {len(qs)} projections were given")
         return magic.block_chain(qs)
     _fail(f"{field}.kind", f"unknown unitary kind {kind!r}")
+
+
+@dataclass
+class _Check:
+    """One scenario check as its table entry sees it."""
+
+    spec: dict  # the check's JSON object
+    field: str
+    params: dict  # the parameters read so far, as the report records them
+    mf: object
+    unitaries: list  # (label, MagicUnitary) pairs
+    tol: float
+    seed: int
+
+    def param(self, key, default):
+        """One parameter, validated against the type of its default, recorded in params.
+
+        A string default takes a string; an integer default a positive
+        integer; a list default a list of positive integers.
+        """
+        value, name = self.spec.get(key, default), f"{self.field}.{key}"
+        if isinstance(default, str):
+            if not isinstance(value, str):
+                _fail(name, f"expected a string, got {value!r}")
+        elif isinstance(default, list):
+            value = _parse_int_list(value, name, minimum=1)
+        else:
+            value = _parse_int(value, name, minimum=1)
+        self.params[key] = value
+        return value
+
+
+def _verdict(rep):
+    """(residual, passed, note) of a library report; the note names its worst tuple."""
+    w = getattr(rep, "worst", None)
+    note = "" if w is None else f"worst tuple n={w.n} i={tuple(map(int, w.indices))}"
+    return rep.max_residual, rep.passed, note
+
+
+def _relations(c, u):
+    return _verdict(magic.verify_relations(u, tol=c.tol))
+
+
+def _quantum_invariance(c, u):
+    rep = exchangeability.check_quantum_invariance(c.mf, u, c.param("n_max", 4), c.tol)
+    return _verdict(rep)
+
+
+def _e_invariance(c, u):
+    n_max, rng = c.param("n_max", 3), np.random.default_rng(c.seed)
+    decorations = [c.mf.random_coeff(rng) for _ in range(n_max - 1)]
+    return _verdict(exchangeability.check_E_invariance(c.mf, u, decorations, n_max, c.tol))
+
+
+def _collapse_lemma(c, u):
+    worst = magic.collapse_lemma_residual(u, c.param("n_max", 4))
+    return worst, worst <= c.tol, ""
+
+
+def _classical_invariance(c, u):
+    k, n_max = c.param("k", max((v.k for _, v in c.unitaries), default=2)), c.param("n_max", 4)
+    rep = exchangeability.check_classical_exchangeability(c.mf, k, n_max, c.tol, c.seed)
+    return _verdict(rep)
+
+
+def _factorization(c, u):
+    variables, l = c.param("vars", [1, 2, 3]), c.param("l", 1)
+    rng = np.random.default_rng(c.seed)
+    residuals = []
+    for _ in range(c.param("trials", 5)):
+        polys = [exchangeability._random_polynomial(c.mf, rng) for _ in variables]
+        residuals.append(exchangeability.check_factorization(c.mf, variables, polys, l, c.tol))
+    worst = float(np.max(residuals))
+    return worst, worst <= c.tol, ""
+
+
+def _freeness(c, u):
+    rep = exchangeability.check_freeness(
+        c.mf, c.param("vars", [1, 2]), n_max=c.param("n_max", 4), tol=c.tol, seed=c.seed
+    )
+    note = "criteria agree" if rep.consistent else "criteria DISAGREE"
+    return max(rep.centered_max, rep.mixed_max), rep.passed, note
+
+
+def _crossing_sum(c, u):
+    # Fixed thresholds, not the tolerance: the probe of a non-commuting pair
+    # must stay 1e-4 away from the identity, that of a pair (p, p) within 1e-10.
+    d, s, variant = c.param("d", 2), c.param("s", 2), c.param("variant", "plain")
+    ok, worst_gap = True, 0.0
+    for t in range(c.param("pairs", 20)):
+        commuting = t % 2 == 1
+        if commuting:
+            p = q = magic.random_projection(d, 1, (c.seed, t))
+        else:
+            p, q = magic.noncommuting_projection_pair(d, (c.seed, t))
+        _, dist = exchangeability.crossing_sum_probe(p, q, s, variant)
+        good = dist <= 1e-10 if commuting else dist > 1e-4
+        ok = ok and good
+        worst_gap = max(worst_gap, 0.0 if good else dist if commuting else 1e-4 - dist)
+    return worst_gap, ok, ""
+
+
+def _counterexample(c, u):
+    rep = exchangeability.finite_counterexample(c.param("n", 3))
+    c.params.update(psi_u11=str(rep.psi_u11), psi_u11_u21=str(rep.psi_u11_u21))
+    return 0.0 if rep.passed else 1.0, rep.passed, ""
+
+
+# name -> (run, once per unitary); run(check, u) reads its parameters with
+# check.param and returns (residual, passed, note).
+CHECKS = {
+    "relations": (_relations, True),
+    "quantum_invariance": (_quantum_invariance, True),
+    "classical_invariance": (_classical_invariance, False),
+    "e_invariance": (_e_invariance, True),
+    "factorization": (_factorization, False),
+    "freeness": (_freeness, False),
+    "collapse_lemma": (_collapse_lemma, True),
+    "crossing_sum": (_crossing_sum, False),
+    "counterexample": (_counterexample, False),
+}
 
 
 def load_scenario(path):
@@ -181,32 +321,18 @@ def load_scenario(path):
     for key in ("name", "functional", "checks"):
         if key not in doc:
             _fail(key, "missing required field")
-    if "tolerance" in doc and not isinstance(doc["tolerance"], (int, float)):
-        _fail("tolerance", f"expected a number, got {type(doc['tolerance']).__name__}")
+    if "tolerance" in doc:
+        _check_tol(doc["tolerance"], "tolerance")
+    if not isinstance(doc.get("unitaries", []), list):
+        _fail("unitaries", "must be a list")
     if not isinstance(doc["checks"], list):
         _fail("checks", "must be a list")
     for pos, check in enumerate(doc["checks"]):
         if not isinstance(check, dict) or "name" not in check:
             _fail(f"checks[{pos}]", "each check is an object with a 'name'")
-        if check["name"] not in KNOWN_CHECKS:
+        if not isinstance(check["name"], str) or check["name"] not in CHECKS:
             _fail(f"checks[{pos}].name", f"unknown check {check['name']!r}")
     return doc
-
-
-def _record(name, params, residual, passed):
-    return {
-        "name": name,
-        "params": params,
-        "residual": float(residual),
-        "pass": bool(passed),
-    }
-
-
-def _worst_note(report):
-    w = report.worst
-    if w is None:
-        return ""
-    return f"worst tuple n={w.n} i={tuple(map(int, w.indices))}"
 
 
 def run_scenario(doc, tol, seed):
@@ -214,186 +340,79 @@ def run_scenario(doc, tol, seed):
     mf = build_functional(doc["functional"])
     unitaries = []
     for pos, uspec in enumerate(doc.get("unitaries", [])):
-        label = f"{uspec.get('kind', '?')}#{pos}"
-        unitaries.append((label, build_unitary(uspec, seed, f"unitaries[{pos}]")))
-
-    records = []
-    lines = []
-
-    def add(name, params, residual, passed, note=""):
-        records.append(_record(name, params, residual, passed))
-        verdict = "PASS" if passed else "FAIL"
-        extra = f"  ({note})" if note else ""
-        target = f" [{params['unitary']}]" if "unitary" in params else ""
-        lines.append(f"{name}{target}: residual={residual:.3e} {verdict}{extra}")
-
-    for pos, check in enumerate(doc["checks"]):
-        name = check["name"]
-        field = f"checks[{pos}]"
-        if name == "relations":
-            for label, u in unitaries:
-                rep = magic.verify_relations(u, tol=tol)
-                add(name, {"unitary": label}, rep.max_residual, rep.passed)
-        elif name == "quantum_invariance":
-            n_max = int(check.get("n_max", 4))
-            for label, u in unitaries:
-                rep = exchangeability.check_quantum_invariance(
-                    mf, u, n_max=n_max, tol=tol, seed=seed
-                )
-                add(
-                    name,
-                    {"unitary": label, "n_max": n_max},
-                    rep.max_residual,
-                    rep.passed,
-                    note=_worst_note(rep),
-                )
-        elif name == "classical_invariance":
-            n_max = int(check.get("n_max", 4))
-            k = int(check.get("k", max((u.k for _, u in unitaries), default=2)))
-            rep = exchangeability.check_classical_exchangeability(
-                mf, k, n_max=n_max, tol=tol, seed=seed
-            )
-            add(name, {"k": k, "n_max": n_max}, rep.max_residual, rep.passed,
-                note=_worst_note(rep))
-        elif name == "e_invariance":
-            n_max = int(check.get("n_max", 3))
-            rng = np.random.default_rng(seed)
-            decorations = [mf.random_coeff(rng) for _ in range(max(0, n_max - 1))]
-            for label, u in unitaries:
-                rep = exchangeability.check_E_invariance(
-                    mf, u, decorations=decorations, n_max=n_max, tol=tol, seed=seed
-                )
-                add(name, {"unitary": label, "n_max": n_max}, rep.max_residual,
-                    rep.passed, note=_worst_note(rep))
-        elif name == "factorization":
-            variables = tuple(check.get("vars", [1, 2, 3]))
-            l = int(check.get("l", 1))
-            trials = int(check.get("trials", 5))
-            rng = np.random.default_rng(seed)
-            worst = 0.0
+        u = build_unitary(uspec, seed, f"unitaries[{pos}]")
+        unitaries.append((f"{uspec['kind']}#{pos}", u))
+    records, lines = [], []
+    for pos, spec in enumerate(doc["checks"]):
+        name, field = spec["name"], f"checks[{pos}]"
+        check = _Check(spec, field, {}, mf, unitaries, tol, seed)
+        run, per_unitary = CHECKS[name]
+        if per_unitary and not unitaries:
+            _fail(field, f"{name} runs once per unitary, and the scenario has none")
+        for label, u in unitaries if per_unitary else [(None, None)]:
             try:
-                for _ in range(trials):
-                    polys = [
-                        exchangeability._random_polynomial(mf, rng) for _ in variables
-                    ]
-                    worst = max(
-                        worst,
-                        exchangeability.check_factorization(mf, variables, polys, l, tol=tol),
-                    )
+                residual, passed, note = run(check, u)
             except ValueError as exc:
                 _fail(field, str(exc))
-            add(name, {"vars": list(variables), "l": l, "trials": trials},
-                worst, worst <= tol)
-        elif name == "freeness":
-            variables = tuple(check.get("vars", [1, 2]))
-            n_max = int(check.get("n_max", 4))
-            rep = exchangeability.check_freeness(
-                mf, variables, n_max=n_max, tol=tol, seed=seed
+            params = check.params if label is None else {"unitary": label, **check.params}
+            records.append(
+                {"name": name, "params": params, "residual": float(residual), "pass": bool(passed)}
             )
-            add(name, {"vars": list(variables), "n_max": n_max},
-                max(rep.centered_max, rep.mixed_max), rep.passed,
-                note="criteria agree" if rep.consistent else "criteria DISAGREE")
-        elif name == "collapse_lemma":
-            n_max = int(check.get("n_max", 4))
-            from .partitions import enumerate_noncrossing
-
-            for label, u in unitaries:
-                worst = 0.0
-                eye = np.eye(u.d)
-                for n in range(1, n_max + 1):
-                    for pi in enumerate_noncrossing(n):
-                        sums = magic.collapse_sum_all(u, pi)
-                        ind = magic.kernel_indicator(pi, u.k)
-                        target = ind[..., None, None] * eye
-                        dev = np.linalg.norm(
-                            (sums - target).reshape(-1, u.d * u.d), axis=1
-                        ).max()
-                        worst = max(worst, float(dev))
-                add(name, {"unitary": label, "n_max": n_max}, worst, worst <= tol)
-        elif name == "crossing_sum":
-            d = int(check.get("d", 2))
-            s = int(check.get("s", 2))
-            variant = check.get("variant", "plain")
-            pairs = int(check.get("pairs", 20))
-            ok = True
-            worst_gap = 0.0
-            for t in range(pairs):
-                if t % 2 == 0:
-                    p, q = magic.noncommuting_projection_pair(d, (seed, t))
-                    _, dist = exchangeability.crossing_sum_probe(p, q, s, variant)
-                    ok = ok and dist > 1e-4
-                    worst_gap = max(worst_gap, 0.0 if dist > 1e-4 else 1e-4 - dist)
-                else:
-                    p = magic.random_projection(d, 1, (seed, t))
-                    _, dist = exchangeability.crossing_sum_probe(p, p, s, variant)
-                    ok = ok and dist <= 1e-10
-                    worst_gap = max(worst_gap, dist if dist > 1e-10 else 0.0)
-            add(name, {"d": d, "s": s, "variant": variant, "pairs": pairs},
-                worst_gap, ok)
-        elif name == "counterexample":
-            n = int(check.get("n", 3))
-            try:
-                rep = exchangeability.finite_counterexample(n)
-            except ValueError as exc:
-                _fail(field, str(exc))
-            add(name, {"n": n, "psi_u11": str(rep.psi_u11),
-                       "psi_u11_u21": str(rep.psi_u11_u21)},
-                0.0 if rep.passed else 1.0, rep.passed)
-
+            target = f" [{label}]" if label else ""
+            extra = f"  ({note})" if note else ""
+            lines.append(f"{name}{target}: residual={residual:.3e} "
+                         f"{'PASS' if passed else 'FAIL'}{extra}")
     all_pass = all(r["pass"] for r in records)
-    report = {
-        "scenario": doc["name"],
-        "seed": seed,
-        "tolerance": tol,
-        "checks": records,
-        "pass": all_pass,
-    }
+    report = {"scenario": doc["name"], "seed": seed, "tolerance": tol, "checks": records,
+              "pass": all_pass}
     return report, lines
 
 
 def _resolve_tolerance(args, doc):
     if args.tol is not None:
-        return float(args.tol)
+        return _check_tol(args.tol, "--tol")
     env = os.environ.get(ENV_TOL)
     if env is not None:
         try:
-            return float(env)
+            value = float(env)
         except ValueError as exc:
             raise ScenarioError(f"{ENV_TOL}: not a number ({env!r})") from exc
+        return _check_tol(value, ENV_TOL)
     if doc is not None and "tolerance" in doc:
         return float(doc["tolerance"])
-    return DEFAULT_TOL
+    return exchangeability.DEFAULT_TOL
 
 
 def _resolve_seed(args, doc):
     if args.seed is not None:
-        return int(args.seed)
+        return _parse_int(args.seed, "--seed", minimum=0)
     if doc is not None and "seed" in doc:
-        return int(doc["seed"])
+        return _parse_int(doc["seed"], "seed", minimum=0)
     return 0
 
 
 def _emit(args, report, lines):
+    """Write the JSON report to --report, then the report or the lines to stdout."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.report:
-        Path(args.report).write_text(text)
-    if args.format == "json":
-        sys.stdout.write(text)
-    else:
-        for line in lines:
-            print(line)
-        print("overall:", "PASS" if report["pass"] else "FAIL")
+        try:
+            Path(args.report).write_text(text)
+        except OSError as exc:
+            raise ScenarioError(f"--report: {exc}") from exc
+    sys.stdout.write(text if args.format == "json" else "".join(f"{l}\n" for l in lines))
 
 
 def _load_spec_argument(value, field):
-    """Inline JSON or a path to a JSON file."""
-    candidate = Path(value)
-    if candidate.exists():
-        value = candidate.read_text()
+    """An inline JSON object, or a path to a JSON file."""
+    if not value.lstrip().startswith("{"):
+        try:
+            value = Path(value).read_text()
+        except OSError as exc:
+            raise ScenarioError(f"{field}: not an inline JSON object or a readable file ({exc})")
     try:
         return json.loads(value)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{field}: not valid JSON or a readable file ({exc})")
+        raise ScenarioError(f"{field}: not valid JSON ({exc})")
 
 
 def cmd_verify(args):
@@ -403,7 +422,7 @@ def cmd_verify(args):
     if args.report is None:
         args.report = Path(args.scenario).stem + ".report.json"
     report, lines = run_scenario(doc, tol, seed)
-    _emit(args, report, lines)
+    _emit(args, report, lines + ["overall: " + ("PASS" if report["pass"] else "FAIL")])
     return 0 if report["pass"] else 1
 
 
@@ -421,12 +440,7 @@ def cmd_check_magic(args):
         "residual": rep.max_residual,
         "pass": rep.passed,
     }
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(rep.summary())
-    if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit(args, report, [rep.summary()])
     return 0 if rep.passed else 1
 
 

@@ -298,6 +298,8 @@ class CumulantSpec:
                 raise ValueError(
                     f"order-{order} value must have {self.b_dim} diagonal entries"
                 )
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"order-{order} value is not finite")
             table[order] = vec
         if max_order is None:
             max_order = max(table) if table else 1
@@ -308,6 +310,8 @@ class CumulantSpec:
         self.weights = np.asarray(weights, dtype=complex)
         if self.weights.shape != (self.b_dim,):
             raise ValueError("weights must have one entry per diagonal component")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
         self._zero = np.zeros(self.b_dim, dtype=complex)
         self._sums = {}
 

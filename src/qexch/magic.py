@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import as_matrix, frobenius
-from .partitions import is_noncrossing, kernel, leq
+from .partitions import enumerate_noncrossing, is_noncrossing, kernel, leq
 
 PROJECTION_TOL = 1e-8
 
@@ -122,6 +122,8 @@ def noncommuting_projection_pair(d, seed, min_commutator=0.01, max_tries=100):
     Degenerate draws are discarded and resampled, so the pair is generic by
     construction while staying deterministic in the seed.
     """
+    if d < 2:
+        raise ValueError(f"no non-commuting projections exist in dimension d={d}")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         p = _projection_from_rng(rng, d, 1)
@@ -285,3 +287,20 @@ def kernel_indicator(pi, k):
         for pos in block[1:]:
             mask &= grids[first] == grids[pos - 1]
     return mask
+
+
+def collapse_lemma_residual(u, n_max):
+    """Largest Frobenius distance of a collapse sum from its target.
+
+    Scans every non-crossing pi of n <= n_max points and every tuple i; the
+    target is the identity where ker i >= pi and zero elsewhere.
+    """
+    eye = np.eye(u.d)
+    devs = []
+    for n in range(1, n_max + 1):
+        for pi in enumerate_noncrossing(n):
+            target = kernel_indicator(pi, u.k)[..., None, None] * eye
+            diff = (collapse_sum_all(u, pi) - target).reshape(-1, u.d * u.d)
+            devs.append(np.linalg.norm(diff, axis=1).max())
+    # np.max, unlike max(), lets a NaN through
+    return float(np.max(devs, initial=0.0))

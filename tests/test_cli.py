@@ -1,13 +1,17 @@
 """Scenario runner: exit codes, report determinism, subcommands, overrides."""
 
 import json
+import math
 from pathlib import Path
+
+import pytest
 
 from qexch.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "qexch" / "fixtures"
 FREE = FIXTURES / "free_semicircular.json"
 BERNOULLI = FIXTURES / "classical_bernoulli.json"
+ALL_CHECKS = Path(__file__).resolve().parent / "scenarios" / "all_checks.json"
 
 
 def run_cli(args, capsys):
@@ -38,14 +42,57 @@ def test_bernoulli_fixture_fails_with_violating_tuple(tmp_path, capsys):
     )
     assert code == 1
     assert "overall: FAIL" in out
-    # the offending word is printed alongside the failing check
-    assert "worst tuple n=4" in out
+    # the offending word is printed alongside the failing check; 32 tuples tie
+    # at the maximum up to rounding, and the first of them in C order is named
+    assert "worst tuple n=4 i=(1, 3, 1, 3)" in out
     report = json.loads(report_path.read_text())
     assert report["pass"] is False
     names = {c["name"]: c for c in report["checks"]}
     assert not names["quantum_invariance"]["pass"]
     assert not names["freeness"]["pass"]
     assert names["classical_invariance"]["pass"]
+
+
+# Every check of the scenario table, in report order: name, params, residual.
+ALL_CHECKS_EXPECTED = [
+    ("relations", {"unitary": "permutation#0"}, 0.0),
+    ("relations", {"unitary": "block_pair#1"}, 6.0332475458014115e-16),
+    ("relations", {"unitary": "block_chain#2"}, 2.8701426182792884e-16),
+    ("quantum_invariance", {"n_max": 5, "unitary": "permutation#0"}, 0.0),
+    ("quantum_invariance", {"n_max": 5, "unitary": "block_pair#1"}, 2.0609187995072733e-15),
+    ("quantum_invariance", {"n_max": 5, "unitary": "block_chain#2"}, 1.3557299374907376e-15),
+    ("classical_invariance", {"k": 4, "n_max": 4}, 0.0),
+    ("e_invariance", {"n_max": 3, "unitary": "permutation#0"}, 0.0),
+    ("e_invariance", {"n_max": 3, "unitary": "block_pair#1"}, 7.979727989493313e-17),
+    ("e_invariance", {"n_max": 3, "unitary": "block_chain#2"}, 7.407187990290272e-17),
+    ("collapse_lemma", {"n_max": 4, "unitary": "permutation#0"}, 0.0),
+    ("collapse_lemma", {"n_max": 4, "unitary": "block_pair#1"}, 1.0292666002845966e-15),
+    ("collapse_lemma", {"n_max": 4, "unitary": "block_chain#2"}, 5.063932090937452e-16),
+    ("freeness", {"n_max": 4, "vars": [1, 2]}, 8.961363743956553e-14),
+    ("factorization", {"l": 2, "trials": 5, "vars": [1, 2, 1]}, 3.972054645195637e-15),
+    ("crossing_sum", {"d": 2, "pairs": 6, "s": 2, "variant": "plain"}, 0.0),
+    ("crossing_sum", {"d": 3, "pairs": 6, "s": 3, "variant": "capped"}, 0.0),
+    ("counterexample", {"n": 3, "psi_u11": "1/3", "psi_u11_u21": "0"}, 0.0),
+]
+
+
+def test_all_checks_scenario_pinned(tmp_path, capsys):
+    report_path = tmp_path / "all.json"
+    code, out, _ = run_cli(
+        ["verify", str(ALL_CHECKS), "--seed", "0", "--report", str(report_path)], capsys
+    )
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert report["pass"] is True and report["tolerance"] == 1e-8 and report["seed"] == 0
+    got = report["checks"]
+    assert [(c["name"], c["params"]) for c in got] == [
+        (name, params) for name, params, _ in ALL_CHECKS_EXPECTED
+    ]
+    assert all(c["pass"] is True for c in got)
+    for c, (_, _, residual) in zip(got, ALL_CHECKS_EXPECTED):
+        assert abs(c["residual"] - residual) <= 1e-12, c
+    assert out.splitlines()[-1] == "overall: PASS"
+    assert len(out.splitlines()) == len(ALL_CHECKS_EXPECTED) + 1
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
@@ -234,3 +281,123 @@ def test_counterexample_invalid_n(capsys):
 def test_unknown_subcommand_exits_two(capsys):
     code, _, err = run_cli(["frobnicate"], capsys)
     assert code == 2
+
+
+# -- malformed input: exit 2, the field named, no traceback ---------------------------
+
+def _scenario(tmp_path, **changes):
+    doc = {
+        "name": "x",
+        "functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "max_order": 2},
+        "unitaries": [{"kind": "permutation", "sigma": [2, 1, 4, 3], "d": 2}],
+        "checks": [{"name": "relations"}],
+    }
+    doc.update(changes)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"unitaries": [{"kind": "permutation", "sigma": [1.5, 2]}]}, "unitaries[0].sigma[0]"),
+        ({"unitaries": [{"kind": "permutation", "sigma": [2, 1], "d": [1]}]}, "unitaries[0].d"),
+        ({"unitaries": [{"kind": "block_pair", "d": True, "seeds": [1, 2]}]}, "unitaries[0].d"),
+        ({"unitaries": [{"kind": "block_pair", "d": 2, "seeds": ["1", 2]}]},
+         "unitaries[0].seeds[0]"),
+        ({"unitaries": [5]}, "unitaries[0]"),
+        ({"unitaries": [{"kind": "block_pair", "d": 2, "seeds": [-1, 2]}]},
+         "unitaries[0].seeds[0]"),
+        ({"unitaries": [{"kind": "block_chain", "d": 2, "projections": 5}]},
+         "unitaries[0].projections"),
+        ({"checks": [{"name": ["relations"]}]}, "checks[0].name"),
+        ({"checks": [{"name": "quantum_invariance", "n_max": "3"}]}, "checks[0].n_max"),
+        ({"checks": [{"name": "quantum_invariance", "n_max": 0}]}, "checks[0].n_max"),
+        ({"checks": [{"name": "e_invariance", "n_max": 2.5}]}, "checks[0].n_max"),
+        ({"checks": [{"name": "collapse_lemma", "n_max": [4]}]}, "checks[0].n_max"),
+        ({"checks": [{"name": "classical_invariance", "k": True}]}, "checks[0].k"),
+        ({"checks": [{"name": "freeness", "vars": "12"}]}, "checks[0].vars"),
+        ({"checks": [{"name": "freeness", "n_max": 1}]}, "checks[0]"),
+        ({"checks": [{"name": "factorization", "trials": 1.5}]}, "checks[0].trials"),
+        ({"checks": [{"name": "crossing_sum", "d": 1}]}, "checks[0]"),
+        ({"checks": [{"name": "crossing_sum", "variant": 5}]}, "checks[0].variant"),
+        ({"checks": [{"name": "counterexample", "n": 4}]}, "checks[0]"),
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": True}}},
+         "functional.cumulants[2]"),
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": "1"}},
+         "functional.b_dim"),
+        ({"seed": "0"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"unitaries": [], "checks": [{"name": "quantum_invariance", "n_max": "3"}]},
+         "checks[0]"),
+    ],
+)
+def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, field):
+    code, out, err = run_cli(
+        ["verify", str(_scenario(tmp_path, **changes)), "--report", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith(f"error: {field}: ")
+    assert out == ""
+
+
+def test_non_finite_cumulant_exits_two(tmp_path, capsys):
+    functional = {"kind": "cumulant", "cumulants": {"2": math.nan}}
+    report_path = tmp_path / "r.json"
+    code, _, err = run_cli(
+        ["verify", str(_scenario(tmp_path, functional=functional)), "--report",
+         str(report_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "functional.cumulants[2]" in err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-8"])
+def test_bad_tol_flag_exits_two(tmp_path, capsys, value):
+    code, _, err = run_cli(
+        ["verify", str(FREE), f"--tol={value}", "--report", str(tmp_path / "r.json")], capsys
+    )
+    assert code == 2
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "-1e-8"])
+def test_bad_env_tolerance_value_exits_two(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("QEXCH_TOL", value)
+    code, _, err = run_cli(["verify", str(FREE), "--report", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert "QEXCH_TOL" in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, True])
+def test_bad_scenario_tolerance_value_exits_two(tmp_path, capsys, value):
+    code, _, err = run_cli(
+        ["verify", str(_scenario(tmp_path, tolerance=value)), "--tol", "1e-8"], capsys
+    )
+    assert code == 2
+    assert "tolerance" in err
+
+
+def test_long_inline_spec_is_parsed(capsys):
+    spec = json.dumps({"kind": "permutation", "sigma": list(range(1, 81))})
+    assert len(spec) > 255
+    code, out, _ = run_cli(["check-magic", spec], capsys)
+    assert code == 0
+    assert "PASS" in out
+
+
+def test_unwritable_report_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "r.json"
+    code, _, err = run_cli(["verify", str(FREE), "--report", str(target)], capsys)
+    assert code == 2
+    assert "--report" in err
+    code, _, err = run_cli(
+        ["check-magic", '{"kind": "permutation", "sigma": [2, 1]}', "--report", str(target)],
+        capsys,
+    )
+    assert code == 2
+    assert "--report" in err

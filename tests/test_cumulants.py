@@ -256,6 +256,19 @@ def test_cumulant_cutoff_zeroes_high_orders():
     assert abs(mf.scalar_moment((1,) * 4) - 2.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "kappa, weights, message",
+    [
+        ({2: [np.nan]}, None, "order-2"),
+        ({2: [1.0], 3: [np.inf]}, None, "order-3"),
+        ({2: [1.0]}, [np.nan], "weights"),
+    ],
+)
+def test_spec_rejects_non_finite_values(kappa, weights, message):
+    with pytest.raises(ValueError, match=message):
+        CumulantSpec(kappa, weights=weights)
+
+
 def test_moments_beyond_cutoff_are_still_defined():
     spec = CumulantSpec({2: [1.0]}, max_order=2)
     mf = CumulantMomentFunctional(spec)

@@ -24,6 +24,7 @@ from qexch.exchangeability import (
     TupleRecord,
     _coaction_all,
     _operator_entries,
+    _witness_index,
     check_classical_exchangeability,
     check_E_invariance,
     check_factorization,
@@ -116,10 +117,27 @@ def test_unitary_larger_than_family_rejected():
 def test_long_words_scanned_exhaustively():
     mf = CumulantMomentFunctional(semicircular_spec())
     u = block_pair(*noncommuting_projection_pair(2, seed=2))
-    report = check_quantum_invariance(mf, u, n_max=9, seed=5)
+    report = check_quantum_invariance(mf, u, n_max=9)
     assert report.exhaustive  # all 4^9 tuples at n = 9
     assert report.passed
     assert len(report.per_length) == 9
+
+
+def test_witness_ignores_last_bit_noise_on_ties():
+    rng = np.random.default_rng(0)
+    residuals = np.full(64, 0.68712)
+    residuals[:10] = 0.5
+    for _ in range(50):
+        step = rng.integers(-1, 2, size=residuals.size)
+        toward = np.copysign(np.inf, step)
+        noisy = np.where(step == 0, residuals, np.nextafter(residuals, toward))
+        assert _witness_index(noisy) == 10
+
+
+def test_witness_is_first_non_finite_residual():
+    assert _witness_index(np.array([1.0, np.inf, np.nan, 2.0])) == 1
+    assert _witness_index(np.array([1.0, 2.0, np.nan, np.inf])) == 2
+    assert _witness_index(np.zeros(5)) == 0
 
 
 class _NaNAtLength(CumulantMomentFunctional):

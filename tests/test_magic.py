@@ -10,6 +10,7 @@ from qexch.magic import (
     block_chain,
     block_pair,
     collapse_expected,
+    collapse_lemma_residual,
     collapse_sum_all,
     ensure_projection,
     from_permutation,
@@ -130,6 +131,11 @@ def test_noncommuting_pair_has_large_commutator():
     for seed in range(10):
         p, q = noncommuting_projection_pair(2, seed=seed)
         assert np.linalg.norm(p @ q - q @ p) >= 0.01
+
+
+def test_noncommuting_pair_needs_two_dimensions():
+    with pytest.raises(ValueError, match="d=1"):
+        noncommuting_projection_pair(1, seed=0)
 
 
 # -- relations report ------------------------------------------------------------------
@@ -273,3 +279,13 @@ def test_noncommuting_entries_break_crossing_collapse():
         for a, b in [(p, q), (p, qc), (pc, q), (pc, qc)]
     )
     assert np.allclose(got, direct, atol=1e-12)
+
+
+def test_collapse_lemma_residual_detects_a_broken_row():
+    u = block_pair(*noncommuting_projection_pair(2, seed=4))
+    assert collapse_lemma_residual(u, 4) <= 1e-12
+    assert collapse_lemma_residual(u, 0) == 0.0
+    bad = u.entries.copy()
+    bad[0, 0] += 1e-3 * np.eye(2)  # row 1 no longer sums to the identity
+    residual = collapse_lemma_residual(MagicUnitary(bad), 2)
+    assert 1e-4 < residual < 1e-2
