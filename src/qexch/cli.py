@@ -134,6 +134,10 @@ def build_functional(spec, field="functional"):
     if kind == "concrete":
         dim = _parse_int(_require(spec, "dim", field), f"{field}.dim")
         density = _parse_matrix(_require(spec, "density", field), f"{field}.density", dim)
+        state = algebra.State(density)
+        for name, residual in state.residuals().items():
+            if not residual <= magic.PROJECTION_TOL:
+                _fail(f"{field}.density", f"not a state: {name} residual {residual:.2e}")
         b_choice = spec.get("b", "scalar")
         if b_choice == "scalar":
             sub = algebra.scalar_subalgebra(density)
@@ -143,7 +147,7 @@ def build_functional(spec, field="functional"):
             sub = algebra.pinching_subalgebra(b_choice["blocks"])
         else:
             _fail(f"{field}.b", f"expected 'scalar', 'diagonal', or {{'blocks': ...}}, got {b_choice!r}")
-        ctx = algebra.AlgebraContext(algebra.State(density), sub)
+        ctx = algebra.AlgebraContext(state, sub)
         elements = _require(spec, "elements", field, list)
         mats = [
             _parse_matrix(e, f"{field}.elements[{t}]", dim) for t, e in enumerate(elements)
@@ -255,7 +259,7 @@ def _factorization(c, u):
     residuals = []
     for _ in range(c.param("trials", 5)):
         polys = [exchangeability._random_polynomial(c.mf, rng) for _ in variables]
-        residuals.append(exchangeability.check_factorization(c.mf, variables, polys, l, c.tol))
+        residuals.append(exchangeability.check_factorization(c.mf, variables, polys, l))
     worst = float(np.max(residuals))
     return worst, worst <= c.tol, ""
 
@@ -362,6 +366,8 @@ def run_scenario(doc, tol, seed):
             extra = f"  ({note})" if note else ""
             lines.append(f"{name}{target}: residual={residual:.3e} "
                          f"{'PASS' if passed else 'FAIL'}{extra}")
+        for key in sorted(set(spec) - {"name"} - set(check.params)):
+            _fail(f"{field}.{key}", "unknown parameter")
     all_pass = all(r["pass"] for r in records)
     report = {"scenario": doc["name"], "seed": seed, "tolerance": tol, "checks": records,
               "pass": all_pass}

@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import MAX_TENSOR_TUPLES, MomentFunctional, as_matrix, frobenius
 from .partitions import (
+    _nc_size_profiles,
     canonical_pattern,
     delete_block,
     enumerate_noncrossing,
@@ -31,46 +32,6 @@ MAX_WORD_LENGTH = 12
 @lru_cache(maxsize=None)
 def _noncrossing(n):
     return tuple(enumerate_noncrossing(n))
-
-
-@lru_cache(maxsize=None)
-def _nc_size_profiles(pattern):
-    """Block-size profiles of non-crossing partitions refining a kernel.
-
-    Returns ((sizes, count), ...) where `sizes` is a sorted tuple of block
-    sizes and `count` how many admissible partitions share it.  The block
-    of the first position may only recruit later positions with the same
-    pattern value; the gaps in between recurse independently, which is the
-    usual first-block decomposition restricted to the kernel.
-    """
-    if not pattern:
-        return (((), 1),)
-    m = len(pattern)
-    rest = tuple(range(1, m))
-    candidates = [p for p in rest if pattern[p] == pattern[0]]
-    out = {}
-    for r in range(len(candidates) + 1):
-        for chosen in itertools.combinations(candidates, r):
-            gaps = [[] for _ in range(r + 1)]
-            ci = 0
-            for e in rest:
-                if ci < r and e == chosen[ci]:
-                    ci += 1
-                    continue
-                gaps[ci].append(e)
-            combined = {(): 1}
-            for g in gaps:
-                sub = _nc_size_profiles(canonical_pattern(pattern[p] for p in g))
-                merged = {}
-                for sizes_a, ca in combined.items():
-                    for sizes_b, cb in sub:
-                        key = tuple(sorted(sizes_a + sizes_b))
-                        merged[key] = merged.get(key, 0) + ca * cb
-                combined = merged
-            for sizes, count in combined.items():
-                key = tuple(sorted(sizes + (r + 1,)))
-                out[key] = out.get(key, 0) + count
-    return tuple(sorted(out.items()))
 
 
 class MultilinearFamily:

@@ -24,7 +24,7 @@ from .algebra import (
     product_expectation,
 )
 from .cumulants import check_mixed_cumulants
-from .magic import MagicUnitary, ensure_projection
+from .magic import MagicUnitary, _coaction_all, ensure_projection
 
 DEFAULT_TOL = 1e-8
 
@@ -78,41 +78,11 @@ class InvarianceReport:
         return "\n".join(lines)
 
 
-def _coaction_all(entries, seed_tensor, k, n, d_out):
-    """R[i] = sum_j u[i1 j1] ... u[in jn] . seed[j] for every tuple i.
-
-    seed_tensor has shape (k**n, d_out, d_out).  Positions are contracted
-    from the right, s = n..1, so the matrix order of the word is preserved.
-    Each position is one matmul of M[(i a), (j c)] = u_ij[a, c] with the
-    running tensor laid out as ((j_s c), j_1..j_{s-1}, i_{s+1}..i_n, b);
-    after it only i_s and j_{s-1} trade places, the one copy a position
-    costs.
-    """
-    kd = k * d_out
-    m = entries.transpose(0, 2, 1, 3).reshape(kd, kd)
-    t = seed_tensor.reshape(k ** (n - 1), kd, d_out).transpose(1, 0, 2)
-    for s in range(n, 1, -1):
-        t = m @ t.reshape(kd, -1)
-        t = t.reshape(k, d_out, k ** (s - 2), k, -1).swapaxes(0, 3)
-    t = m @ t.reshape(kd, -1)
-    # ((i_1 a), i_2..i_n, b) -> (i_1..i_n, a, b)
-    t = t.reshape(k, d_out, k ** (n - 1), d_out).transpose(0, 2, 1, 3)
-    return t.reshape(k**n, d_out, d_out)
-
-
-def _operator_entries(entries, m):
-    """u_ij tensored with the identity of the coefficient algebra."""
-    k = entries.shape[0]
-    d = entries.shape[2]
-    out = np.einsum("ijab,cd->ijacbd", entries, np.eye(m))
-    return out.reshape(k, k, d * m, d * m)
-
-
 def _identity_seed(values, d):
-    """I_d tensor v for a stack of m x m values; shape (N, d*m, d*m)."""
+    """I_d tensor v for a stack of m x m values, each laid out as a d x (d m m) row block."""
     m = values.shape[-1]
-    out = np.einsum("ab,Xcd->Xacbd", np.eye(d), values.reshape(-1, m, m))
-    return out.reshape(-1, d * m, d * m)
+    out = np.einsum("ab,Xce->Xabce", np.eye(d), values.reshape(-1, m, m))
+    return out.reshape(-1, d, d * m * m)
 
 
 def _witness_index(residuals):
@@ -126,8 +96,8 @@ def _witness_index(residuals):
     return int(np.argmax(~np.isfinite(residuals) | (residuals >= peak * (1 - 1e-12))))
 
 
-def _scan_lengths(mf, u, n_max, tol, make_seed_tensor, check_name):
-    """Shared driver: build the seed tensor per length, contract, compare.
+def _scan_lengths(mf, u, n_max, tol, make_seed, check_name):
+    """Shared driver: build the seed per length, contract, compare.
 
     The invariance identity holds exactly when coaction output equals the
     seed value at the same tuple, so the seed doubles as the left side.
@@ -140,9 +110,8 @@ def _scan_lengths(mf, u, n_max, tol, make_seed_tensor, check_name):
         )
     per_length = []
     for n in range(1, n_max + 1):
-        seed_tensor, d_out, entries = make_seed_tensor(n)
-        rhs = _coaction_all(entries, seed_tensor, k, n, d_out)
-        diffs = rhs - seed_tensor
+        seed = make_seed(n)
+        diffs = _coaction_all(u.entries, seed, n) - seed
         residuals = np.linalg.norm(diffs.reshape(len(diffs), -1), axis=1)
         indices = np.unravel_index(_witness_index(residuals), (k,) * n)
         per_length.append(
@@ -165,12 +134,8 @@ def check_quantum_invariance(mf, u, n_max, tol=DEFAULT_TOL):
     phi(x_{i1}...x_{in}) times the identity matrix.  Every tuple i of every
     length 1..n_max is checked.
     """
-    k, d = u.k, u.d
-
     def make_seed(n):
-        phi = mf.scalar_moment_tensor(k, n).reshape(-1)
-        seed_tensor = phi[:, None, None] * np.eye(d)
-        return seed_tensor, d, u.entries
+        return mf.scalar_moment_tensor(u.k, n).reshape(-1, 1, 1) * np.eye(u.d)
 
     return _scan_lengths(mf, u, n_max, tol, make_seed, "quantum_invariance")
 
@@ -214,29 +179,25 @@ def check_E_invariance(mf, u, decorations=None, n_max=3, tol=DEFAULT_TOL):
     """The B-valued version of quantum invariance.
 
     u-entries and expectation values live in different algebras, so the
-    identity is tested in their tensor product: the coaction side uses
-    u_ij (x) 1 and the moment side 1_d (x) E[...].  B must be commutative.
-    Like the scalar check, it scans every tuple of every length.
+    identity is tested in their tensor product: the coaction of u acts on
+    the seed 1_d (x) E[...], and the result must equal that seed.  B must
+    be commutative.  Like the scalar check, it scans every tuple of every
+    length.
     """
     if isinstance(mf, ConcreteMomentFunctional):
         if not mf.context.subalgebra.is_commutative():
             raise ValueError("E-invariance check requires a commutative subalgebra B")
-    k, d = u.k, u.d
-    m = mf.b_dim
     if decorations is not None and len(decorations) < n_max - 1:
         raise ValueError(f"need at least {n_max - 1} decorations for n_max={n_max}")
-    op_entries = _operator_entries(u.entries, m)
 
     def make_seed(n):
         decs = None if decorations is None else list(decorations[: n - 1])
-        psi = mf.expectation_tensor(k, n, decs)
-        seed_tensor = _identity_seed(psi, d)
-        return seed_tensor, d * m, op_entries
+        return _identity_seed(mf.expectation_tensor(u.k, n, decs), u.d)
 
     return _scan_lengths(mf, u, n_max, tol, make_seed, "e_invariance")
 
 
-def check_factorization(mf, variables, polys, l, tol=1e-9):
+def check_factorization(mf, variables, polys, l):
     """Residual of pulling E through the polynomial at a unique position.
 
     The position l is 1-based; its variable index must not occur anywhere

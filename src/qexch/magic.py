@@ -41,6 +41,29 @@ class MagicUnitary:
         return self.entries[i - 1, j - 1]
 
 
+def _coaction_all(entries, seed, n):
+    """R[i] = sum_j u[i1 j1] ... u[in jn] . seed[j] for every tuple i.
+
+    entries has shape (k, k, d, d) and seed shape (k**n, d, r) for any
+    width r; so has the result.  Positions are contracted from the right,
+    s = n..1, so the matrix order of the word is preserved.  Each position
+    is one matmul of M[(i a), (j c)] = u_ij[a, c] with the running tensor
+    laid out as ((j_s c), j_1..j_{s-1}, i_{s+1}..i_n, b); after it only i_s
+    and j_{s-1} trade places, the one copy a position costs.
+    """
+    k, d = entries.shape[0], entries.shape[2]
+    kd = k * d
+    m = entries.transpose(0, 2, 1, 3).reshape(kd, kd)
+    t = seed.reshape(k ** (n - 1), kd, -1).transpose(1, 0, 2)
+    for s in range(n, 1, -1):
+        t = m @ t.reshape(kd, -1)
+        t = t.reshape(k, d, k ** (s - 2), k, -1).swapaxes(0, 3)
+    t = m @ t.reshape(kd, -1)
+    # ((i_1 a), i_2..i_n, b) -> (i_1..i_n, a, b)
+    t = t.reshape(k, d, k ** (n - 1), -1).transpose(0, 2, 1, 3)
+    return t.reshape(k**n, d, -1)
+
+
 def ensure_projection(q, tol=PROJECTION_TOL):
     """Re-symmetrize and validate an orthogonal projection.
 
@@ -207,7 +230,27 @@ def word_product(u, i, j):
     return acc
 
 
-def _bruteforce_block_sum(u, i, pi):
+def interval_collapse_sum(u, i, pi):
+    """Sum of u-words over all j with ker j >= pi, for non-crossing pi.
+
+    Computed literally as the sum with one free index per block of pi.
+    For valid magic unitaries the result collapses to the identity when
+    ker i >= pi and to zero otherwise; that collapse is what callers
+    assert, not what this function assumes.
+    """
+    if not is_noncrossing(pi):
+        raise ValueError(
+            "crossing partition rejected; use unsafe_bruteforce_sum to probe it"
+        )
+    return unsafe_bruteforce_sum(u, i, pi)
+
+
+def unsafe_bruteforce_sum(u, i, pi):
+    """The same block sum without the non-crossing guard.
+
+    For crossing partitions the collapse identity can genuinely fail on
+    non-commuting representations; this entry point exists to measure that.
+    """
     i = tuple(i)
     if len(i) != pi.n:
         raise ValueError(f"index tuple length {len(i)} != partition size {pi.n}")
@@ -222,30 +265,6 @@ def _bruteforce_block_sum(u, i, pi):
     return total
 
 
-def interval_collapse_sum(u, i, pi):
-    """Sum of u-words over all j with ker j >= pi, for non-crossing pi.
-
-    Computed literally as the sum with one free index per block of pi.
-    For valid magic unitaries the result collapses to the identity when
-    ker i >= pi and to zero otherwise; that collapse is what callers
-    assert, not what this function assumes.
-    """
-    if not is_noncrossing(pi):
-        raise ValueError(
-            "crossing partition rejected; use unsafe_bruteforce_sum to probe it"
-        )
-    return _bruteforce_block_sum(u, i, pi)
-
-
-def unsafe_bruteforce_sum(u, i, pi):
-    """The same block sum without the non-crossing guard.
-
-    For crossing partitions the collapse identity can genuinely fail on
-    non-commuting representations; this entry point exists to measure that.
-    """
-    return _bruteforce_block_sum(u, i, pi)
-
-
 def collapse_expected(i, pi):
     """Whether the collapse sum should equal the identity: ker i >= pi."""
     return leq(pi, kernel(i))
@@ -256,25 +275,12 @@ def collapse_sum_all(u, pi):
 
     Returns an array of shape (k,)*n + (d, d); entry [i1-1, ..., in-1] is
     interval_collapse_sum(u, (i1..in), pi).  Same block sum as the scalar
-    entry point, evaluated as one tensor contraction.
+    entry point, evaluated as the coaction of the seed 1[ker j >= pi] I_d.
     """
     if not is_noncrossing(pi):
         raise ValueError("crossing partition rejected")
-    n = pi.n
-    num_blocks = len(pi.blocks)
-    block_of = {}
-    for bi, block in enumerate(pi.blocks):
-        for pos in block:
-            block_of[pos] = bi
-    # einsum labels: 0..n-1 the i-axes, n..n+B-1 block sums, then the chain
-    operands = []
-    for pos in range(1, n + 1):
-        a_left = n + num_blocks + (pos - 1)
-        a_right = n + num_blocks + pos
-        operands.append(u.entries)
-        operands.append([pos - 1, n + block_of[pos], a_left, a_right])
-    out = list(range(n)) + [n + num_blocks, n + num_blocks + n]
-    return np.einsum(*operands, out, optimize="greedy")
+    seed = kernel_indicator(pi, u.k).reshape(-1, 1, 1) * np.eye(u.d)
+    return _coaction_all(u.entries, seed, pi.n).reshape((u.k,) * pi.n + (u.d, u.d))
 
 
 def kernel_indicator(pi, k):

@@ -105,39 +105,71 @@ def is_noncrossing(p):
     return True
 
 
+def _first_block_splits(m, candidates):
+    """(block, gaps) for every block of 0 drawn from candidates within 1..m-1.
+
+    The gaps are the ranges strictly between consecutive members of the
+    block and after its last one.  No block can cross the block of 0, so
+    the gaps are independent: this is the first-block decomposition that
+    both recursions below fill in.
+    """
+    for r in range(len(candidates) + 1):
+        for chosen in itertools.combinations(candidates, r):
+            block = (0,) + chosen
+            yield block, [range(a + 1, b) for a, b in zip(block, chosen + (m,))]
+
+
 @lru_cache(maxsize=None)
 def _noncrossing_local(m):
     """Non-crossing partitions of {0..m-1} as tuples of blocks.
 
-    The block of 0 splits the rest into independent gaps; each gap is
-    filled recursively, which yields every non-crossing partition once.
+    Each gap of the block of 0 is filled recursively, which yields every
+    non-crossing partition once.
     """
     if m == 0:
         return ((),)
-    rest = tuple(range(1, m))
     out = []
-    for r in range(m):
-        for chosen in itertools.combinations(rest, r):
-            block = (0,) + chosen
-            gaps = [[] for _ in range(r + 1)]
-            ci = 0
-            for e in rest:
-                if ci < r and e == chosen[ci]:
-                    ci += 1
-                    continue
-                gaps[ci].append(e)
-            gap_choices = []
-            for g in gaps:
-                local = _noncrossing_local(len(g))
-                gap_choices.append(
-                    tuple(
-                        tuple(tuple(g[x] for x in bl) for bl in blocks)
-                        for blocks in local
-                    )
-                )
-            for combo in itertools.product(*gap_choices):
-                out.append((block,) + tuple(itertools.chain.from_iterable(combo)))
+    for block, gaps in _first_block_splits(m, range(1, m)):
+        gap_choices = [
+            tuple(
+                tuple(tuple(g[x] for x in bl) for bl in blocks)
+                for blocks in _noncrossing_local(len(g))
+            )
+            for g in gaps
+        ]
+        for combo in itertools.product(*gap_choices):
+            out.append((block,) + tuple(itertools.chain.from_iterable(combo)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _nc_size_profiles(pattern):
+    """Block-size profiles of non-crossing partitions refining a kernel.
+
+    Returns ((sizes, count), ...) where `sizes` is a sorted tuple of block
+    sizes and `count` how many admissible partitions share it.  The block
+    of the first position may only recruit later positions with the same
+    pattern value; the gaps in between recurse independently.
+    """
+    if not pattern:
+        return (((), 1),)
+    m = len(pattern)
+    candidates = tuple(p for p in range(1, m) if pattern[p] == pattern[0])
+    out = {}
+    for block, gaps in _first_block_splits(m, candidates):
+        combined = {(): 1}
+        for g in gaps:
+            sub = _nc_size_profiles(canonical_pattern(pattern[p] for p in g))
+            merged = {}
+            for sizes_a, ca in combined.items():
+                for sizes_b, cb in sub:
+                    key = tuple(sorted(sizes_a + sizes_b))
+                    merged[key] = merged.get(key, 0) + ca * cb
+            combined = merged
+        for sizes, count in combined.items():
+            key = tuple(sorted(sizes + (len(block),)))
+            out[key] = out.get(key, 0) + count
+    return tuple(sorted(out.items()))
 
 
 def enumerate_noncrossing(n):

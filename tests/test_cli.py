@@ -331,6 +331,16 @@ def _scenario(tmp_path, **changes):
         ({"seed": -1}, "seed"),
         ({"unitaries": [], "checks": [{"name": "quantum_invariance", "n_max": "3"}]},
          "checks[0]"),
+        ({"checks": [{"name": "quantum_invariance", "nmax": 9}]}, "checks[0].nmax"),
+        ({"checks": [{"name": "freeness", "var": [1, 3]}]}, "checks[0].var"),
+        ({"checks": [{"name": "relations", "tol": 1e-3}]}, "checks[0].tol"),
+        ({"checks": [{"name": "counterexample", "n": 2, "m": 3}]}, "checks[0].m"),
+        ({"functional": {"kind": "concrete", "dim": 2, "density": {"diag": [2, 0.5]},
+                         "elements": [{"diag": [1, -1]}]}}, "functional.density"),
+        ({"functional": {"kind": "concrete", "dim": 2, "density": {"diag": [1.5, -0.5]},
+                         "elements": [{"diag": [1, -1]}]}}, "functional.density"),
+        ({"functional": {"kind": "concrete", "dim": 2, "density": [[0.5, 0.1], [0, 0.5]],
+                         "elements": [{"diag": [1, -1]}]}}, "functional.density"),
     ],
 )
 def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, field):

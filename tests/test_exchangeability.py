@@ -22,8 +22,7 @@ from qexch.cumulants import (
 from qexch.exchangeability import (
     InvarianceReport,
     TupleRecord,
-    _coaction_all,
-    _operator_entries,
+    _identity_seed,
     _witness_index,
     check_classical_exchangeability,
     check_E_invariance,
@@ -36,6 +35,7 @@ from qexch.exchangeability import (
 )
 from qexch.magic import (
     MagicUnitary,
+    _coaction_all,
     block_chain,
     block_pair,
     from_permutation,
@@ -221,20 +221,36 @@ def test_coaction_kernel_matches_literal_sum(kind, blocks, n, d, seed):
     else:
         u = from_permutation(rng.permutation(2 * blocks) + 1, d=d)
     seed_tensor = _random_seed_tensor(rng, u.k**n, d)
-    got = _coaction_all(u.entries, seed_tensor, u.k, n, d)
+    got = _coaction_all(u.entries, seed_tensor, n)
     assert np.max(np.abs(got - _literal_coaction(u, seed_tensor, n))) <= 1e-12
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_coaction_kernel_matches_literal_sum_on_operator_entries(blocks, n, seed):
-    # the E-invariance path: entries u_ij (x) 1_m with m = 2
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["block_chain", "permutation"]),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_coaction_kernel_matches_literal_sum_on_rectangular_seed(kind, blocks, n, m, seed):
+    # the E-invariance path: seed[j] = I_d (x) psi_j as a (d, d*m*m) block, and
+    # the coaction must give sum_j word_product(u, i, j) (x) psi_j
     rng = np.random.default_rng(seed)
-    qs = [random_projection(2, 1, (seed, t)) for t in range(blocks)]
-    op = MagicUnitary(_operator_entries(block_chain(qs).entries, 2))
-    seed_tensor = _random_seed_tensor(rng, op.k**n, op.d)
-    got = _coaction_all(op.entries, seed_tensor, op.k, n, op.d)
-    assert np.max(np.abs(got - _literal_coaction(op, seed_tensor, n))) <= 1e-12
+    d = 2
+    if kind == "block_chain":
+        u = block_chain([random_projection(d, 1, (seed, t)) for t in range(blocks)])
+    else:
+        u = from_permutation(rng.permutation(2 * blocks) + 1, d=d)
+    psi = rng.standard_normal((u.k**n, m, m)) + 1j * rng.standard_normal((u.k**n, m, m))
+    got = _coaction_all(u.entries, _identity_seed(psi, d), n)
+    assert got.shape == (u.k**n, d, d * m * m)
+    tuples = list(itertools.product(range(1, u.k + 1), repeat=n))
+    want = np.zeros_like(got)
+    for a, i in enumerate(tuples):
+        for b, j in enumerate(tuples):
+            want[a] += np.kron(word_product(u, i, j), psi[b].reshape(1, -1))
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # -- classical exchangeability ------------------------------------------------------

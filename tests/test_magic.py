@@ -243,6 +243,33 @@ def test_collapse_sum_all_agrees_with_scalar_entry_point():
     for i in itertools.product(range(1, 5), repeat=3):
         idx = tuple(x - 1 for x in i)
         assert np.allclose(batch[idx], interval_collapse_sum(u, i, pi), atol=1e-12)
+    # every NC(n <= 4) on three unitaries and on random non-projection entries,
+    # where nothing collapses and only the literal sum can agree; per partition
+    # four random tuples and four constant on its blocks
+    rng = np.random.default_rng(7)
+    unitaries = [
+        u,
+        from_permutation([3, 1, 4, 2], d=2),
+        block_chain([random_projection(3, 1, (8, t)) for t in range(3)]),
+        MagicUnitary(rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))),
+    ]
+    for u in unitaries:
+        for n in range(1, 5):
+            for pi in enumerate_noncrossing(n):
+                batch = collapse_sum_all(u, pi)
+                assert batch.shape == (u.k,) * n + (u.d, u.d)
+                tuples = [tuple(int(x) for x in rng.integers(1, u.k + 1, size=n))
+                          for _ in range(4)]
+                for _ in range(4):
+                    i = [0] * n
+                    for block in pi.blocks:
+                        v = int(rng.integers(1, u.k + 1))
+                        for pos in block:
+                            i[pos - 1] = v
+                    tuples.append(tuple(i))
+                for i in tuples:
+                    got = batch[tuple(x - 1 for x in i)]
+                    assert np.max(np.abs(got - interval_collapse_sum(u, i, pi))) <= 1e-12
 
 
 def test_kernel_indicator_matches_leq():

@@ -4,9 +4,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qexch.partitions import (
     Partition,
+    _nc_size_profiles,
     canonical_pattern,
     delete_block,
     enumerate_all,
@@ -114,6 +117,29 @@ def test_enumerate_noncrossing_counts_and_filter_agreement():
         assert len(nc) == catalan(n)
         filtered = {p for p in enumerate_all(n) if is_noncrossing(p)}
         assert set(nc) == filtered
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 10))
+def test_noncrossing_count_is_catalan(n):
+    assert len(enumerate_noncrossing(n)) == catalan(n)
+
+
+def _size_profiles_by_filter(pattern):
+    """Block-size profiles of the non-crossing partitions whose blocks are constant on pattern."""
+    counts = {}
+    for p in enumerate_all(len(pattern)):
+        if is_noncrossing(p) and all(len({pattern[x - 1] for x in b}) == 1 for b in p.blocks):
+            sizes = tuple(sorted(len(b) for b in p.blocks))
+            counts[sizes] = counts.get(sizes, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=7))
+def test_size_profiles_match_filtered_enumeration(values):
+    pattern = canonical_pattern(values)
+    assert _nc_size_profiles(pattern) == _size_profiles_by_filter(pattern)
 
 
 def test_enumerate_noncrossing_bounds():
