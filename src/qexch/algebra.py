@@ -9,6 +9,7 @@ matrices.  Expectations are verified against the axioms, never derived.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,11 @@ def as_matrix(a, dim=None, name="matrix"):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _severity(residual):
+    """Ordering key for residuals under which NaN and inf are the worst."""
+    return (not math.isfinite(residual), residual)
 
 
 def frobenius(a):
@@ -200,7 +206,7 @@ class ContextReport:
 
     @property
     def max_residual(self):
-        return max(self.residuals.values())
+        return max(self.residuals.values(), key=_severity)
 
     @property
     def passed(self):

@@ -156,6 +156,13 @@ def build_functional(spec, field="functional"):
     _fail(f"{field}.kind", f"unknown functional kind {kind!r}")
 
 
+def _parse_projection(value, field, d):
+    try:
+        return magic.ensure_projection(_parse_matrix(value, field, d))
+    except ValueError as exc:
+        _fail(field, str(exc))
+
+
 def build_unitary(spec, seed, field):
     if not isinstance(spec, dict):
         _fail(field, "must be an object")
@@ -171,7 +178,7 @@ def build_unitary(spec, seed, field):
         d = _parse_int(_require(spec, "d", field), f"{field}.d", minimum=1)
         if "projections" in spec:
             qs = [
-                magic.ensure_projection(_parse_matrix(m, f"{field}.projections[{t}]", d))
+                _parse_projection(m, f"{field}.projections[{t}]", d)
                 for t, m in enumerate(_require(spec, "projections", field, list))
             ]
         elif "seeds" in spec:
@@ -197,6 +204,7 @@ class _Check:
     spec: dict  # the check's JSON object
     field: str
     params: dict  # the parameters read so far, as the report records them
+    read: set  # the keys param() has read; params may also hold results
     mf: object
     unitaries: list  # (label, MagicUnitary) pairs
     tol: float
@@ -217,6 +225,7 @@ class _Check:
         else:
             value = _parse_int(value, name, minimum=1)
         self.params[key] = value
+        self.read.add(key)
         return value
 
 
@@ -249,7 +258,7 @@ def _collapse_lemma(c, u):
 
 def _classical_invariance(c, u):
     k, n_max = c.param("k", max((v.k for _, v in c.unitaries), default=2)), c.param("n_max", 4)
-    rep = exchangeability.check_classical_exchangeability(c.mf, k, n_max, c.tol, c.seed)
+    rep = exchangeability.check_classical_exchangeability(c.mf, k, n_max, c.tol)
     return _verdict(rep)
 
 
@@ -269,7 +278,7 @@ def _freeness(c, u):
         c.mf, c.param("vars", [1, 2]), n_max=c.param("n_max", 4), tol=c.tol, seed=c.seed
     )
     note = "criteria agree" if rep.consistent else "criteria DISAGREE"
-    return max(rep.centered_max, rep.mixed_max), rep.passed, note
+    return max(rep.centered_max, rep.mixed_max, key=algebra._severity), rep.passed, note
 
 
 def _crossing_sum(c, u):
@@ -286,7 +295,8 @@ def _crossing_sum(c, u):
         _, dist = exchangeability.crossing_sum_probe(p, q, s, variant)
         good = dist <= 1e-10 if commuting else dist > 1e-4
         ok = ok and good
-        worst_gap = max(worst_gap, 0.0 if good else dist if commuting else 1e-4 - dist)
+        gap = 0.0 if good else dist if commuting else 1e-4 - dist
+        worst_gap = max(worst_gap, gap, key=algebra._severity)
     return worst_gap, ok, ""
 
 
@@ -349,7 +359,7 @@ def run_scenario(doc, tol, seed):
     records, lines = [], []
     for pos, spec in enumerate(doc["checks"]):
         name, field = spec["name"], f"checks[{pos}]"
-        check = _Check(spec, field, {}, mf, unitaries, tol, seed)
+        check = _Check(spec, field, {}, set(), mf, unitaries, tol, seed)
         run, per_unitary = CHECKS[name]
         if per_unitary and not unitaries:
             _fail(field, f"{name} runs once per unitary, and the scenario has none")
@@ -366,7 +376,7 @@ def run_scenario(doc, tol, seed):
             extra = f"  ({note})" if note else ""
             lines.append(f"{name}{target}: residual={residual:.3e} "
                          f"{'PASS' if passed else 'FAIL'}{extra}")
-        for key in sorted(set(spec) - {"name"} - set(check.params)):
+        for key in sorted(set(spec) - {"name"} - check.read):
             _fail(f"{field}.{key}", "unknown parameter")
     all_pass = all(r["pass"] for r in records)
     report = {"scenario": doc["name"], "seed": seed, "tolerance": tol, "checks": records,

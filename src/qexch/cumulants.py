@@ -15,9 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import MAX_TENSOR_TUPLES, MomentFunctional, as_matrix, frobenius
+from .algebra import MAX_TENSOR_TUPLES, MomentFunctional, _severity, as_matrix, frobenius
 from .partitions import (
     _nc_size_profiles,
+    _pattern_table,
     canonical_pattern,
     delete_block,
     enumerate_noncrossing,
@@ -228,7 +229,7 @@ def check_mixed_cumulants(mf, variables, decorations=None, tol=1e-9):
             coeffs = decorations if (decorations is not None and m == len(variables)) else None
             norm = frobenius(extractor.kappa_word(tup, coeffs))
             checked += 1
-            if norm > worst:
+            if _severity(norm) > _severity(worst):
                 worst, worst_tuple = norm, tup
     return MixedCumulantReport(
         max_mixed=worst, worst_tuple=worst_tuple, tolerance=tol, checked=checked
@@ -313,33 +314,6 @@ def random_spec(rng, max_order, b_dim=1):
         n: rng.uniform(-1.0, 1.0, size=b_dim) for n in range(1, max_order + 1)
     }
     return CumulantSpec(kappa, b_dim=b_dim, max_order=max_order)
-
-
-@lru_cache(maxsize=None)
-def _pattern_table(k, n):
-    """Pattern id of every tuple in {1..k}^n (C order) plus the pattern list.
-
-    Values are relabelled by first occurrence one position at a time over
-    all rows.  A canonical pattern is itself a tuple of the table and the
-    least one of its class, so the patterns, in C order of first occurrence,
-    are exactly the rows that equal their own pattern.
-    """
-    shape = (k,) * n
-    tuples = np.indices(shape, dtype=np.min_scalar_type(k)).reshape(n, -1)
-    labels = np.empty_like(tuples)
-    used = np.zeros_like(tuples[0])
-    for p in range(n):
-        label = used.copy()
-        for q in range(p):
-            same = tuples[q] == tuples[p]
-            label[same] = labels[q][same]
-        labels[p] = label
-        used += label == used  # earlier labels are all below `used`
-    home = np.ravel_multi_index(labels, shape)
-    is_pattern = home == np.arange(len(home))
-    ids = (np.cumsum(is_pattern) - 1)[home].astype(np.int32)
-    patterns = tuple(map(tuple, labels[:, is_pattern].T.tolist()))
-    return ids, patterns
 
 
 class CumulantMomentFunctional(MomentFunctional):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import as_matrix, frobenius
+from .algebra import _severity, as_matrix, frobenius
 from .partitions import enumerate_noncrossing, is_noncrossing, kernel, leq
 
 PROJECTION_TOL = 1e-8
@@ -72,8 +72,8 @@ def ensure_projection(q, tol=PROJECTION_TOL):
     """
     q = as_matrix(q, name="projection")
     h = (q + q.conj().T) / 2
-    residual = max(frobenius(q - h), frobenius(h @ h - h))
-    if residual > tol:
+    residual = max(frobenius(q - h), frobenius(h @ h - h), key=_severity)
+    if not residual <= tol:
         raise ValueError(f"matrix is not a projection (residual {residual:.2e})")
     return h
 
@@ -165,7 +165,7 @@ class RelationsReport:
 
     @property
     def max_residual(self):
-        return max(self.residuals.values())
+        return max(self.residuals.values(), key=_severity)
 
     @property
     def passed(self):

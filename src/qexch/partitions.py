@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+import numpy as np
+
 MAX_ENUMERATE_ALL = 12
 MAX_ENUMERATE_NONCROSSING = 14
 
@@ -210,6 +212,33 @@ def canonical_pattern(indices):
     """Relabel values by order of first appearance; kernels agree iff patterns do."""
     seen = {}
     return tuple(seen.setdefault(v, len(seen)) for v in indices)
+
+
+@lru_cache(maxsize=None)
+def _pattern_table(k, n):
+    """canonical_pattern of every tuple in {1..k}^n (C order), vectorised.
+
+    Returns the pattern id of every tuple plus the pattern list.  Values are relabelled by first occurrence one position at a time over
+    all rows.  A canonical pattern is itself a tuple of the table and the
+    least one of its class, so the patterns, in C order of first occurrence,
+    are exactly the rows that equal their own pattern.
+    """
+    shape = (k,) * n
+    tuples = np.indices(shape, dtype=np.min_scalar_type(k)).reshape(n, -1)
+    labels = np.empty_like(tuples)
+    used = np.zeros_like(tuples[0])
+    for p in range(n):
+        label = used.copy()
+        for q in range(p):
+            same = tuples[q] == tuples[p]
+            label[same] = labels[q][same]
+        labels[p] = label
+        used += label == used  # earlier labels are all below `used`
+    home = np.ravel_multi_index(labels, shape)
+    is_pattern = home == np.arange(len(home))
+    ids = (np.cumsum(is_pattern) - 1)[home].astype(np.int32)
+    patterns = tuple(map(tuple, labels[:, is_pattern].T.tolist()))
+    return ids, patterns
 
 
 def interval_blocks(p):

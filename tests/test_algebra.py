@@ -6,6 +6,7 @@ import pytest
 from qexch.algebra import (
     AlgebraContext,
     BPolynomial,
+    ContextReport,
     ConcreteMomentFunctional,
     MomentFunctional,
     State,
@@ -28,6 +29,12 @@ def random_matrix(rng, d):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+def test_context_report_nan_is_worst():
+    rep = ContextReport({"state_trace": 0.0, "bimodule": np.nan, "positivity_spot": 0.5}, 1.0, 1)
+    assert np.isnan(rep.max_residual)
+    assert not rep.passed
 
 
 # -- contexts and expectation axioms -------------------------------------------

@@ -4,9 +4,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qexch import exchangeability
 from qexch.cli import main
+from qexch.exchangeability import FreenessReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "qexch" / "fixtures"
 FREE = FIXTURES / "free_semicircular.json"
@@ -225,6 +228,15 @@ def test_check_magic_rejects_bad_spec(capsys):
     assert "kind" in err
 
 
+def test_check_magic_nan_projection_exits_two_naming_field(capsys):
+    spec = {"kind": "block_pair", "d": 2, "projections": [[[1, 0], [0, 0]], [[1e200, 1e200], [1e200, -1e200]]]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(["check-magic", json.dumps(spec)], capsys)
+    assert code == 2
+    assert err.startswith("error: unitary.projections[1]: ")
+    assert out == ""
+
+
 def test_cumulants_table_semicircular(capsys):
     spec = '{"kind": "cumulant", "cumulants": {"2": 1.0}, "max_order": 2}'
     code, out, _ = run_cli(["cumulants", spec, "--n", "6"], capsys)
@@ -341,6 +353,11 @@ def _scenario(tmp_path, **changes):
                          "elements": [{"diag": [1, -1]}]}}, "functional.density"),
         ({"functional": {"kind": "concrete", "dim": 2, "density": [[0.5, 0.1], [0, 0.5]],
                          "elements": [{"diag": [1, -1]}]}}, "functional.density"),
+        ({"checks": [{"name": "counterexample", "n": 3, "psi_u11": "9/10"}]},
+         "checks[0].psi_u11"),
+        ({"unitaries": [{"kind": "block_pair", "d": 2,
+                         "projections": [[[1e200, 1e200], [1e200, -1e200]], [[1, 0], [0, 0]]]}]},
+         "unitaries[0].projections[0]"),
     ],
 )
 def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, field):
@@ -351,6 +368,24 @@ def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, f
     assert code == 2
     assert err.startswith(f"error: {field}: ")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "name, target, fake",
+    [
+        ("crossing_sum", "crossing_sum_probe", lambda p, q, s, variant: (None, math.nan)),
+        ("freeness", "check_freeness",
+         lambda mf, variables, n_max, tol, seed: FreenessReport(0.0, (), math.nan, (), tol)),
+    ],
+)
+def test_nan_residual_is_the_checks_residual(tmp_path, capsys, monkeypatch, name, target, fake):
+    monkeypatch.setattr(exchangeability, target, fake)
+    report_path = tmp_path / "r.json"
+    path = _scenario(tmp_path, checks=[{"name": name}])
+    code, _, _ = run_cli(["verify", str(path), "--report", str(report_path)], capsys)
+    assert code == 1
+    record = json.loads(report_path.read_text())["checks"][0]
+    assert math.isnan(record["residual"]) and record["pass"] is False
 
 
 def test_non_finite_cumulant_exits_two(tmp_path, capsys):

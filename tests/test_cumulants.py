@@ -18,7 +18,6 @@ from qexch.cumulants import (
     CumulantExtractor,
     CumulantMomentFunctional,
     CumulantSpec,
-    _pattern_table,
     check_mixed_cumulants,
     cumulants_to_moments,
     moment_family,
@@ -27,7 +26,7 @@ from qexch.cumulants import (
     rho_pi,
     semicircular_spec,
 )
-from qexch.partitions import Partition, canonical_pattern, enumerate_noncrossing
+from qexch.partitions import Partition, _pattern_table, canonical_pattern, enumerate_noncrossing
 
 NC10 = Partition(10, [[1, 10], [2, 5, 9], [3, 4], [6], [7, 8]])
 

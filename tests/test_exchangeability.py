@@ -16,6 +16,7 @@ from qexch.algebra import (
 )
 from qexch.cumulants import (
     CumulantMomentFunctional,
+    check_mixed_cumulants,
     random_spec,
     semicircular_spec,
 )
@@ -75,7 +76,6 @@ def test_free_semicircular_is_quantum_invariant():
     mf = CumulantMomentFunctional(semicircular_spec())
     u = block_pair(*noncommuting_projection_pair(2, seed=3))
     report = check_quantum_invariance(mf, u, n_max=6)
-    assert report.exhaustive
     assert report.passed
     assert report.max_residual <= 1e-8
 
@@ -118,7 +118,6 @@ def test_long_words_scanned_exhaustively():
     mf = CumulantMomentFunctional(semicircular_spec())
     u = block_pair(*noncommuting_projection_pair(2, seed=2))
     report = check_quantum_invariance(mf, u, n_max=9)
-    assert report.exhaustive  # all 4^9 tuples at n = 9
     assert report.passed
     assert len(report.per_length) == 9
 
@@ -172,13 +171,33 @@ def test_invariance_report_non_finite_is_worst(residuals):
     report = InvarianceReport(
         check="quantum_invariance",
         tolerance=1e-8,
-        seed=0,
-        exhaustive=True,
         per_length=[TupleRecord(n, (1,) * n, r) for n, r in enumerate(residuals, 1)],
     )
     assert not np.isfinite(report.worst.residual)
     assert not report.passed
     assert "FAIL" in report.summary().splitlines()[-1]
+
+
+class _NaNMixedAtLength4(CumulantMomentFunctional):
+    """A free family whose mixed moments of length 4 are NaN."""
+
+    def moment(self, variables, coeffs=None):
+        value = super().moment(variables, coeffs)
+        return value * np.nan if len(variables) == 4 and len(set(variables)) > 1 else value
+
+
+def test_nan_mixed_moment_fails_freeness():
+    report = check_freeness(_NaNMixedAtLength4(semicircular_spec()), (1, 2), n_max=4)
+    assert np.isnan(report.centered_max) and np.isnan(report.mixed_max)
+    assert not report.centered_pass and not report.mixed_pass
+    assert not report.passed
+
+
+def test_nan_mixed_moment_fails_mixed_cumulants():
+    report = check_mixed_cumulants(_NaNMixedAtLength4(semicircular_spec()), (1, 2, 1, 2))
+    assert np.isnan(report.max_mixed)
+    assert report.worst_tuple == (1, 1, 1, 2)  # the first mixed tuple of length 4
+    assert not report.passed
 
 
 def test_nan_moment_fails_classical_exchangeability():
@@ -273,7 +292,97 @@ def test_non_identically_distributed_family_fails_at_length_one():
     mf = ConcreteMomentFunctional(ctx, [np.eye(2), 2.0 * np.eye(2)])
     report = check_classical_exchangeability(mf, 2, 3)
     assert not report.passed
-    assert report.per_length[0].residual > 0.1
+    first = report.per_length[0]
+    assert first.residual > 0.1
+    assert first.indices == (2,)  # phi(x_2) against its pattern's phi(x_1)
+
+
+def _permutation_loop_residuals(mf, k, n_max):
+    """The literal oracle: max over every sigma in S_k of |phi(x_i) - phi(x_sigma(i))|."""
+    out = []
+    for n in range(1, n_max + 1):
+        phi = mf.scalar_moment_tensor(k, n)
+        worst = 0.0
+        for perm in itertools.permutations(range(k)):
+            permuted = phi[np.ix_(*([np.asarray(perm)] * n))]
+            worst = max(worst, float(np.abs(phi - permuted).max()))
+        out.append(worst)
+    return out
+
+
+def _random_hermitian(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + a.conj().T) / 2
+
+
+@st.composite
+def concrete_families(draw):
+    """(mf, k) with 2 <= k <= 4: k commuting i.i.d. two-point variables, one of
+    them possibly rescaled, or k random Hermitian 3 x 3 matrices under a random state."""
+    k = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["iid", "rescaled", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        density = a @ a.conj().T
+        elements = [_random_hermitian(rng, 3) for _ in range(k)]
+        return ConcreteMomentFunctional(scalar_context(density / np.trace(density)), elements), k
+    values, p = rng.standard_normal(2), rng.uniform(0.1, 0.9)
+    bits = np.array(list(itertools.product((0, 1), repeat=k)))  # one row per atom
+    weights = np.prod(np.where(bits == 0, p, 1 - p), axis=1)
+    elements = [np.diag(values[bits[:, t]]).astype(complex) for t in range(k)]
+    if kind == "rescaled":
+        elements[-1] = elements[-1] * rng.uniform(1.5, 2.0)
+    return ConcreteMomentFunctional(scalar_context(np.diag(weights)), elements), k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(concrete_families(), st.integers(1, 4))
+def test_pattern_scan_agrees_with_permutation_loop(family, n_max):
+    # new <= old: the pattern of i lies in the orbit of i.  old <= 2 new: i and
+    # sigma(i) share one pattern, so the triangle inequality runs through it.
+    # Both up to rounding, since the driver's norm and np.abs round differently.
+    mf, k = family
+    report = check_classical_exchangeability(mf, k, n_max)
+    old = _permutation_loop_residuals(mf, k, n_max)
+    new = [rec.residual for rec in report.per_length]
+    assert len(new) == n_max
+    for a, b in zip(new, old):
+        assert a <= b * (1 + 1e-12) and b <= 2 * a * (1 + 1e-12)
+    assert report.passed == (max(old) <= 1e-8)
+
+
+class _PerturbedAt(CumulantMomentFunctional):
+    """A free family with the moment of one tuple (1-based) moved by 1e-3."""
+
+    def __init__(self, spec, tup):
+        super().__init__(spec)
+        self.tup = tup
+
+    def scalar_moment_tensor(self, k, n):
+        phi = super().scalar_moment_tensor(k, n)
+        if n == len(self.tup):
+            phi = phi.copy()
+            phi[tuple(x - 1 for x in self.tup)] += 1e-3
+        return phi
+
+
+def test_classical_scan_covers_every_tuple_at_k7():
+    # 7! = 5040 permutations; every tuple is compared with its pattern
+    spec = random_spec(np.random.default_rng(5), 4)
+    report = check_classical_exchangeability(CumulantMomentFunctional(spec), 7, 4)
+    assert report.passed
+    assert [rec.n for rec in report.per_length] == [1, 2, 3, 4]
+    report = check_classical_exchangeability(_PerturbedAt(spec, (7, 2, 7, 5)), 7, 4)
+    assert not report.passed
+    worst = report.worst
+    assert (worst.n, worst.indices) == (4, (7, 2, 7, 5))
+    assert abs(worst.residual - 1e-3) <= 1e-12
+
+
+def test_classical_k_above_variable_count_rejected():
+    with pytest.raises(ValueError, match="k=5"):
+        check_classical_exchangeability(bernoulli_functional(count=4), 5, 2)
 
 
 # -- E-level invariance ----------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from qexch.magic import (
     MagicUnitary,
+    RelationsReport,
     block_chain,
     block_pair,
     collapse_expected,
@@ -107,6 +108,20 @@ def test_non_projection_input_rejected():
         block_pair(np.array([[0.5, 0.0], [0.0, 0.0]]), np.eye(2))
     with pytest.raises(ValueError):
         ensure_projection(np.array([[1.0, 0.2], [0.0, 0.0]]))
+
+
+def test_projection_with_nan_residual_rejected():
+    # Hermitian, so q - h is 0; h @ h overflows and its off-diagonal is inf - inf
+    q = np.array([[1e200, 1e200], [1e200, -1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="nan"):
+            ensure_projection(q)
+
+
+def test_relations_report_nan_is_worst():
+    rep = RelationsReport({"hermitian": 0.0, "idempotent": np.nan, "row_sums": 1e-16}, 1e-9)
+    assert np.isnan(rep.max_residual)
+    assert not rep.passed
 
 
 # -- random projections --------------------------------------------------------------
