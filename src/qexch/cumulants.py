@@ -17,8 +17,8 @@ import numpy as np
 
 from .algebra import MAX_TENSOR_TUPLES, MomentFunctional, _severity, as_matrix, frobenius
 from .partitions import (
-    _nc_size_profiles,
     _pattern_table,
+    _profile_counts,
     canonical_pattern,
     delete_block,
     enumerate_noncrossing,
@@ -30,7 +30,7 @@ MAX_TRANSFORM_ORDER = 8
 MAX_WORD_LENGTH = 12
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _noncrossing(n):
     return tuple(enumerate_noncrossing(n))
 
@@ -275,32 +275,25 @@ class CumulantSpec:
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
         self._zero = np.zeros(self.b_dim, dtype=complex)
-        self._sums = {}
 
     def value(self, order):
         return self.kappa.get(order, self._zero)
 
-    def kernel_sum(self, pattern):
-        """Sum over non-crossing partitions below the kernel of the pattern.
+    def kernel_sum(self, patterns):
+        """Sums over non-crossing partitions below the kernels of the patterns.
 
-        Each admissible partition contributes the product of its block
-        cumulants; the restriction to partitions refining the kernel is
-        exactly the vanishing of mixed cumulants.  Partitions are grouped
-        by block-size profile, since the contribution depends on nothing
-        else.
+        One row per canonical pattern.  Each admissible partition contributes
+        the product of its block cumulants; the restriction to partitions
+        refining the kernel is exactly the vanishing of mixed cumulants.  That
+        product depends on the block sizes alone, so the sums are the count
+        matrix of the patterns times one product per block-size profile.
         """
-        pattern = canonical_pattern(pattern)
-        hit = self._sums.get(pattern)
-        if hit is not None:
-            return hit
-        total = np.zeros(self.b_dim, dtype=complex)
-        for sizes, count in _nc_size_profiles(pattern):
-            term = np.full(self.b_dim, count, dtype=complex)
-            for s in sizes:
-                term = term * self.value(s)
-            total += term
-        self._sums[pattern] = total
-        return total
+        counts, sizes = _profile_counts(tuple(patterns))
+        table = np.stack(
+            [np.ones(self.b_dim, dtype=complex)]
+            + [self.value(s) for s in range(1, sizes.shape[1] + 1)]
+        )
+        return counts @ table[sizes].prod(axis=1)
 
 
 def semicircular_spec(b_dim=1):
@@ -351,14 +344,14 @@ class CumulantMomentFunctional(MomentFunctional):
                 deco = deco * diag
         if n == 0:
             return np.diag(deco)
-        vec = self.spec.kernel_sum(canonical_pattern(variables)) * deco
+        vec = self.spec.kernel_sum([canonical_pattern(variables)])[0] * deco
         return np.diag(vec)
 
     def scalar_moment(self, variables):
         variables, _ = self._check_word(variables, None)
         if not variables:
             return 1.0 + 0j
-        vec = self.spec.kernel_sum(canonical_pattern(variables))
+        vec = self.spec.kernel_sum([canonical_pattern(variables)])[0]
         return complex(self.spec.weights @ vec)
 
     def random_coeff(self, rng):
@@ -369,9 +362,7 @@ class CumulantMomentFunctional(MomentFunctional):
         if k**n > MAX_TENSOR_TUPLES:
             raise ValueError(f"moment tensor with {k}^{n} entries is too large")
         ids, patterns = _pattern_table(k, n)
-        values = np.array(
-            [complex(self.spec.weights @ self.spec.kernel_sum(p)) for p in patterns]
-        )
+        values = self.spec.kernel_sum(patterns) @ self.spec.weights
         return values[ids].reshape((k,) * n)
 
     def expectation_tensor(self, k, n, decorations=None):
@@ -386,7 +377,7 @@ class CumulantMomentFunctional(MomentFunctional):
             ):
                 deco = deco * diag
         ids, patterns = _pattern_table(k, n)
-        vals = np.stack([self.spec.kernel_sum(p) for p in patterns]) * deco
+        vals = self.spec.kernel_sum(patterns) * deco
         diag_axis = np.arange(self.b_dim)
         out = np.zeros((k**n, self.b_dim, self.b_dim), dtype=complex)
         out[:, diag_axis, diag_axis] = vals[ids]

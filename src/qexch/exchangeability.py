@@ -69,13 +69,6 @@ class InvarianceReport:
         return "\n".join(lines)
 
 
-def _identity_seed(values, d):
-    """I_d tensor v for a stack of m x m values, each laid out as a d x (d m m) row block."""
-    m = values.shape[-1]
-    out = np.einsum("ab,Xce->Xabce", np.eye(d), values.reshape(-1, m, m))
-    return out.reshape(-1, d, d * m * m)
-
-
 def _witness_index(residuals):
     """Flat index of the witness tuple of one length.
 
@@ -88,10 +81,12 @@ def _witness_index(residuals):
 
 
 def _scan_lengths(mf, k, n_max, tol, make_seed, act, check_name):
-    """Shared driver: build the seed per length, act on it, compare.
+    """Shared driver: build the tensor w per length, act on it, compare.
 
-    The invariance identity holds exactly when act(seed, n) equals the
-    seed at the same tuple, so the seed doubles as the left side.
+    make_seed(n) gives w with one row per tuple and act(w, n) a fresh
+    (k**n, d, d, r) array.  The invariance identity holds exactly when
+    act(w, n) equals I_d (x) w at every tuple, so w is subtracted in place
+    on the d x d diagonal.
     """
     if mf.variable_count is not None and k > mf.variable_count:
         raise ValueError(
@@ -99,12 +94,14 @@ def _scan_lengths(mf, k, n_max, tol, make_seed, act, check_name):
         )
     per_length = []
     for n in range(1, n_max + 1):
-        seed = make_seed(n)
-        diffs = act(seed, n) - seed
+        w = make_seed(n).reshape(k**n, -1)
+        diffs = act(w, n)
+        diag = np.arange(diffs.shape[1])
+        diffs[:, diag, diag] -= w[:, None, :]
         residuals = np.linalg.norm(diffs.reshape(len(diffs), -1), axis=1)
         indices = np.unravel_index(_witness_index(residuals), (k,) * n)
         per_length.append(
-            TupleRecord(n, tuple(x + 1 for x in indices), float(residuals.max()))
+            TupleRecord(n, tuple(int(x) + 1 for x in indices), float(residuals.max()))
         )
     return InvarianceReport(check=check_name, tolerance=tol, per_length=per_length)
 
@@ -117,11 +114,9 @@ def check_quantum_invariance(mf, u, n_max, tol=DEFAULT_TOL):
     phi(x_{i1}...x_{in}) times the identity matrix.  Every tuple i of every
     length 1..n_max is checked.
     """
-    def make_seed(n):
-        return mf.scalar_moment_tensor(u.k, n).reshape(-1, 1, 1) * np.eye(u.d)
-
     return _scan_lengths(
-        mf, u.k, n_max, tol, make_seed, partial(_coaction_all, u.entries), "quantum_invariance"
+        mf, u.k, n_max, tol, partial(mf.scalar_moment_tensor, u.k),
+        partial(_coaction_all, u.entries), "quantum_invariance",
     )
 
 
@@ -133,15 +128,15 @@ def check_classical_exchangeability(mf, k, n_max, tol=DEFAULT_TOL):
     tuple i, where p(i) is the canonical pattern of i.  Every tuple of
     every length 1..n_max is checked against its pattern.
     """
-    def make_seed(n):
-        return mf.scalar_moment_tensor(k, n).reshape(-1)
-
-    def orbit_gather(seed, n):
+    def orbit_gather(w, n):
         ids, patterns = _pattern_table(k, n)
         reps = np.ravel_multi_index(tuple(zip(*patterns)), (k,) * n)
-        return seed[reps[ids]]
+        return w[reps[ids]].reshape(-1, 1, 1, 1)
 
-    return _scan_lengths(mf, k, n_max, tol, make_seed, orbit_gather, "classical_invariance")
+    return _scan_lengths(
+        mf, k, n_max, tol, partial(mf.scalar_moment_tensor, k), orbit_gather,
+        "classical_invariance",
+    )
 
 
 def check_E_invariance(mf, u, decorations=None, n_max=3, tol=DEFAULT_TOL):
@@ -149,7 +144,7 @@ def check_E_invariance(mf, u, decorations=None, n_max=3, tol=DEFAULT_TOL):
 
     u-entries and expectation values live in different algebras, so the
     identity is tested in their tensor product: the coaction of u acts on
-    the seed 1_d (x) E[...], and the result must equal that seed.  B must
+    the tensor E[...], and the result must equal 1_d (x) E[...].  B must
     be commutative.  Like the scalar check, it scans every tuple of every
     length.
     """
@@ -161,7 +156,7 @@ def check_E_invariance(mf, u, decorations=None, n_max=3, tol=DEFAULT_TOL):
 
     def make_seed(n):
         decs = None if decorations is None else list(decorations[: n - 1])
-        return _identity_seed(mf.expectation_tensor(u.k, n, decs), u.d)
+        return mf.expectation_tensor(u.k, n, decs)
 
     return _scan_lengths(
         mf, u.k, n_max, tol, make_seed, partial(_coaction_all, u.entries), "e_invariance"

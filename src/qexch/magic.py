@@ -41,27 +41,27 @@ class MagicUnitary:
         return self.entries[i - 1, j - 1]
 
 
-def _coaction_all(entries, seed, n):
-    """R[i] = sum_j u[i1 j1] ... u[in jn] . seed[j] for every tuple i.
+def _coaction_all(entries, w, n):
+    """R[i] = sum_j u[i1 j1] ... u[in jn] (x) w[j] for every tuple i.
 
-    entries has shape (k, k, d, d) and seed shape (k**n, d, r) for any
-    width r; so has the result.  Positions are contracted from the right,
-    s = n..1, so the matrix order of the word is preserved.  Each position
-    is one matmul of M[(i a), (j c)] = u_ij[a, c] with the running tensor
-    laid out as ((j_s c), j_1..j_{s-1}, i_{s+1}..i_n, b); after it only i_s
-    and j_{s-1} trade places, the one copy a position costs.
+    entries has shape (k, k, d, d), w shape (k**n, r) for any width r and
+    the result (k**n, d, d, r).  Positions are contracted from the right,
+    so the matrix order of the word is preserved: position n is one product
+    of F[(i a c), j] = u_ij[a, c] with w, and each position s < n one
+    matmul of M[(i a), (j x)] = u_ij[a, x] with the running tensor laid out
+    as ((j_s x), c, j_1..j_{s-1}, i_{s+1}..i_n, b), after i_{s+1} and j_s
+    trade places: the one copy a position costs.
     """
     k, d = entries.shape[0], entries.shape[2]
-    kd = k * d
-    m = entries.transpose(0, 2, 1, 3).reshape(kd, kd)
-    t = seed.reshape(k ** (n - 1), kd, -1).transpose(1, 0, 2)
-    for s in range(n, 1, -1):
-        t = m @ t.reshape(kd, -1)
-        t = t.reshape(k, d, k ** (s - 2), k, -1).swapaxes(0, 3)
-    t = m @ t.reshape(kd, -1)
-    # ((i_1 a), i_2..i_n, b) -> (i_1..i_n, a, b)
-    t = t.reshape(k, d, k ** (n - 1), -1).transpose(0, 2, 1, 3)
-    return t.reshape(k**n, d, -1)
+    f = entries.transpose(0, 2, 3, 1).reshape(k * d * d, k)
+    m = entries.transpose(0, 2, 1, 3).reshape(k * d, k * d)
+    t = f @ w.reshape(k ** (n - 1), k, -1).transpose(1, 0, 2).reshape(k, -1)
+    for s in range(n - 1, 0, -1):
+        t = t.reshape(k, d, d, k ** (s - 1), k, -1).swapaxes(0, 4)
+        t = m @ t.reshape(k * d, -1)
+    # ((i_1 a c), i_2..i_n, b) -> (i_1..i_n, a, c, b)
+    t = t.reshape(k, d, d, k ** (n - 1), -1).transpose(0, 3, 1, 2, 4)
+    return t.reshape(k**n, d, d, -1)
 
 
 def ensure_projection(q, tol=PROJECTION_TOL):
@@ -72,7 +72,8 @@ def ensure_projection(q, tol=PROJECTION_TOL):
     """
     q = as_matrix(q, name="projection")
     h = (q + q.conj().T) / 2
-    residual = max(frobenius(q - h), frobenius(h @ h - h), key=_severity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = max(frobenius(q - h), frobenius(h @ h - h), key=_severity)
     if not residual <= tol:
         raise ValueError(f"matrix is not a projection (residual {residual:.2e})")
     return h
@@ -275,12 +276,12 @@ def collapse_sum_all(u, pi):
 
     Returns an array of shape (k,)*n + (d, d); entry [i1-1, ..., in-1] is
     interval_collapse_sum(u, (i1..in), pi).  Same block sum as the scalar
-    entry point, evaluated as the coaction of the seed 1[ker j >= pi] I_d.
+    entry point, evaluated as the coaction on the tensor 1[ker j >= pi].
     """
     if not is_noncrossing(pi):
         raise ValueError("crossing partition rejected")
-    seed = kernel_indicator(pi, u.k).reshape(-1, 1, 1) * np.eye(u.d)
-    return _coaction_all(u.entries, seed, pi.n).reshape((u.k,) * pi.n + (u.d, u.d))
+    w = kernel_indicator(pi, u.k).reshape(-1, 1).astype(float)
+    return _coaction_all(u.entries, w, pi.n).reshape((u.k,) * pi.n + (u.d, u.d))
 
 
 def kernel_indicator(pi, k):

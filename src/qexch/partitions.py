@@ -121,7 +121,7 @@ def _first_block_splits(m, candidates):
             yield block, [range(a + 1, b) for a, b in zip(block, chosen + (m,))]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _noncrossing_local(m):
     """Non-crossing partitions of {0..m-1} as tuples of blocks.
 
@@ -144,7 +144,7 @@ def _noncrossing_local(m):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def _nc_size_profiles(pattern):
     """Block-size profiles of non-crossing partitions refining a kernel.
 
@@ -172,6 +172,24 @@ def _nc_size_profiles(pattern):
             key = tuple(sorted(sizes + (len(block),)))
             out[key] = out.get(key, 0) + count
     return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=256)
+def _profile_counts(patterns):
+    """The count matrix of a sequence of patterns, and its block-size profiles.
+
+    counts[r, c] is how many non-crossing partitions refining the kernel of
+    patterns[r] have the profile whose block sizes, padded with zeros, are
+    row c of `sizes`.  A partition sum whose terms depend only on block
+    sizes is counts @ (one term per profile).
+    """
+    rows = [dict(_nc_size_profiles(p)) for p in patterns]
+    profiles = sorted(set().union(*rows))
+    counts = np.array([[row.get(prof, 0) for prof in profiles] for row in rows], dtype=float)
+    width = max(map(len, profiles))
+    sizes = np.array([prof + (0,) * (width - len(prof)) for prof in profiles], dtype=np.intp)
+    counts.flags.writeable = sizes.flags.writeable = False  # shared by every caller
+    return counts, sizes
 
 
 def enumerate_noncrossing(n):
@@ -214,7 +232,7 @@ def canonical_pattern(indices):
     return tuple(seen.setdefault(v, len(seen)) for v in indices)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _pattern_table(k, n):
     """canonical_pattern of every tuple in {1..k}^n (C order), vectorised.
 

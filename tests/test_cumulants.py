@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qexch.algebra import (
     MAX_TENSOR_TUPLES,
@@ -337,6 +339,22 @@ def test_round_trip_spec_to_moments_to_spec(b_dim):
             assert np.linalg.norm(recovered - spec.value(n)) <= 1e-10
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(1, 2), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_round_trip_moments_to_cumulants_to_moments(b_dim, order, seed):
+    rng = np.random.default_rng(seed)
+    mf = CumulantMomentFunctional(random_spec(rng, order, b_dim=b_dim))
+    table = moments_to_cumulants(mf, (1,) * 6)
+    again = CumulantMomentFunctional(
+        CumulantSpec({n: np.diag(v) for n, v in table.items()}, b_dim=b_dim)
+    )
+    for n in range(1, 7):
+        assert np.abs(again.scalar_moment_tensor(2, n) - mf.scalar_moment_tensor(2, n)).max() <= 1e-10
+        word = tuple(int(v) for v in rng.integers(1, 4, size=n))
+        coeffs = [mf.random_coeff(rng) for _ in range(n + 1)]
+        assert np.abs(again.moment(word, coeffs) - mf.moment(word, coeffs)).max() <= 1e-10
+
+
 def test_cumulants_to_moments_function_matches_functional():
     spec = random_spec(np.random.default_rng(11), 4)
     mf = CumulantMomentFunctional(spec)
@@ -367,23 +385,63 @@ def test_cumulant_backed_family_satisfies_freeness_definition():
             assert np.linalg.norm(value) <= 1e-9
 
 
+def _filter_oracle(spec, pattern):
+    """The kernel sum by filtering the full non-crossing list by the kernel constraint."""
+    total = np.zeros(spec.b_dim, dtype=complex)
+    for pi in enumerate_noncrossing(len(pattern)):
+        if any(len({pattern[pos - 1] for pos in b}) != 1 for b in pi.blocks):
+            continue
+        term = np.ones(spec.b_dim, dtype=complex)
+        for b in pi.blocks:
+            term = term * spec.value(len(b))
+        total += term
+    return total
+
+
 def test_kernel_sum_matches_partition_filter_oracle():
-    # reference: filter the full non-crossing list by the kernel constraint
     spec = random_spec(np.random.default_rng(15), 6, b_dim=2)
     rng = np.random.default_rng(16)
     for n in range(1, 7):
         for _ in range(8):
-            pattern = tuple(int(v) for v in rng.integers(0, 3, size=n))
-            oracle = np.zeros(2, dtype=complex)
-            for pi in enumerate_noncrossing(n):
-                if any(len({pattern[pos - 1] for pos in b}) != 1 for b in pi.blocks):
-                    continue
-                term = np.ones(2, dtype=complex)
-                for b in pi.blocks:
-                    term = term * spec.value(len(b))
-                oracle += term
-            got = spec.kernel_sum(pattern)
-            assert np.linalg.norm(got - oracle) <= 1e-12
+            pattern = canonical_pattern(int(v) for v in rng.integers(0, 3, size=n))
+            got = spec.kernel_sum([pattern])
+            assert got.shape == (1, 2)
+            assert np.linalg.norm(got[0] - _filter_oracle(spec, pattern)) <= 1e-12
+        # a whole pattern table in one call: one row per pattern
+        _, patterns = _pattern_table(3, n)
+        rows = spec.kernel_sum(patterns)
+        assert rows.shape == (len(patterns), 2)
+        for pattern, row in zip(patterns, rows):
+            assert np.linalg.norm(row - _filter_oracle(spec, pattern)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_moment_tensors_match_filter_oracle_at_every_tuple(b_dim, k, n, order, seed):
+    rng = np.random.default_rng(seed)
+    kappa = {s: rng.uniform(-1, 1, b_dim) for s in range(1, order + 1)}
+    weights = rng.dirichlet(np.ones(b_dim))
+    spec = CumulantSpec(kappa, b_dim=b_dim, weights=weights)
+    mf = CumulantMomentFunctional(spec)
+    decorations = [mf.random_coeff(rng) for _ in range(n - 1)]
+    deco = np.ones(b_dim, dtype=complex)
+    for c in decorations:
+        deco = deco * np.diag(c)
+    phi = mf.scalar_moment_tensor(k, n)
+    expect = mf.expectation_tensor(k, n, decorations)
+    oracle = {}
+    for i in itertools.product(range(k), repeat=n):
+        pattern = canonical_pattern(i)
+        if pattern not in oracle:
+            oracle[pattern] = _filter_oracle(spec, pattern)
+        assert abs(phi[i] - weights @ oracle[pattern]) <= 1e-12
+        assert np.abs(expect[i] - np.diag(oracle[pattern] * deco)).max() <= 1e-12
 
 
 # -- mixed cumulant reports -----------------------------------------------------------------

@@ -23,7 +23,6 @@ from qexch.cumulants import (
 from qexch.exchangeability import (
     InvarianceReport,
     TupleRecord,
-    _identity_seed,
     _witness_index,
     check_classical_exchangeability,
     check_E_invariance,
@@ -209,19 +208,18 @@ def test_nan_moment_fails_classical_exchangeability():
 
 # -- the coaction kernel against the literal j-sum ----------------------------------------
 
-def _literal_coaction(u, seed_tensor, n):
-    k = u.k
-    out = np.zeros_like(seed_tensor)
-    tuples = list(itertools.product(range(1, k + 1), repeat=n))
+def _literal_coaction(u, w, n):
+    """sum_j word_product(u, i, j) (x) w[j] for every tuple i, one word at a time."""
+    tuples = list(itertools.product(range(1, u.k + 1), repeat=n))
+    out = np.zeros((len(tuples), u.d, u.d, w.shape[1]), dtype=complex)
     for a, i in enumerate(tuples):
         for b, j in enumerate(tuples):
-            out[a] += word_product(u, i, j) @ seed_tensor[b]
+            out[a] += np.multiply.outer(word_product(u, i, j), w[b])
     return out
 
 
-def _random_seed_tensor(rng, count, d_out):
-    shape = (count, d_out, d_out)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _random_w(rng, count, r):
+    return rng.standard_normal((count, r)) + 1j * rng.standard_normal((count, r))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -233,15 +231,17 @@ def _random_seed_tensor(rng, count, d_out):
     st.integers(0, 2**32 - 1),
 )
 def test_coaction_kernel_matches_literal_sum(kind, blocks, n, d, seed):
+    # the scalar path: r = 1
     rng = np.random.default_rng(seed)
     if kind == "block_chain":
         u = block_chain([random_projection(d, int(rng.integers(0, d + 1)), (seed, t))
                          for t in range(blocks)])
     else:
         u = from_permutation(rng.permutation(2 * blocks) + 1, d=d)
-    seed_tensor = _random_seed_tensor(rng, u.k**n, d)
-    got = _coaction_all(u.entries, seed_tensor, n)
-    assert np.max(np.abs(got - _literal_coaction(u, seed_tensor, n))) <= 1e-12
+    w = _random_w(rng, u.k**n, 1)
+    got = _coaction_all(u.entries, w, n)
+    assert got.shape == (u.k**n, d, d, 1)
+    assert np.max(np.abs(got - _literal_coaction(u, w, n))) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -253,23 +253,17 @@ def test_coaction_kernel_matches_literal_sum(kind, blocks, n, d, seed):
     st.integers(0, 2**32 - 1),
 )
 def test_coaction_kernel_matches_literal_sum_on_rectangular_seed(kind, blocks, n, m, seed):
-    # the E-invariance path: seed[j] = I_d (x) psi_j as a (d, d*m*m) block, and
-    # the coaction must give sum_j word_product(u, i, j) (x) psi_j
+    # the E-invariance path: w[j] is an m x m value flattened to r = m * m
     rng = np.random.default_rng(seed)
     d = 2
     if kind == "block_chain":
         u = block_chain([random_projection(d, 1, (seed, t)) for t in range(blocks)])
     else:
         u = from_permutation(rng.permutation(2 * blocks) + 1, d=d)
-    psi = rng.standard_normal((u.k**n, m, m)) + 1j * rng.standard_normal((u.k**n, m, m))
-    got = _coaction_all(u.entries, _identity_seed(psi, d), n)
-    assert got.shape == (u.k**n, d, d * m * m)
-    tuples = list(itertools.product(range(1, u.k + 1), repeat=n))
-    want = np.zeros_like(got)
-    for a, i in enumerate(tuples):
-        for b, j in enumerate(tuples):
-            want[a] += np.kron(word_product(u, i, j), psi[b].reshape(1, -1))
-    assert np.max(np.abs(got - want)) <= 1e-12
+    w = _random_w(rng, u.k**n, m * m)
+    got = _coaction_all(u.entries, w, n)
+    assert got.shape == (u.k**n, d, d, m * m)
+    assert np.max(np.abs(got - _literal_coaction(u, w, n))) <= 1e-12
 
 
 # -- classical exchangeability ------------------------------------------------------
@@ -295,6 +289,7 @@ def test_non_identically_distributed_family_fails_at_length_one():
     first = report.per_length[0]
     assert first.residual > 0.1
     assert first.indices == (2,)  # phi(x_2) against its pattern's phi(x_1)
+    assert all(type(x) is int for rec in report.per_length for x in rec.indices)
 
 
 def _permutation_loop_residuals(mf, k, n_max):

@@ -113,9 +113,8 @@ def test_non_projection_input_rejected():
 def test_projection_with_nan_residual_rejected():
     # Hermitian, so q - h is 0; h @ h overflows and its off-diagonal is inf - inf
     q = np.array([[1e200, 1e200], [1e200, -1e200]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="nan"):
-            ensure_projection(q)
+    with pytest.raises(ValueError, match="nan"):
+        ensure_projection(q)
 
 
 def test_relations_report_nan_is_worst():

@@ -246,3 +246,25 @@ def test_interval_peeling_preserves_noncrossing():
             smaller = delete_block(p, block)
             assert smaller.n == p.n - len(block)
             assert is_noncrossing(smaller)
+
+
+def test_every_lru_cache_in_the_package_is_bounded():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import qexch
+
+    caches = {}
+    for info in pkgutil.iter_modules(qexch.__path__):
+        module = importlib.import_module(f"qexch.{info.name}")
+        for name, obj in vars(module).items():
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, member in members:
+                params = getattr(member, "cache_parameters", None)
+                if params is not None and getattr(member, "__module__", None) == module.__name__:
+                    caches[f"{module.__name__}.{name}{'.' + attr if attr else ''}"] = params()
+    assert "qexch.partitions._nc_size_profiles" in caches
+    assert "qexch.cumulants._noncrossing" in caches
+    unbounded = [name for name, params in caches.items() if params["maxsize"] is None]
+    assert not unbounded
