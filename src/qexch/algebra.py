@@ -20,16 +20,26 @@ DEFAULT_TOL = 1e-9
 MAX_TENSOR_TUPLES = 2_000_000
 
 
-def as_matrix(a, dim=None, name="matrix"):
-    """Validate and return a square complex matrix with finite entries."""
+def as_matrix(a, dim=None, name="matrix", finite=True):
+    """Validate and return a square complex matrix, with finite entries unless finite=False.
+
+    Values computed inside a check skip the finiteness test: an overflow
+    there must reach the residual and fail the check, not reject the input.
+    """
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} must be {dim}x{dim}, got {arr.shape[0]}x{arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _check_tensor_size(k, n):
+    """Reject a moment tensor over {1..k}^n above the cap, without forming k**n for huge n."""
+    if k > 1 and (n >= MAX_TENSOR_TUPLES.bit_length() or k**n > MAX_TENSOR_TUPLES):
+        raise ValueError(f"moment tensor with {k}^{n} entries is too large")
 
 
 def _severity(residual):
@@ -97,7 +107,7 @@ class SubalgebraWithExpectation:
             raise ValueError("the identity must lie in the span of b_basis")
 
     def expect(self, a):
-        a = as_matrix(a, self.dim)
+        a = as_matrix(a, self.dim, finite=False)
         return (self.e_map @ a.reshape(-1)).reshape(self.dim, self.dim)
 
     def expect_all(self, stack):
@@ -301,6 +311,13 @@ class BPolynomial:
         self.dim = dim
         self.words = words
 
+    @classmethod
+    def _from_words(cls, dim, words):
+        """A polynomial from words that are not validated again."""
+        poly = cls.__new__(cls)
+        poly.dim, poly.words = dim, words
+        return poly
+
     @property
     def degree(self):
         return max(len(w) - 1 for w in self.words)
@@ -346,6 +363,31 @@ class MomentFunctional:
     def identity_coeff(self):
         return np.eye(self.b_dim, dtype=complex)
 
+    def product_expectation(self, polys, variables):
+        """E[p_1(x_{v1}) ... p_m(x_{vm})] as a sum of decorated-word moments.
+
+        The generic route: one moment call per word of the expansion.
+        Oracles with more structure override it.
+        """
+        total = np.zeros((self.b_dim, self.b_dim), dtype=complex)
+        for vars_out, coeffs_out in expand_product(polys, variables):
+            total = total + self.moment(vars_out, coeffs_out)
+        return total
+
+    def _check_product(self, polys, variables):
+        """Validate a product as the moment calls of its expansion would."""
+        polys, variables = list(polys), list(variables)
+        if len(polys) != len(variables):
+            raise ValueError("need one variable index per polynomial")
+        if not polys:
+            raise ValueError("empty product")
+        for p in polys:
+            if p.dim != self.b_dim:
+                raise ValueError(
+                    f"coefficient must be {self.b_dim}x{self.b_dim}, got {p.dim}x{p.dim}"
+                )
+        return polys, self._check_word(variables, None)[0]
+
     def random_coeff(self, rng):
         raise NotImplementedError
 
@@ -358,7 +400,9 @@ class MomentFunctional:
                         f"variable index {v} outside 1..{self.variable_count}"
                     )
         if coeffs is not None:
-            coeffs = tuple(as_matrix(c, self.b_dim, "coefficient") for c in coeffs)
+            coeffs = tuple(
+                as_matrix(c, self.b_dim, "coefficient", finite=False) for c in coeffs
+            )
             if len(coeffs) != len(variables) + 1:
                 raise ValueError(
                     f"word of length {len(variables)} needs {len(variables) + 1} "
@@ -367,8 +411,7 @@ class MomentFunctional:
         return variables, coeffs
 
     def _all_tuples(self, k, n):
-        if k ** n > MAX_TENSOR_TUPLES:
-            raise ValueError(f"moment tensor with {k}^{n} entries is too large")
+        _check_tensor_size(k, n)
         return itertools.product(range(1, k + 1), repeat=n)
 
     def scalar_moment_tensor(self, k, n):
@@ -431,14 +474,22 @@ class ConcreteMomentFunctional(MomentFunctional):
     def random_coeff(self, rng):
         return self.context.subalgebra.random_element(rng)
 
+    def product_expectation(self, polys, variables):
+        """E[p_1(x_{v1}) ... p_m(x_{vm})] by linearity: the product of the
+        evaluated factors, then one expectation."""
+        polys, variables = self._check_product(polys, variables)
+        acc = eval_polynomial(polys[0], self._x(variables[0]))
+        for p, v in zip(polys[1:], variables[1:]):
+            acc = acc @ eval_polynomial(p, self._x(v))
+        return self.context.expect(acc)
+
     def _product_stack(self, k, n, decorations=None):
         # T[j1..jm] = x_{j1} d1 x_{j2} ... x_{jm}, grown one position at a time
         if self.variable_count is not None and k > self.variable_count:
             raise ValueError(
                 f"requested k={k} exceeds the {self.variable_count} available variables"
             )
-        if k ** n > MAX_TENSOR_TUPLES:
-            raise ValueError(f"moment tensor with {k}^{n} entries is too large")
+        _check_tensor_size(k, n)
         d = self.context.dim
         xs = np.stack(self.elements[:k])
         stack = xs.copy()
@@ -468,15 +519,9 @@ class ConcreteMomentFunctional(MomentFunctional):
 
 def center(p, i, mf):
     """Subtract the constant E[p(x_i)], producing a polynomial with zero mean."""
-    if p.dim != mf.b_dim:
-        raise ValueError(
-            f"polynomial coefficients are {p.dim}x{p.dim} but the functional "
-            f"expects {mf.b_dim}x{mf.b_dim}"
-        )
-    mean = np.zeros((p.dim, p.dim), dtype=complex)
-    for w in p.words:
-        mean = mean + mf.moment((i,) * (len(w) - 1), w)
-    return BPolynomial(p.words + ((-mean,),))
+    mean = mf.product_expectation([p], [i])
+    # not validated: a non-finite mean must surface as a non-finite product
+    return BPolynomial._from_words(p.dim, p.words + ((-mean,),))
 
 
 def expand_product(polys, variables):
@@ -507,8 +552,5 @@ def expand_product(polys, variables):
 
 
 def product_expectation(mf, polys, variables):
-    """E[p_1(x_{v1}) ... p_n(x_{vn})] computed through decorated words."""
-    total = np.zeros((mf.b_dim, mf.b_dim), dtype=complex)
-    for vars_out, coeffs_out in expand_product(polys, variables):
-        total = total + mf.moment(vars_out, coeffs_out)
-    return total
+    """E[p_1(x_{v1}) ... p_n(x_{vn})], evaluated by the oracle's own route."""
+    return mf.product_expectation(polys, variables)

@@ -46,8 +46,11 @@ def _parse_complex(value, field):
 
 
 def _parse_int(value, field, minimum=None):
-    """An integer of at least minimum; bool, non-integral float, string and list are rejected."""
-    if isinstance(value, float) and value.is_integer():
+    """An integer of at least minimum; bool, non-integral float, string and list are rejected.
+
+    A float counts only below 2**53, where floats still hold every integer.
+    """
+    if isinstance(value, float) and value.is_integer() and abs(value) < 2**53:
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(field, f"expected an integer, got {value!r}")
@@ -78,6 +81,8 @@ def _parse_matrix(value, field, dim=None):
     if isinstance(value, dict):
         if set(value) != {"diag"}:
             _fail(field, f"matrix object supports only the 'diag' key, got {sorted(value)}")
+        if not isinstance(value["diag"], list):
+            _fail(f"{field}.diag", f"expected a list of numbers, got {value['diag']!r}")
         diag = [_parse_complex(x, f"{field}.diag[{i}]") for i, x in enumerate(value["diag"])]
         mat = np.diag(diag).astype(complex)
     elif isinstance(value, list):
@@ -152,7 +157,10 @@ def build_functional(spec, field="functional"):
         mats = [
             _parse_matrix(e, f"{field}.elements[{t}]", dim) for t, e in enumerate(elements)
         ]
-        return algebra.ConcreteMomentFunctional(ctx, mats)
+        try:
+            return algebra.ConcreteMomentFunctional(ctx, mats)
+        except ValueError as exc:
+            _fail(f"{field}.elements", str(exc))
     _fail(f"{field}.kind", f"unknown functional kind {kind!r}")
 
 
@@ -193,7 +201,10 @@ def build_unitary(spec, seed, field):
             _fail(field, f"block_pair needs exactly 2 projections, got {len(qs)}")
         if "r" in spec and _parse_int(spec["r"], f"{field}.r") != len(qs):
             _fail(f"{field}.r", f"r={spec['r']} but {len(qs)} projections were given")
-        return magic.block_chain(qs)
+        try:
+            return magic.block_chain(qs)
+        except ValueError as exc:
+            _fail(field, str(exc))
     _fail(f"{field}.kind", f"unknown unitary kind {kind!r}")
 
 
@@ -365,7 +376,9 @@ def run_scenario(doc, tol, seed):
             _fail(field, f"{name} runs once per unitary, and the scenario has none")
         for label, u in unitaries if per_unitary else [(None, None)]:
             try:
-                residual, passed, note = run(check, u)
+                # non-finite residuals fail closed, so overflow needs no warning
+                with np.errstate(over="ignore", invalid="ignore"):
+                    residual, passed, note = run(check, u)
             except ValueError as exc:
                 _fail(field, str(exc))
             params = check.params if label is None else {"unitary": label, **check.params}

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import MAX_TENSOR_TUPLES, MomentFunctional, _severity, as_matrix, frobenius
+from .algebra import MomentFunctional, _check_tensor_size, _severity, as_matrix, frobenius
 from .partitions import (
     _pattern_table,
     _profile_counts,
@@ -113,7 +113,7 @@ class CumulantExtractor:
             eye = self.mf.identity_coeff()
             coeffs = (eye,) * (len(variables) + 1)
         else:
-            coeffs = tuple(as_matrix(c, self.mf.b_dim) for c in coeffs)
+            coeffs = tuple(as_matrix(c, self.mf.b_dim, finite=False) for c in coeffs)
             if len(coeffs) != len(variables) + 1:
                 raise ValueError("need one more coefficient than variables")
         return variables, coeffs
@@ -347,6 +347,34 @@ class CumulantMomentFunctional(MomentFunctional):
         vec = self.spec.kernel_sum([canonical_pattern(variables)])[0] * deco
         return np.diag(vec)
 
+    def product_expectation(self, polys, variables):
+        """E[p_1(x_{v1}) ... p_m(x_{vm})] from one kernel_sum call.
+
+        Diagonal decorations multiply through the partition sum, so each
+        polynomial reduces to one coefficient product per degree.  A degree
+        tuple (n_1..n_m) stands for the word x_{v1}^{n_1} ... x_{vm}^{n_m};
+        the weights of tuples with one canonical pattern are added first.
+        """
+        polys, variables = self._check_product(polys, variables)
+        factors = []
+        for p in polys:
+            by_degree = {}
+            for w in p.words:
+                prod = np.prod(self._diagonals(w), axis=0)
+                by_degree[len(w) - 1] = by_degree.get(len(w) - 1, 0) + prod
+            factors.append(list(by_degree.items()))
+        longest = sum(max(n for n, _ in f) for f in factors)
+        if longest > MAX_WORD_LENGTH:
+            raise ValueError(f"word length {longest} exceeds the cap {MAX_WORD_LENGTH}")
+        weights = {}
+        for combo in itertools.product(*factors):
+            word = [v for v, (n, _) in zip(variables, combo) for _ in range(n)]
+            weight = np.prod([c for _, c in combo], axis=0)
+            pattern = canonical_pattern(word)
+            weights[pattern] = weights.get(pattern, 0) + weight
+        rows = self.spec.kernel_sum(list(weights))
+        return np.diag((rows * np.array(list(weights.values()))).sum(axis=0))
+
     def scalar_moment(self, variables):
         variables, _ = self._check_word(variables, None)
         if not variables:
@@ -359,15 +387,13 @@ class CumulantMomentFunctional(MomentFunctional):
         return np.diag(diag)
 
     def scalar_moment_tensor(self, k, n):
-        if k**n > MAX_TENSOR_TUPLES:
-            raise ValueError(f"moment tensor with {k}^{n} entries is too large")
+        _check_tensor_size(k, n)
         ids, patterns = _pattern_table(k, n)
         values = self.spec.kernel_sum(patterns) @ self.spec.weights
         return values[ids].reshape((k,) * n)
 
     def expectation_tensor(self, k, n, decorations=None):
-        if k**n > MAX_TENSOR_TUPLES:
-            raise ValueError(f"moment tensor with {k}^{n} entries is too large")
+        _check_tensor_size(k, n)
         deco = np.ones(self.b_dim, dtype=complex)
         if decorations is not None:
             if len(decorations) != n - 1:

@@ -20,12 +20,13 @@ import numpy as np
 from .algebra import (
     BPolynomial,
     ConcreteMomentFunctional,
+    _check_tensor_size,
     _severity,
     center,
     frobenius,
     product_expectation,
 )
-from .cumulants import check_mixed_cumulants
+from .cumulants import MAX_TRANSFORM_ORDER, check_mixed_cumulants
 from .magic import MagicUnitary, _coaction_all, ensure_projection
 from .partitions import _pattern_table
 
@@ -92,6 +93,7 @@ def _scan_lengths(mf, k, n_max, tol, make_seed, act, check_name):
         raise ValueError(
             f"k={k} needs {k} variables, functional has {mf.variable_count}"
         )
+    _check_tensor_size(k, n_max)
     per_length = []
     for n in range(1, n_max + 1):
         w = make_seed(n).reshape(k**n, -1)
@@ -182,7 +184,8 @@ def check_factorization(mf, variables, polys, l):
         )
     lhs = product_expectation(mf, polys, variables)
     mean = product_expectation(mf, [polys[l - 1]], [pivot])
-    replaced = polys[: l - 1] + [BPolynomial.constant(mean)] + polys[l:]
+    # not validated: a non-finite mean must surface in the residual
+    replaced = polys[: l - 1] + [BPolynomial._from_words(mean.shape[0], ((mean,),))] + polys[l:]
     rhs = product_expectation(mf, replaced, variables)
     return frobenius(lhs - rhs)
 
@@ -245,6 +248,8 @@ def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0, polys_per_tu
     expectation; (b) every mixed cumulant vanishes.  The criteria agree in
     exact arithmetic; both residuals are reported.
     """
+    if n_max > MAX_TRANSFORM_ORDER:
+        raise ValueError(f"n_max={n_max} exceeds the cumulant order cap {MAX_TRANSFORM_ORDER}")
     values = sorted(set(variables))
     if len(values) < 2:
         return FreenessReport(0.0, (), 0.0, (), tol, vacuous=True)

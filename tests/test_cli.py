@@ -1,10 +1,15 @@
 """Scenario runner: exit codes, report determinism, subcommands, overrides."""
 
+import contextlib
+import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qexch import exchangeability
 from qexch.cli import main
@@ -70,8 +75,8 @@ ALL_CHECKS_EXPECTED = [
     ("collapse_lemma", {"n_max": 4, "unitary": "permutation#0"}, 0.0),
     ("collapse_lemma", {"n_max": 4, "unitary": "block_pair#1"}, 1.0292666002845966e-15),
     ("collapse_lemma", {"n_max": 4, "unitary": "block_chain#2"}, 5.063932090937452e-16),
-    ("freeness", {"n_max": 4, "vars": [1, 2]}, 8.961363743956553e-14),
-    ("factorization", {"l": 2, "trials": 5, "vars": [1, 2, 1]}, 3.972054645195637e-15),
+    ("freeness", {"n_max": 4, "vars": [1, 2]}, 2.842170943040401e-14),
+    ("factorization", {"l": 2, "trials": 5, "vars": [1, 2, 1]}, 0.0),
     ("crossing_sum", {"d": 2, "pairs": 6, "s": 2, "variant": "plain"}, 0.0),
     ("crossing_sum", {"d": 3, "pairs": 6, "s": 3, "variant": "capped"}, 0.0),
     ("counterexample", {"n": 3, "psi_u11": "1/3", "psi_u11_u21": "0"}, 0.0),
@@ -357,6 +362,17 @@ def _scenario(tmp_path, **changes):
         ({"unitaries": [{"kind": "block_pair", "d": 2,
                          "projections": [[[1e200, 1e200], [1e200, -1e200]], [[1, 0], [0, 0]]]}]},
          "unitaries[0].projections[0]"),
+        ({"unitaries": [{"kind": "block_chain", "d": 2, "seeds": []}]}, "unitaries[0]"),
+        ({"unitaries": [{"kind": "block_pair", "d": 1e300, "seeds": [1, 2]}]}, "unitaries[0].d"),
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": 1e300}},
+         "functional.b_dim"),
+        ({"checks": [{"name": "factorization", "trials": 1e300}]}, "checks[0].trials"),
+        ({"checks": [{"name": "freeness", "n_max": 9}]}, "checks[0]"),
+        ({"checks": [{"name": "quantum_invariance", "n_max": 11}]}, "checks[0]"),
+        ({"functional": {"kind": "concrete", "dim": 2, "density": {"diag": 0.5},
+                         "elements": [{"diag": [1, -1]}]}}, "functional.density.diag"),
+        ({"functional": {"kind": "concrete", "dim": 1, "density": {"diag": [1]},
+                         "elements": []}}, "functional.elements"),
     ],
 )
 def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, field):
@@ -387,6 +403,24 @@ def test_nan_residual_is_the_checks_residual(tmp_path, capsys, monkeypatch, name
     assert math.isnan(record["residual"]) and record["pass"] is False
 
 
+@pytest.mark.parametrize("functional", [
+    {"kind": "cumulant", "cumulants": {"2": 1e300}},
+    {"kind": "cumulant", "cumulants": {"1": 1e300, "2": 1e300}},
+    {"kind": "concrete", "dim": 2, "density": {"diag": [0.5, 0.5]},
+     "elements": [{"diag": [1e300, 1]}, {"diag": [1, -1]}]},
+], ids=["kappa2", "kappa1", "concrete"])
+def test_overflowing_freeness_check_fails_silently(tmp_path, capsys, functional):
+    # a well-formed scenario whose moments overflow: a FAIL, not malformed input
+    report_path = tmp_path / "r.json"
+    checks = [{"name": "freeness"}, {"name": "factorization", "vars": [1, 2, 1], "l": 2}]
+    path = _scenario(tmp_path, functional=functional, checks=checks)
+    code, out, err = run_cli(["verify", str(path), "--report", str(report_path)], capsys)
+    assert (code, err) == (1, "")
+    records = json.loads(report_path.read_text())["checks"]
+    assert records[0]["name"] == "freeness" and records[0]["pass"] is False
+    assert out.splitlines()[-1] == "overall: FAIL"
+
+
 def test_non_finite_cumulant_exits_two(tmp_path, capsys):
     functional = {"kind": "cumulant", "cumulants": {"2": math.nan}}
     report_path = tmp_path / "r.json"
@@ -398,6 +432,61 @@ def test_non_finite_cumulant_exits_two(tmp_path, capsys):
     assert code == 2
     assert "functional.cumulants[2]" in err
     assert not report_path.exists()
+
+
+# -- fuzz: mutated copies of the shipped fixtures ----------------------------------------
+
+FUZZ_VALUES = [None, True, -1, 0, 1.5, "x", [], {}, 1e300]
+
+
+def _mutation_sites(node, path=()):
+    """Every key and list position under node; the first entry stands for a list of numbers."""
+    yield path
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+        if not any(isinstance(v, (dict, list)) for v in node):
+            children = children[:1]
+    else:
+        children = []
+    for key, child in children:
+        yield from _mutation_sites(child, path + (key,))
+
+
+FUZZ_SITES = [
+    (fixture, path)
+    for fixture in (FREE, BERNOULLI)
+    for path in _mutation_sites(json.loads(fixture.read_text()))
+    if path
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(FUZZ_SITES), st.sampled_from(["drop", *FUZZ_VALUES]))
+def test_mutated_fixture_exits_cleanly(tmp_path_factory, site, action):
+    fixture, path = site
+    doc = json.loads(fixture.read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = action
+    folder = tmp_path_factory.mktemp("fuzz")
+    scenario, report_path = folder / "s.json", folder / "r.json"
+    scenario.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(scenario), "--report", str(report_path)])
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert len(lines) == 1 and re.match(r"error: [^ ]+: ", lines[0]), lines
+        assert out.getvalue() == ""
+    else:
+        assert code in (0, 1) and lines == []
+        assert json.loads(report_path.read_text())["pass"] is (code == 0)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-8"])

@@ -11,12 +11,15 @@ from qexch.algebra import (
     MAX_TENSOR_TUPLES,
     BPolynomial,
     ConcreteMomentFunctional,
+    MomentFunctional,
     center,
+    expand_product,
     pinching_context,
     product_expectation,
     scalar_context,
 )
 from qexch.cumulants import (
+    MAX_WORD_LENGTH,
     CumulantExtractor,
     CumulantMomentFunctional,
     CumulantSpec,
@@ -442,6 +445,121 @@ def test_moment_tensors_match_filter_oracle_at_every_tuple(b_dim, k, n, order, s
             oracle[pattern] = _filter_oracle(spec, pattern)
         assert abs(phi[i] - weights @ oracle[pattern]) <= 1e-12
         assert np.abs(expect[i] - np.diag(oracle[pattern] * deco)).max() <= 1e-12
+
+
+# -- products of polynomials: each oracle's own route against the word expansion -----------
+
+def _generic(mf, polys, variables):
+    return MomentFunctional.product_expectation(mf, polys, variables)
+
+
+def _own(mf, polys, variables):
+    return mf.product_expectation(polys, variables)
+
+
+def _random_product_oracle(kind, dim, order, rng):
+    """Three variables over a scalar or pinching B (dim <= 4), or a cumulant family."""
+    if kind == "cumulant":
+        return CumulantMomentFunctional(random_spec(rng, order, b_dim=min(dim, 3)))
+    if kind == "scalar":
+        a = random_matrix(rng, dim)
+        density = a @ a.conj().T
+        ctx = scalar_context(density / np.trace(density))
+    else:
+        cut = int(rng.integers(1, dim)) if dim > 1 else dim
+        ctx = pinching_context([b for b in (list(range(cut)), list(range(cut, dim))) if b])
+    return ConcreteMomentFunctional(ctx, [random_matrix(rng, dim) for _ in range(3)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["scalar", "pinching", "cumulant"]),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_product_expectation_matches_word_expansion(kind, dim, order, variables, degree, seed):
+    rng = np.random.default_rng(seed)
+    mf = _random_product_oracle(kind, dim, order, rng)
+    polys = []
+    for _ in variables:
+        words = []
+        for _ in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(0, degree + 1))
+            words.append(tuple(mf.random_coeff(rng) for _ in range(n + 1)))
+        polys.append(BPolynomial(words))
+    got = _own(mf, polys, variables)
+    want = _generic(mf, polys, variables)
+    # relative to the size of the summed word moments, which sets the rounding
+    scale = sum(
+        np.linalg.norm(mf.moment(v, c)) for v, c in expand_product(polys, variables)
+    )
+    assert np.linalg.norm(got - want) <= 1e-12 * max(scale, 1.0)
+
+
+PRODUCT_ROUTES = pytest.mark.parametrize("route", [_generic, _own], ids=["generic", "own"])
+
+
+@PRODUCT_ROUTES
+def test_product_rejects_variable_out_of_range(route):
+    mf = ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [np.eye(2), np.eye(2)])
+    x = BPolynomial.variable(2)
+    with pytest.raises(ValueError, match="variable index 3 outside 1..2"):
+        route(mf, [x, x], [1, 3])
+
+
+@PRODUCT_ROUTES
+@pytest.mark.parametrize("kind", ["concrete", "cumulant"])
+def test_product_rejects_coefficient_dimension(route, kind):
+    if kind == "cumulant":
+        mf = CumulantMomentFunctional(semicircular_spec(b_dim=2))
+    else:
+        mf = ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [np.eye(2)])
+    x = BPolynomial.variable(3)
+    with pytest.raises(ValueError, match="coefficient must be 2x2, got 3x3"):
+        route(mf, [x], [1])
+
+
+@pytest.mark.parametrize("kind", ["concrete", "cumulant"])
+def test_center_rejects_coefficient_dimension(kind):
+    if kind == "cumulant":
+        mf = CumulantMomentFunctional(semicircular_spec(b_dim=2))
+    else:
+        mf = ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [np.eye(2)])
+    with pytest.raises(ValueError, match="coefficient must be 2x2, got 3x3"):
+        center(BPolynomial.variable(3), 1, mf)
+
+
+@PRODUCT_ROUTES
+@pytest.mark.parametrize("polys, variables, message", [
+    ([BPolynomial.variable(1)], [1, 2], "need one variable index per polynomial"),
+    ([], [], "empty product"),
+])
+def test_product_rejects_malformed_factor_lists(route, polys, variables, message):
+    mf = CumulantMomentFunctional(semicircular_spec())
+    with pytest.raises(ValueError, match=message):
+        route(mf, polys, variables)
+
+
+@PRODUCT_ROUTES
+def test_cumulant_product_rejects_offdiagonal_coefficient(route):
+    mf = CumulantMomentFunctional(semicircular_spec(b_dim=2))
+    p = BPolynomial([(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))])
+    with pytest.raises(ValueError, match="coefficients must be diagonal"):
+        route(mf, [p, BPolynomial.variable(2)], [1, 2])
+
+
+@PRODUCT_ROUTES
+def test_cumulant_product_caps_the_longest_word(route):
+    mf = CumulantMomentFunctional(semicircular_spec())
+    one = np.eye(1)
+    p7 = BPolynomial([(one,) * 8, (one,)])
+    p6 = BPolynomial([(one,) * 7])
+    with pytest.raises(ValueError, match=f"exceeds the cap {MAX_WORD_LENGTH}"):
+        route(mf, [p7, p6], [1, 2])
+    route(mf, [p6, p6], [1, 2])  # twelve letters are within the cap
 
 
 # -- mixed cumulant reports -----------------------------------------------------------------

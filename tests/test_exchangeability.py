@@ -16,6 +16,7 @@ from qexch.algebra import (
 )
 from qexch.cumulants import (
     CumulantMomentFunctional,
+    CumulantSpec,
     check_mixed_cumulants,
     random_spec,
     semicircular_spec,
@@ -177,23 +178,32 @@ def test_invariance_report_non_finite_is_worst(residuals):
     assert "FAIL" in report.summary().splitlines()[-1]
 
 
-class _NaNMixedAtLength4(CumulantMomentFunctional):
-    """A free family whose mixed moments of length 4 are NaN."""
+class _NaNMixedAtLength4(CumulantSpec):
+    """Semicircular cumulants whose kernel sums for mixed words of length 4 are NaN.
 
-    def moment(self, variables, coeffs=None):
-        value = super().moment(variables, coeffs)
-        return value * np.nan if len(variables) == 4 and len(set(variables)) > 1 else value
+    Both freeness criteria read moments through kernel_sum: the mixed
+    cumulants per word, the centred products once per product.
+    """
+
+    def __init__(self):
+        super().__init__({2: 1.0}, max_order=2)
+
+    def kernel_sum(self, patterns):
+        patterns = list(patterns)
+        rows = super().kernel_sum(patterns)
+        rows[[len(p) == 4 and len(set(p)) > 1 for p in patterns]] = np.nan
+        return rows
 
 
 def test_nan_mixed_moment_fails_freeness():
-    report = check_freeness(_NaNMixedAtLength4(semicircular_spec()), (1, 2), n_max=4)
+    report = check_freeness(CumulantMomentFunctional(_NaNMixedAtLength4()), (1, 2), n_max=4)
     assert np.isnan(report.centered_max) and np.isnan(report.mixed_max)
     assert not report.centered_pass and not report.mixed_pass
     assert not report.passed
 
 
 def test_nan_mixed_moment_fails_mixed_cumulants():
-    report = check_mixed_cumulants(_NaNMixedAtLength4(semicircular_spec()), (1, 2, 1, 2))
+    report = check_mixed_cumulants(CumulantMomentFunctional(_NaNMixedAtLength4()), (1, 2, 1, 2))
     assert np.isnan(report.max_mixed)
     assert report.worst_tuple == (1, 1, 1, 2)  # the first mixed tuple of length 4
     assert not report.passed
