@@ -16,8 +16,10 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# memory guard for vectorized moment tensors (number of index tuples)
+# memory guards for vectorized moment tensors: index tuples, and complex entries
+# of a tensor of b_dim x b_dim values such as the concrete oracle's product stack
 MAX_TENSOR_TUPLES = 2_000_000
+MAX_TENSOR_ENTRIES = 2**24  # 256 MiB of complex128
 
 
 def as_matrix(a, dim=None, name="matrix", finite=True):
@@ -34,12 +36,6 @@ def as_matrix(a, dim=None, name="matrix", finite=True):
     if finite and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _check_tensor_size(k, n):
-    """Reject a moment tensor over {1..k}^n above the cap, without forming k**n for huge n."""
-    if k > 1 and (n >= MAX_TENSOR_TUPLES.bit_length() or k**n > MAX_TENSOR_TUPLES):
-        raise ValueError(f"moment tensor with {k}^{n} entries is too large")
 
 
 def _severity(residual):
@@ -348,11 +344,15 @@ class MomentFunctional:
     """Oracle for B-valued moments of a family of noncommutative variables.
 
     Words are decorated: moment((i1,...,in), (b0,...,bn)) is the expectation
-    of b0 x_{i1} b1 ... x_{in} bn.  The empty word returns b0.
+    of b0 x_{i1} b1 ... x_{in} bn.  The empty word returns b0.  Every route
+    checks its request with _check_word or _check_tensor before any work;
+    an oracle declares its variables (variable_count) and its longest word
+    (max_word_length), None meaning no bound.
     """
 
     b_dim = None
     variable_count = None
+    max_word_length = None
 
     def moment(self, variables, coeffs=None):
         raise NotImplementedError
@@ -369,6 +369,7 @@ class MomentFunctional:
         The generic route: one moment call per word of the expansion.
         Oracles with more structure override it.
         """
+        polys, variables = self._check_product(polys, variables)
         total = np.zeros((self.b_dim, self.b_dim), dtype=complex)
         for vars_out, coeffs_out in expand_product(polys, variables):
             total = total + self.moment(vars_out, coeffs_out)
@@ -386,12 +387,19 @@ class MomentFunctional:
                 raise ValueError(
                     f"coefficient must be {self.b_dim}x{self.b_dim}, got {p.dim}x{p.dim}"
                 )
+        # the longest word of the expansion, then every factor's variable
+        self._check_word([v for p, v in zip(polys, variables) for _ in range(p.degree)], None)
         return polys, self._check_word(variables, None)[0]
 
     def random_coeff(self, rng):
         raise NotImplementedError
 
     def _check_word(self, variables, coeffs):
+        """Validate a decorated word: its variables, its length and its coefficients.
+
+        Returns (variables, coeffs) as a tuple of ints and a tuple of
+        b_dim x b_dim matrices, or None when coeffs is None.
+        """
         variables = tuple(int(v) for v in variables)
         if self.variable_count is not None:
             for v in variables:
@@ -399,6 +407,10 @@ class MomentFunctional:
                     raise ValueError(
                         f"variable index {v} outside 1..{self.variable_count}"
                     )
+        if self.max_word_length is not None and len(variables) > self.max_word_length:
+            raise ValueError(
+                f"word length {len(variables)} exceeds the cap {self.max_word_length}"
+            )
         if coeffs is not None:
             coeffs = tuple(
                 as_matrix(c, self.b_dim, "coefficient", finite=False) for c in coeffs
@@ -410,13 +422,29 @@ class MomentFunctional:
                 )
         return variables, coeffs
 
-    def _all_tuples(self, k, n):
-        _check_tensor_size(k, n)
-        return itertools.product(range(1, k + 1), repeat=n)
+    def _check_tensor(self, k, n, decorations=None):
+        """Validate a request for the moments of every tuple in {1..k}^n.
+
+        Every word of the tensor passes _check_word exactly when the corner
+        word (k, ..., k) with the decorations inside does.  The tensor must
+        also stay within MAX_TENSOR_TUPLES tuples and MAX_TENSOR_ENTRIES
+        entries of b_dim x b_dim values.  Returns the decorations validated,
+        or None.
+        """
+        if k > 1 and (n >= MAX_TENSOR_TUPLES.bit_length() or k**n > MAX_TENSOR_TUPLES):
+            raise ValueError(f"moment tensor with {k}^{n} entries is too large")
+        eye = self.identity_coeff()
+        coeffs = None if decorations is None else (eye, *decorations, eye)
+        coeffs = self._check_word((k,) * n, coeffs)[1]
+        if k**n * self.b_dim**2 > MAX_TENSOR_ENTRIES:
+            b = self.b_dim
+            raise ValueError(f"moment tensor with {k}^{n} {b}x{b} values is too large")
+        return None if coeffs is None else list(coeffs[1:-1])
 
     def scalar_moment_tensor(self, k, n):
         """phi(x_{j1}...x_{jn}) for every tuple j in {1..k}^n, C-ordered."""
-        values = [self.scalar_moment(t) for t in self._all_tuples(k, n)]
+        self._check_tensor(k, n)
+        values = [self.scalar_moment(t) for t in itertools.product(range(1, k + 1), repeat=n)]
         return np.array(values, dtype=complex).reshape((k,) * n)
 
     def expectation_tensor(self, k, n, decorations=None):
@@ -424,13 +452,10 @@ class MomentFunctional:
 
         decorations are the n-1 inner coefficients; identity by default.
         """
-        if decorations is None:
-            decorations = [self.identity_coeff()] * (n - 1)
-        if len(decorations) != n - 1:
-            raise ValueError(f"need {n - 1} inner decorations, got {len(decorations)}")
+        decorations = self._check_tensor(k, n, decorations)
         eye = self.identity_coeff()
-        coeffs = (eye, *decorations, eye)
-        values = [self.moment(t, coeffs) for t in self._all_tuples(k, n)]
+        coeffs = (eye, *(decorations or [eye] * (n - 1)), eye)
+        values = [self.moment(t, coeffs) for t in itertools.product(range(1, k + 1), repeat=n)]
         return np.array(values, dtype=complex).reshape((k,) * n + (self.b_dim, self.b_dim))
 
 
@@ -485,11 +510,7 @@ class ConcreteMomentFunctional(MomentFunctional):
 
     def _product_stack(self, k, n, decorations=None):
         # T[j1..jm] = x_{j1} d1 x_{j2} ... x_{jm}, grown one position at a time
-        if self.variable_count is not None and k > self.variable_count:
-            raise ValueError(
-                f"requested k={k} exceeds the {self.variable_count} available variables"
-            )
-        _check_tensor_size(k, n)
+        decorations = self._check_tensor(k, n, decorations)
         d = self.context.dim
         xs = np.stack(self.elements[:k])
         stack = xs.copy()
@@ -507,12 +528,6 @@ class ConcreteMomentFunctional(MomentFunctional):
         return vals.reshape((k,) * n)
 
     def expectation_tensor(self, k, n, decorations=None):
-        if decorations is not None:
-            if len(decorations) != n - 1:
-                raise ValueError(
-                    f"need {n - 1} inner decorations, got {len(decorations)}"
-                )
-            decorations = [as_matrix(b, self.context.dim) for b in decorations]
         stack = self._product_stack(k, n, decorations)
         return self.context.subalgebra.expect_all(stack)
 

@@ -499,19 +499,37 @@ def cmd_cumulants(args):
     return 0
 
 
+def _parse_json_flag(value, flag, depth):
+    """A flag's JSON value: integers >= 1 in lists nested depth deep; any fault names the flag."""
+    try:
+        doc = json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{flag}: invalid JSON ({exc})") from exc
+
+    def walk(x, depth):
+        if depth == 0:
+            return _parse_int(x, flag, minimum=1)
+        if not isinstance(x, list):
+            _fail(flag, f"expected a list, got {x!r}")
+        return [walk(y, depth - 1) for y in x]
+
+    return walk(doc, depth)
+
+
 def cmd_collapse(args):
     from .partitions import Partition
 
     spec = _load_spec_argument(args.unitary, "unitary")
     seed = _resolve_seed(args, None)
     u = build_unitary(spec, seed, "unitary")
+    i_tuple = tuple(_parse_json_flag(args.i, "--i", 1))
+    if not i_tuple or max(i_tuple) > u.k:
+        _fail("--i", f"expected a nonempty list of indices in 1..{u.k}, got {args.i}")
     try:
-        blocks = json.loads(args.pi)
-        i_tuple = tuple(json.loads(args.i))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"--pi/--i: invalid JSON ({exc})")
-    pi = Partition(len(i_tuple), blocks)
-    value = magic.interval_collapse_sum(u, i_tuple, pi)
+        pi = Partition(len(i_tuple), _parse_json_flag(args.pi, "--pi", 2))
+        value = magic.interval_collapse_sum(u, i_tuple, pi)
+    except ValueError as exc:
+        _fail("--pi", str(exc))
     expected = magic.collapse_expected(i_tuple, pi)
     target = np.eye(u.d) if expected else np.zeros((u.d, u.d))
     residual = float(np.linalg.norm(value - target))
@@ -534,39 +552,43 @@ def cmd_counterexample(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="residual tolerance")
-    common.add_argument("--seed", type=int, default=None, help="sampling seed")
-    common.add_argument("--report", default=None, help="path for the JSON report")
-    common.add_argument(
-        "--format", choices=("json", "text"), default="text", help="stdout format"
-    )
+    def flag(*args, **kwargs):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
+
+    tol = flag("--tol", type=float, default=None, help="residual tolerance")
+    seed = flag("--seed", type=int, default=None, help="sampling seed")
+    report = flag("--report", default=None, help="path for the JSON report")
+    fmt = flag("--format", choices=("json", "text"), default="text", help="stdout format")
     parser = argparse.ArgumentParser(
         prog="qexch",
         description="numerical checks for quantum-permutation symmetry and freeness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="run a scenario file")
+    # each subcommand takes only the flags its command reads
+    every = [tol, seed, report, fmt]
+    p = sub.add_parser("verify", parents=every, help="run a scenario file")
     p.add_argument("scenario")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("check-magic", parents=[common], help="verify the defining relations")
+    p = sub.add_parser("check-magic", parents=every, help="verify the defining relations")
     p.add_argument("unitary", help="unitary spec: inline JSON or a file path")
     p.set_defaults(func=cmd_check_magic)
 
-    p = sub.add_parser("cumulants", parents=[common], help="print a moment/cumulant table")
+    p = sub.add_parser("cumulants", parents=[fmt], help="print a moment/cumulant table")
     p.add_argument("functional", help="functional spec: inline JSON or a file path")
     p.add_argument("--n", type=int, default=4, help="highest order to print")
     p.set_defaults(func=cmd_cumulants)
 
-    p = sub.add_parser("collapse", parents=[common], help="print one collapse sum")
+    p = sub.add_parser("collapse", parents=[tol, seed], help="print one collapse sum")
     p.add_argument("unitary", help="unitary spec: inline JSON or a file path")
     p.add_argument("--pi", required=True, help='blocks as JSON, e.g. "[[1,2],[3,4]]"')
     p.add_argument("--i", required=True, help='index tuple as JSON, e.g. "[1,1,2,2]"')
     p.set_defaults(func=cmd_collapse)
 
-    p = sub.add_parser("counterexample", parents=[common], help="run the column model")
+    p = sub.add_parser("counterexample", help="run the column model")
     p.add_argument("--n", type=int, default=3)
     p.set_defaults(func=cmd_counterexample)
     return parser

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import MomentFunctional, _check_tensor_size, _severity, as_matrix, frobenius
+from .algebra import MomentFunctional, _severity, frobenius
 from .partitions import (
     _pattern_table,
     _profile_counts,
@@ -107,20 +107,10 @@ class CumulantExtractor:
         self.mf = mf
         self._cache = {}
 
-    def _normalize(self, variables, coeffs):
-        variables = tuple(int(v) for v in variables)
-        if coeffs is None:
-            eye = self.mf.identity_coeff()
-            coeffs = (eye,) * (len(variables) + 1)
-        else:
-            coeffs = tuple(as_matrix(c, self.mf.b_dim, finite=False) for c in coeffs)
-            if len(coeffs) != len(variables) + 1:
-                raise ValueError("need one more coefficient than variables")
-        return variables, coeffs
-
     def kappa_word(self, variables, coeffs=None):
-        variables, coeffs = self._normalize(variables, coeffs)
+        variables, coeffs = self.mf._check_word(variables, coeffs)
         n = len(variables)
+        coeffs = coeffs or (self.mf.identity_coeff(),) * (n + 1)
         if n == 0:
             raise ValueError("cumulants of the empty word are undefined")
         if n > MAX_TRANSFORM_ORDER:
@@ -145,7 +135,8 @@ class CumulantExtractor:
         its cumulant value is merged into the coefficient at the junction,
         which realizes the B-module threading rules.
         """
-        variables, coeffs = self._normalize(variables, coeffs)
+        variables, coeffs = self.mf._check_word(variables, coeffs)
+        coeffs = coeffs or (self.mf.identity_coeff(),) * (len(variables) + 1)
         if pi.n != len(variables):
             raise ValueError("partition size does not match word length")
         if not is_noncrossing(pi):
@@ -321,28 +312,21 @@ class CumulantMomentFunctional(MomentFunctional):
         self.spec = spec
         self.b_dim = spec.b_dim
         self.variable_count = None
+        self.max_word_length = MAX_WORD_LENGTH
 
-    def _diagonals(self, coeffs):
-        out = []
-        for c in coeffs:
-            offdiag = c - np.diag(np.diag(c))
-            if frobenius(offdiag) > 1e-12:
-                raise ValueError(
-                    "cumulant-backed B is diagonal; coefficients must be diagonal"
-                )
-            out.append(np.diag(c))
-        return out
+    def _diagonal_product(self, coeffs):
+        """Product of the diagonals of diagonal coefficients; all ones for none."""
+        diags = []
+        for c in coeffs or ():
+            if frobenius(c - np.diag(np.diag(c))) > 1e-12:
+                raise ValueError("cumulant-backed B is diagonal; coefficients must be diagonal")
+            diags.append(np.diag(c))
+        return np.prod(diags, axis=0) if diags else np.ones(self.b_dim, dtype=complex)
 
     def moment(self, variables, coeffs=None):
         variables, coeffs = self._check_word(variables, coeffs)
-        n = len(variables)
-        if n > MAX_WORD_LENGTH:
-            raise ValueError(f"word length {n} exceeds the cap {MAX_WORD_LENGTH}")
-        deco = np.ones(self.b_dim, dtype=complex)
-        if coeffs is not None:
-            for diag in self._diagonals(coeffs):
-                deco = deco * diag
-        if n == 0:
+        deco = self._diagonal_product(coeffs)
+        if not variables:
             return np.diag(deco)
         vec = self.spec.kernel_sum([canonical_pattern(variables)])[0] * deco
         return np.diag(vec)
@@ -360,12 +344,9 @@ class CumulantMomentFunctional(MomentFunctional):
         for p in polys:
             by_degree = {}
             for w in p.words:
-                prod = np.prod(self._diagonals(w), axis=0)
+                prod = self._diagonal_product(w)
                 by_degree[len(w) - 1] = by_degree.get(len(w) - 1, 0) + prod
             factors.append(list(by_degree.items()))
-        longest = sum(max(n for n, _ in f) for f in factors)
-        if longest > MAX_WORD_LENGTH:
-            raise ValueError(f"word length {longest} exceeds the cap {MAX_WORD_LENGTH}")
         weights = {}
         for combo in itertools.product(*factors):
             word = [v for v, (n, _) in zip(variables, combo) for _ in range(n)]
@@ -387,21 +368,13 @@ class CumulantMomentFunctional(MomentFunctional):
         return np.diag(diag)
 
     def scalar_moment_tensor(self, k, n):
-        _check_tensor_size(k, n)
+        self._check_tensor(k, n)
         ids, patterns = _pattern_table(k, n)
         values = self.spec.kernel_sum(patterns) @ self.spec.weights
         return values[ids].reshape((k,) * n)
 
     def expectation_tensor(self, k, n, decorations=None):
-        _check_tensor_size(k, n)
-        deco = np.ones(self.b_dim, dtype=complex)
-        if decorations is not None:
-            if len(decorations) != n - 1:
-                raise ValueError(f"need {n - 1} inner decorations")
-            for diag in self._diagonals(
-                [as_matrix(b, self.b_dim) for b in decorations]
-            ):
-                deco = deco * diag
+        deco = self._diagonal_product(self._check_tensor(k, n, decorations))
         ids, patterns = _pattern_table(k, n)
         vals = self.spec.kernel_sum(patterns) * deco
         diag_axis = np.arange(self.b_dim)

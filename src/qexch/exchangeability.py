@@ -20,7 +20,6 @@ import numpy as np
 from .algebra import (
     BPolynomial,
     ConcreteMomentFunctional,
-    _check_tensor_size,
     _severity,
     center,
     frobenius,
@@ -89,11 +88,7 @@ def _scan_lengths(mf, k, n_max, tol, make_seed, act, check_name):
     act(w, n) equals I_d (x) w at every tuple, so w is subtracted in place
     on the d x d diagonal.
     """
-    if mf.variable_count is not None and k > mf.variable_count:
-        raise ValueError(
-            f"k={k} needs {k} variables, functional has {mf.variable_count}"
-        )
-    _check_tensor_size(k, n_max)
+    mf._check_tensor(k, n_max)
     per_length = []
     for n in range(1, n_max + 1):
         w = make_seed(n).reshape(k**n, -1)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,46 @@ def test_counterexample_invalid_n(capsys):
     assert code == 2
 
 
+COLLAPSE_UNITARY = '{"kind": "block_pair", "d": 2, "seeds": [1, 2]}'  # k = 4
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--i", "5", "--pi", "[[1]]"], "--i"),
+    (["--i", "[1.5, 2]", "--pi", "[[1, 2]]"], "--i"),
+    (["--i", "[1, true]", "--pi", "[[1, 2]]"], "--i"),
+    (["--i", "[1, 5]", "--pi", "[[1, 2]]"], "--i"),
+    (["--i", "[]", "--pi", "[]"], "--i"),
+    (["--i", "[1", "--pi", "[[1, 2]]"], "--i"),
+    (["--i", "[1, 2]", "--pi", "7"], "--pi"),
+    (["--i", "[1, 2]", "--pi", "[[1], [3]]"], "--pi"),
+    (["--i", "[1, 2]", "--pi", '[[1], ["2"]]'], "--pi"),
+    (["--i", "[1, 2]", "--pi", "[1, 2]"], "--pi"),
+])
+def test_collapse_malformed_flag_exits_two_naming_it(capsys, flags, flag):
+    code, out, err = run_cli(["collapse", COLLAPSE_UNITARY, *flags], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["counterexample", "--tol", "5"],
+    ["counterexample", "--seed", "1"],
+    ["counterexample", "--report", "x.json"],
+    ["counterexample", "--format", "json"],
+    ["cumulants", '{"kind": "cumulant", "cumulants": {"2": 1.0}}', "--tol", "5"],
+    ["cumulants", '{"kind": "cumulant", "cumulants": {"2": 1.0}}', "--seed", "1"],
+    ["cumulants", '{"kind": "cumulant", "cumulants": {"2": 1.0}}', "--report", "x.json"],
+    ["collapse", COLLAPSE_UNITARY, "--i", "[1]", "--pi", "[[1]]", "--report", "x.json"],
+    ["collapse", COLLAPSE_UNITARY, "--i", "[1]", "--pi", "[[1]]", "--format", "json"],
+])
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(command, capsys)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {command[-2]}" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_unknown_subcommand_exits_two(capsys):
     code, _, err = run_cli(["frobnicate"], capsys)
     assert code == 2
@@ -383,6 +424,24 @@ def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, f
     assert code == 2
     assert err.startswith(f"error: {field}: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("changes", [
+    # 1^24 tuples, but words of 24 > 12 letters: the pattern sums never ended
+    {"unitaries": [{"kind": "permutation", "sigma": [1]}],
+     "checks": [{"name": "quantum_invariance", "n_max": 24}]},
+    # 4^10 tuples of 16x16 matrices: a 4 GiB product stack
+    {"functional": json.loads(BERNOULLI.read_text())["functional"],
+     "unitaries": [{"kind": "block_pair", "d": 2, "seeds": [11, 12]}],
+     "checks": [{"name": "quantum_invariance", "n_max": 10}]},
+], ids=["one_point_n24", "bernoulli_n10"])
+def test_oversize_scan_exits_two_before_any_work(tmp_path, capsys, changes):
+    path = _scenario(tmp_path, **changes)
+    start = time.monotonic()
+    code, out, err = run_cli(["verify", str(path), "--report", str(tmp_path / "r.json")], capsys)
+    assert time.monotonic() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: checks[0]: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

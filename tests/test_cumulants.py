@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexch.algebra import (
+    MAX_TENSOR_ENTRIES,
     MAX_TENSOR_TUPLES,
     BPolynomial,
     ConcreteMomentFunctional,
@@ -560,6 +561,77 @@ def test_cumulant_product_caps_the_longest_word(route):
     with pytest.raises(ValueError, match=f"exceeds the cap {MAX_WORD_LENGTH}"):
         route(mf, [p7, p6], [1, 2])
     route(mf, [p6, p6], [1, 2])  # twelve letters are within the cap
+
+
+# -- one request contract: every route rejects a malformed request alike --------------------
+
+def _contract_oracle(kind):
+    """Two variables over a 2x2 diagonal B, words of at most MAX_WORD_LENGTH letters."""
+    if kind == "concrete":
+        ctx = pinching_context([[0], [1]])
+        mf = ConcreteMomentFunctional(ctx, [np.diag([1.0, -1.0]), np.eye(2)])
+        mf.max_word_length = MAX_WORD_LENGTH
+    else:
+        mf = CumulantMomentFunctional(semicircular_spec(b_dim=2))
+        mf.variable_count = 2
+    return mf
+
+
+def _as_polys(mf, word):
+    return [BPolynomial.variable(mf.b_dim)] * len(word), word
+
+
+# route(mf, word, coeffs); a tensor route asks for {1..max(word)}^len(word) with the inner
+# coefficients as its decorations
+CONTRACT_ROUTES = {
+    "moment": lambda mf, w, c: mf.moment(w, c),
+    "scalar_moment": lambda mf, w, c: mf.scalar_moment(w),
+    "product_expectation": lambda mf, w, c: mf.product_expectation(*_as_polys(mf, w)),
+    "generic product_expectation":
+        lambda mf, w, c: MomentFunctional.product_expectation(mf, *_as_polys(mf, w)),
+    "scalar_moment_tensor": lambda mf, w, c: mf.scalar_moment_tensor(max(w), len(w)),
+    "generic scalar_moment_tensor":
+        lambda mf, w, c: MomentFunctional.scalar_moment_tensor(mf, max(w), len(w)),
+    "expectation_tensor":
+        lambda mf, w, c: mf.expectation_tensor(max(w), len(w), c and c[1:-1]),
+    "generic expectation_tensor":
+        lambda mf, w, c: MomentFunctional.expectation_tensor(mf, max(w), len(w), c and c[1:-1]),
+    "kappa_word": lambda mf, w, c: CumulantExtractor(mf).kappa_word(w, c),
+}
+DECORATED_ROUTES = ("moment", "expectation_tensor", "generic expectation_tensor", "kappa_word")
+CONTRACT_REQUESTS = {
+    "variable out of range": ((1, 3), None, "variable index 3 outside 1..2"),
+    "word above the cap": ((1,) * 13, None, "word length 13 exceeds the cap 12"),
+    "wrong decoration count": ((1, 2), (np.eye(2),) * 2, "word of length 2 needs 3 coefficients, got 2"),
+}
+
+
+@pytest.mark.parametrize("kind", ["concrete", "cumulant"])
+@pytest.mark.parametrize("route, request_name", [
+    (route, name)
+    for name in CONTRACT_REQUESTS
+    for route in CONTRACT_ROUTES
+    if name != "wrong decoration count" or route in DECORATED_ROUTES
+])
+def test_every_route_rejects_a_malformed_request_alike(kind, route, request_name):
+    word, coeffs, message = CONTRACT_REQUESTS[request_name]
+    mf = _contract_oracle(kind)
+    with pytest.raises(ValueError) as info:
+        CONTRACT_ROUTES[route](mf, word, coeffs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", ["concrete", "cumulant"])
+def test_tensor_entry_cap_counts_the_values_of_each_tuple(kind):
+    # 4^10 tuples pass the tuple cap, but with 16x16 values they are 2^28 entries
+    assert 4**10 <= MAX_TENSOR_TUPLES and 4**10 * 16**2 > MAX_TENSOR_ENTRIES
+    if kind == "concrete":
+        mf = ConcreteMomentFunctional(scalar_context(np.eye(16) / 16), [np.eye(16)] * 4)
+    else:
+        mf = CumulantMomentFunctional(semicircular_spec(b_dim=16))
+    for route in (mf.scalar_moment_tensor, mf.expectation_tensor):
+        with pytest.raises(ValueError, match=r"moment tensor with 4\^10 16x16 values is too large"):
+            route(4, 10)
 
 
 # -- mixed cumulant reports -----------------------------------------------------------------

@@ -386,7 +386,7 @@ def test_classical_scan_covers_every_tuple_at_k7():
 
 
 def test_classical_k_above_variable_count_rejected():
-    with pytest.raises(ValueError, match="k=5"):
+    with pytest.raises(ValueError, match="variable index 5 outside 1..4"):
         check_classical_exchangeability(bernoulli_functional(count=4), 5, 2)
 
 
