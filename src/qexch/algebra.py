@@ -20,6 +20,8 @@ DEFAULT_TOL = 1e-9
 # of a tensor of b_dim x b_dim values such as the concrete oracle's product stack
 MAX_TENSOR_TUPLES = 2_000_000
 MAX_TENSOR_ENTRIES = 2**24  # 256 MiB of complex128
+# the longest tensor numpy can index: its 64 axes less two for a b_dim x b_dim value
+MAX_TENSOR_LENGTH = 62
 
 
 def as_matrix(a, dim=None, name="matrix", finite=True):
@@ -427,10 +429,15 @@ class MomentFunctional:
 
         Every word of the tensor passes _check_word exactly when the corner
         word (k, ..., k) with the decorations inside does.  The tensor must
-        also stay within MAX_TENSOR_TUPLES tuples and MAX_TENSOR_ENTRIES
-        entries of b_dim x b_dim values.  Returns the decorations validated,
-        or None.
+        also stay within MAX_TENSOR_LENGTH positions, MAX_TENSOR_TUPLES
+        tuples and MAX_TENSOR_ENTRIES entries of b_dim x b_dim values.
+        Returns the decorations validated, or None.
         """
+        if n > MAX_TENSOR_LENGTH:
+            raise ValueError(
+                f"tensor length {n} exceeds the cap {MAX_TENSOR_LENGTH} "
+                "(numpy's 64 axes less two for a b_dim x b_dim value)"
+            )
         if k > 1 and (n >= MAX_TENSOR_TUPLES.bit_length() or k**n > MAX_TENSOR_TUPLES):
             raise ValueError(f"moment tensor with {k}^{n} entries is too large")
         eye = self.identity_coeff()

@@ -420,9 +420,23 @@ def _resolve_seed(args, doc):
     return 0
 
 
+def _json_text(doc):
+    """doc as strict JSON, with a non-finite float written as "nan", "inf" or "-inf"."""
+    def strict(x):
+        if isinstance(x, float) and not math.isfinite(x):
+            return str(x)
+        if isinstance(x, dict):
+            return {key: strict(v) for key, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [strict(v) for v in x]
+        return x
+
+    return json.dumps(strict(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit(args, report, lines):
     """Write the JSON report to --report, then the report or the lines to stdout."""
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _json_text(report)
     if args.report:
         try:
             Path(args.report).write_text(text)
@@ -491,7 +505,7 @@ def cmd_cumulants(args):
             {"order": o, "moment": [m.real, m.imag], "kappa": [k.real, k.imag]}
             for o, m, k in rows
         ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(_json_text(payload))
     else:
         print(f"{'n':>3s} {'moment m_n':>24s} {'cumulant kappa_n':>24s}")
         for o, m, k in rows:

@@ -26,7 +26,7 @@ from .algebra import (
     product_expectation,
 )
 from .cumulants import MAX_TRANSFORM_ORDER, check_mixed_cumulants
-from .magic import MagicUnitary, _coaction_all, ensure_projection
+from .magic import MagicUnitary, _check_coaction_size, _coaction_all, ensure_projection
 from .partitions import _pattern_table
 
 DEFAULT_TOL = 1e-8
@@ -80,22 +80,26 @@ def _witness_index(residuals):
     return int(np.argmax(~np.isfinite(residuals) | (residuals >= peak * (1 - 1e-12))))
 
 
-def _scan_lengths(mf, k, n_max, tol, make_seed, act, check_name):
+def _scan_lengths(mf, k, n_max, tol, make_seed, act, check_name, d=1, r=1):
     """Shared driver: build the tensor w per length, act on it, compare.
 
-    make_seed(n) gives w with one row per tuple and act(w, n) a fresh
-    (k**n, d, d, r) array.  The invariance identity holds exactly when
-    act(w, n) equals I_d (x) w at every tuple, so w is subtracted in place
-    on the d x d diagonal.
+    make_seed(n) gives w with one row per tuple, r entries wide, and
+    act(w, n) a fresh (k**n, d, d, r) array that is a transposed view of a
+    C-ordered (r, d, k**n, d) buffer, as _coaction_all returns it.  The
+    invariance identity holds exactly when act(w, n) equals I_d (x) w at
+    every tuple, so w is subtracted in place on the d x d diagonal of that
+    buffer and each tuple's residual is reduced from it in one pass.
     """
     mf._check_tensor(k, n_max)
+    _check_coaction_size(k, n_max, d, r)
     per_length = []
     for n in range(1, n_max + 1):
         w = make_seed(n).reshape(k**n, -1)
-        diffs = act(w, n)
-        diag = np.arange(diffs.shape[1])
-        diffs[:, diag, diag] -= w[:, None, :]
-        residuals = np.linalg.norm(diffs.reshape(len(diffs), -1), axis=1)
+        diffs = act(w, n).transpose(3, 1, 0, 2)
+        for a in range(diffs.shape[1]):
+            diffs[:, a, :, a] -= w.T
+        v = diffs.view(float)
+        residuals = np.sqrt(np.einsum("raic,raic->i", v, v))
         indices = np.unravel_index(_witness_index(residuals), (k,) * n)
         per_length.append(
             TupleRecord(n, tuple(int(x) + 1 for x in indices), float(residuals.max()))
@@ -113,7 +117,7 @@ def check_quantum_invariance(mf, u, n_max, tol=DEFAULT_TOL):
     """
     return _scan_lengths(
         mf, u.k, n_max, tol, partial(mf.scalar_moment_tensor, u.k),
-        partial(_coaction_all, u.entries), "quantum_invariance",
+        partial(_coaction_all, u.entries), "quantum_invariance", d=u.d,
     )
 
 
@@ -128,7 +132,7 @@ def check_classical_exchangeability(mf, k, n_max, tol=DEFAULT_TOL):
     def orbit_gather(w, n):
         ids, patterns = _pattern_table(k, n)
         reps = np.ravel_multi_index(tuple(zip(*patterns)), (k,) * n)
-        return w[reps[ids]].reshape(-1, 1, 1, 1)
+        return w[reps[ids]].T.reshape(-1, 1, k**n, 1).transpose(2, 1, 3, 0)
 
     return _scan_lengths(
         mf, k, n_max, tol, partial(mf.scalar_moment_tensor, k), orbit_gather,
@@ -156,7 +160,8 @@ def check_E_invariance(mf, u, decorations=None, n_max=3, tol=DEFAULT_TOL):
         return mf.expectation_tensor(u.k, n, decs)
 
     return _scan_lengths(
-        mf, u.k, n_max, tol, make_seed, partial(_coaction_all, u.entries), "e_invariance"
+        mf, u.k, n_max, tol, make_seed, partial(_coaction_all, u.entries), "e_invariance",
+        d=u.d, r=mf.b_dim**2,
     )
 
 

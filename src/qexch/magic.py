@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _severity, as_matrix, frobenius
+from .algebra import MAX_TENSOR_ENTRIES, _severity, as_matrix, frobenius
 from .partitions import enumerate_noncrossing, is_noncrossing, kernel, leq
 
 PROJECTION_TOL = 1e-8
@@ -46,22 +46,32 @@ def _coaction_all(entries, w, n):
 
     entries has shape (k, k, d, d), w shape (k**n, r) for any width r and
     the result (k**n, d, d, r).  Positions are contracted from the right,
-    so the matrix order of the word is preserved: position n is one product
-    of F[(i a c), j] = u_ij[a, c] with w, and each position s < n one
-    matmul of M[(i a), (j x)] = u_ij[a, x] with the running tensor laid out
-    as ((j_s x), c, j_1..j_{s-1}, i_{s+1}..i_n, b), after i_{s+1} and j_s
-    trade places: the one copy a position costs.
+    so the matrix order of the word is preserved, and the running tensor
+    stays laid out as (r, j_1..j_{s-1}, a, i_s..i_n, c), a being the row of
+    the partial word: the pair (j_{s-1}, a) contracted next is adjacent, so
+    no position copies.  Position n is one product of w, read as
+    ((r j_1..j_{n-1}), j_n), with G[j, (a i c)] = u_ij[a, c]; each position
+    s < n is one batched matmul of M[(a i), (j x)] = u_ij[a, x] with a
+    reshape view of the running tensor.  The result is a transposed view of
+    the final (r, a, i_1..i_n, c) buffer.
     """
     k, d = entries.shape[0], entries.shape[2]
-    f = entries.transpose(0, 2, 3, 1).reshape(k * d * d, k)
-    m = entries.transpose(0, 2, 1, 3).reshape(k * d, k * d)
-    t = f @ w.reshape(k ** (n - 1), k, -1).transpose(1, 0, 2).reshape(k, -1)
+    r = w.shape[1]
+    g = entries.transpose(1, 2, 0, 3).reshape(k, d * k * d)
+    m = entries.transpose(2, 0, 1, 3).reshape(d * k, k * d)
+    t = w.T.reshape(-1, k) @ g
     for s in range(n - 1, 0, -1):
-        t = t.reshape(k, d, d, k ** (s - 1), k, -1).swapaxes(0, 4)
-        t = m @ t.reshape(k * d, -1)
-    # ((i_1 a c), i_2..i_n, b) -> (i_1..i_n, a, c, b)
-    t = t.reshape(k, d, d, k ** (n - 1), -1).transpose(0, 3, 1, 2, 4)
-    return t.reshape(k**n, d, d, -1)
+        t = m @ t.reshape(r * k ** (s - 1), k * d, -1)
+    return t.reshape(r, d, k**n, d).transpose(2, 1, 3, 0)
+
+
+def _check_coaction_size(k, n, d, r=1):
+    """Reject a coaction tensor of more than MAX_TENSOR_ENTRIES entries before any work."""
+    if k**n * d * d * r > MAX_TENSOR_ENTRIES:
+        raise ValueError(
+            f"coaction tensor with {k}^{n} {d}x{d} values of width {r} exceeds "
+            f"the cap of {MAX_TENSOR_ENTRIES} entries"
+        )
 
 
 def ensure_projection(q, tol=PROJECTION_TOL):
@@ -280,6 +290,7 @@ def collapse_sum_all(u, pi):
     """
     if not is_noncrossing(pi):
         raise ValueError("crossing partition rejected")
+    _check_coaction_size(u.k, pi.n, u.d)
     w = kernel_indicator(pi, u.k).reshape(-1, 1).astype(float)
     return _coaction_all(u.entries, w, pi.n).reshape((u.k,) * pi.n + (u.d, u.d))
 

@@ -8,12 +8,13 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexch import exchangeability
-from qexch.cli import main
+from qexch.cli import _json_text, main
 from qexch.exchangeability import FreenessReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "qexch" / "fixtures"
@@ -434,7 +435,15 @@ def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, f
     {"functional": json.loads(BERNOULLI.read_text())["functional"],
      "unitaries": [{"kind": "block_pair", "d": 2, "seeds": [11, 12]}],
      "checks": [{"name": "quantum_invariance", "n_max": 10}]},
-], ids=["one_point_n24", "bernoulli_n10"])
+    # 4^7 tuples of 300x300 coaction values: a 22 GiB coaction tensor
+    {"functional": json.loads(FREE.read_text())["functional"],
+     "unitaries": [{"kind": "permutation", "sigma": [1, 2, 3, 4], "d": 300}],
+     "checks": [{"name": "quantum_invariance", "n_max": 7}]},
+    # 1^3000 tuples, but no numpy array has 3000 axes
+    {"functional": json.loads(BERNOULLI.read_text())["functional"],
+     "unitaries": [{"kind": "permutation", "sigma": [1]}],
+     "checks": [{"name": "quantum_invariance", "n_max": 3000}]},
+], ids=["one_point_n24", "bernoulli_n10", "free_d300_n7", "bernoulli_one_point_n3000"])
 def test_oversize_scan_exits_two_before_any_work(tmp_path, capsys, changes):
     path = _scenario(tmp_path, **changes)
     start = time.monotonic()
@@ -442,6 +451,19 @@ def test_oversize_scan_exits_two_before_any_work(tmp_path, capsys, changes):
     assert time.monotonic() - start < 5
     assert (code, out) == (2, "")
     assert err.startswith("error: checks[0]: ") and len(err.splitlines()) == 1
+
+
+def test_length_cap_is_named(tmp_path, capsys):
+    changes = {"functional": json.loads(BERNOULLI.read_text())["functional"],
+               "unitaries": [{"kind": "permutation", "sigma": [1]}],
+               "checks": [{"name": "quantum_invariance", "n_max": 63}]}
+    code, _, err = run_cli(
+        ["verify", str(_scenario(tmp_path, **changes)), "--report", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert code == 2
+    assert err == ("error: checks[0]: tensor length 63 exceeds the cap 62 "
+                   "(numpy's 64 axes less two for a b_dim x b_dim value)\n")
 
 
 @pytest.mark.parametrize(
@@ -459,7 +481,7 @@ def test_nan_residual_is_the_checks_residual(tmp_path, capsys, monkeypatch, name
     code, _, _ = run_cli(["verify", str(path), "--report", str(report_path)], capsys)
     assert code == 1
     record = json.loads(report_path.read_text())["checks"][0]
-    assert math.isnan(record["residual"]) and record["pass"] is False
+    assert record["residual"] == "nan" and record["pass"] is False
 
 
 @pytest.mark.parametrize("functional", [
@@ -478,6 +500,31 @@ def test_overflowing_freeness_check_fails_silently(tmp_path, capsys, functional)
     records = json.loads(report_path.read_text())["checks"]
     assert records[0]["name"] == "freeness" and records[0]["pass"] is False
     assert out.splitlines()[-1] == "overall: FAIL"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_overflow_report_is_strict_json(tmp_path, capsys):
+    # NaN, Infinity and -Infinity are not JSON; a non-finite residual is a string
+    report_path = tmp_path / "r.json"
+    functional = {"kind": "cumulant", "cumulants": {"2": 1e300}}
+    path = _scenario(tmp_path, functional=functional, checks=[{"name": "freeness"}])
+    code, out, err = run_cli(
+        ["verify", str(path), "--format", "json", "--report", str(report_path)], capsys
+    )
+    assert (code, err) == (1, "")
+    for text in (report_path.read_text(), out):
+        record = json.loads(text, parse_constant=_reject_constant)["checks"][0]
+        assert record["residual"] == "nan" and record["pass"] is False
+
+
+def test_report_writer_keeps_finite_reports_and_names_non_finite_floats():
+    finite = {"b": [1.5, 2e-17, (3, 4)], "a": {"x": -0.0, "y": True, "z": None}}
+    assert _json_text(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
+    text = _json_text({"r": [math.nan, math.inf, -math.inf, np.float64(math.nan)]})
+    assert json.loads(text, parse_constant=_reject_constant) == {"r": ["nan", "inf", "-inf", "nan"]}
 
 
 def test_non_finite_cumulant_exits_two(tmp_path, capsys):

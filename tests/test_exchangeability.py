@@ -276,6 +276,85 @@ def test_coaction_kernel_matches_literal_sum_on_rectangular_seed(kind, blocks, n
     assert np.max(np.abs(got - _literal_coaction(u, w, n))) <= 1e-12
 
 
+def _dense_unitary(rng, k, d):
+    """k x k dense random d x d blocks: no magic relations and no zero block."""
+    return MagicUnitary(rng.standard_normal((k, k, d, d)) + 1j * rng.standard_normal((k, k, d, d)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from([1, 4]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_coaction_kernel_matches_literal_sum_on_dense_entries(k, d, r, n, seed):
+    # every (i, j, a, c) entry is nonzero, so a transposed index cannot cancel out
+    rng = np.random.default_rng(seed)
+    u = _dense_unitary(rng, k, d)
+    w = _random_w(rng, k**n, r)
+    got = _coaction_all(u.entries, w, n)
+    want = _literal_coaction(u, w, n)
+    assert got.shape == want.shape == (k**n, d, d, r)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class _RandomTensors(CumulantMomentFunctional):
+    """Dense random moment tensors, so residuals differ from tuple to tuple."""
+
+    def __init__(self, b_dim, seed):
+        super().__init__(semicircular_spec(b_dim))
+        self.seed = seed
+
+    def scalar_moment_tensor(self, k, n):
+        return _random_w(np.random.default_rng((self.seed, n)), k**n, 1).reshape((k,) * n)
+
+    def expectation_tensor(self, k, n, decorations=None):
+        b = self.b_dim
+        w = _random_w(np.random.default_rng((self.seed, n)), k**n, b * b)
+        return w.reshape((k,) * n + (b, b))
+
+
+def _first_occurrence(i):
+    labels = {}
+    return tuple(labels.setdefault(v, len(labels)) for v in i)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["quantum", "e", "classical"]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_scan_residuals_and_witnesses_match_literal_norms(check, k, d, n_max, seed):
+    rng = np.random.default_rng(seed)
+    u = _dense_unitary(rng, k, d)
+    mf = _RandomTensors(2 if check == "e" else 1, seed)
+    if check == "quantum":
+        report = check_quantum_invariance(mf, u, n_max)
+    elif check == "e":
+        report = check_E_invariance(mf, u, n_max=n_max)
+    else:
+        report = check_classical_exchangeability(mf, k, n_max)
+    assert [rec.n for rec in report.per_length] == list(range(1, n_max + 1))
+    for rec in report.per_length:
+        n, shape = rec.n, (k,) * rec.n
+        if check == "classical":
+            w = mf.scalar_moment_tensor(k, n)
+            diff = np.array([w[i] - w[_first_occurrence(i)] for i in np.ndindex(shape)])
+        else:
+            seed_tensor = mf.expectation_tensor(k, n) if check == "e" else mf.scalar_moment_tensor(k, n)
+            w = seed_tensor.reshape(k**n, -1)
+            diff = _literal_coaction(u, w, n) - np.einsum("ac,ib->iacb", np.eye(d), w)
+        norms = np.linalg.norm(diff.reshape(k**n, -1), axis=1)
+        assert abs(rec.residual - norms.max()) <= 1e-12 * norms.max()
+        witness = np.unravel_index(_witness_index(norms), shape)
+        assert rec.indices == tuple(int(x) + 1 for x in witness)
+
+
 # -- classical exchangeability ------------------------------------------------------
 
 def test_iid_diagonal_model_classically_exchangeable():
