@@ -84,8 +84,10 @@ def _scan_lengths(mf, k, n_max, tol, make_seed, act, check_name, d=1, r=1):
     """Shared driver: build the tensor w per length, act on it, compare.
 
     make_seed(n) gives w with one row per tuple, r entries wide, and
-    act(w, n) a fresh (k**n, d, d, r) array that is a transposed view of a
-    C-ordered (r, d, k**n, d) buffer, as _coaction_all returns it.  The
+    act(w, n) a (k**n, d, d, r) transposed view of a C-ordered
+    (r, d, k**n, d) buffer, as _coaction_all returns it.  The driver may
+    overwrite that buffer and is done with it before its next act call, so
+    the view may live in _coaction_all's per-thread workspace.  The
     invariance identity holds exactly when act(w, n) equals I_d (x) w at
     every tuple, so w is subtracted in place on the d x d diagonal of that
     buffer and each tuple's residual is reduced from it in one pass.

@@ -9,6 +9,7 @@ genuinely non-commuting ones for k >= 4.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,27 @@ class MagicUnitary:
         return self.entries[i - 1, j - 1]
 
 
+_buffers = threading.local()
+
+
+def _workspace(k, n, d, r):
+    """Two flat views of k**n * d * d * r entries into the calling thread's buffers.
+
+    The two buffers are kept between calls, grow to the largest size asked
+    for so far and never shrink.  Growth passes _check_coaction_size
+    first, so a thread holds at most 2 * MAX_TENSOR_ENTRIES complex
+    entries: the transient peak of one contraction, kept until the thread
+    exits.
+    """
+    size = k**n * d * d * r
+    pair = getattr(_buffers, "pair", ())
+    if not pair or pair[0].size < size:
+        _check_coaction_size(k, n, d, r)
+        pair = _buffers.pair = ()  # the old pair is freed before the new one is allocated
+        pair = _buffers.pair = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+    return pair[0][:size], pair[1][:size]
+
+
 def _coaction_all(entries, w, n):
     """R[i] = sum_j u[i1 j1] ... u[in jn] (x) w[j] for every tuple i.
 
@@ -52,16 +74,25 @@ def _coaction_all(entries, w, n):
     no position copies.  Position n is one product of w, read as
     ((r j_1..j_{n-1}), j_n), with G[j, (a i c)] = u_ij[a, c]; each position
     s < n is one batched matmul of M[(a i), (j x)] = u_ij[a, x] with a
-    reshape view of the running tensor.  The result is a transposed view of
-    the final (r, a, i_1..i_n, c) buffer.
+    reshape view of the running tensor.
+
+    Every position writes into one of the calling thread's two workspace
+    buffers (see _workspace), so a call that does not grow them maps no
+    fresh pages.  The result is a transposed view of the final
+    (r, a, i_1..i_n, c) buffer: the caller may modify it in place, and it
+    stays valid until the same thread calls _coaction_all again.  A caller that keeps it longer must copy it.  w
+    must not be a view of the workspace.
     """
     k, d = entries.shape[0], entries.shape[2]
     r = w.shape[1]
+    src, dst = _workspace(k, n, d, r)
     g = entries.transpose(1, 2, 0, 3).reshape(k, d * k * d)
     m = entries.transpose(2, 0, 1, 3).reshape(d * k, k * d)
-    t = w.T.reshape(-1, k) @ g
+    t = np.matmul(w.T.reshape(-1, k), g, out=src.reshape(-1, d * k * d))
     for s in range(n - 1, 0, -1):
-        t = m @ t.reshape(r * k ** (s - 1), k * d, -1)
+        batch = r * k ** (s - 1)
+        t = np.matmul(m, t.reshape(batch, k * d, -1), out=dst.reshape(batch, d * k, -1))
+        src, dst = dst, src
     return t.reshape(r, d, k**n, d).transpose(2, 1, 3, 0)
 
 
@@ -284,15 +315,16 @@ def collapse_expected(i, pi):
 def collapse_sum_all(u, pi):
     """Collapse sums for every index tuple i at once.
 
-    Returns an array of shape (k,)*n + (d, d); entry [i1-1, ..., in-1] is
-    interval_collapse_sum(u, (i1..in), pi).  Same block sum as the scalar
-    entry point, evaluated as the coaction on the tensor 1[ker j >= pi].
+    Returns a new array of shape (k,)*n + (d, d); entry [i1-1, ..., in-1]
+    is interval_collapse_sum(u, (i1..in), pi).  Same block sum as the
+    scalar entry point, evaluated as the coaction on the tensor
+    1[ker j >= pi] and copied out of the coaction workspace.
     """
     if not is_noncrossing(pi):
         raise ValueError("crossing partition rejected")
     _check_coaction_size(u.k, pi.n, u.d)
     w = kernel_indicator(pi, u.k).reshape(-1, 1).astype(float)
-    return _coaction_all(u.entries, w, pi.n).reshape((u.k,) * pi.n + (u.d, u.d))
+    return _coaction_all(u.entries, w, pi.n).reshape((u.k,) * pi.n + (u.d, u.d)).copy()
 
 
 def kernel_indicator(pi, k):
@@ -311,14 +343,18 @@ def collapse_lemma_residual(u, n_max):
     """Largest Frobenius distance of a collapse sum from its target.
 
     Scans every non-crossing pi of n <= n_max points and every tuple i; the
-    target is the identity where ker i >= pi and zero elsewhere.
+    target is the identity where ker i >= pi and zero elsewhere.  The
+    target is subtracted on the d x d diagonal of collapse_sum_all's copy
+    in place, which gives the difference bitwise without building it.
     """
-    eye = np.eye(u.d)
+    _check_coaction_size(u.k, n_max, u.d)
     devs = []
     for n in range(1, n_max + 1):
         for pi in enumerate_noncrossing(n):
-            target = kernel_indicator(pi, u.k)[..., None, None] * eye
-            diff = (collapse_sum_all(u, pi) - target).reshape(-1, u.d * u.d)
-            devs.append(np.linalg.norm(diff, axis=1).max())
+            diff = collapse_sum_all(u, pi).reshape(-1, u.d, u.d)
+            ind = kernel_indicator(pi, u.k).reshape(-1)
+            for a in range(u.d):
+                diff[:, a, a] -= ind
+            devs.append(np.linalg.norm(diff.reshape(-1, u.d * u.d), axis=1).max())
     # np.max, unlike max(), lets a NaN through
     return float(np.max(devs, initial=0.0))

@@ -1,6 +1,9 @@
 """Invariance checkers, freeness detection, the crossing probe, and the column model."""
 
 import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qexch import magic
 from qexch.algebra import (
     BPolynomial,
     ConcreteMomentFunctional,
@@ -353,6 +357,72 @@ def test_scan_residuals_and_witnesses_match_literal_norms(check, k, d, n_max, se
         assert abs(rec.residual - norms.max()) <= 1e-12 * norms.max()
         witness = np.unravel_index(_witness_index(norms), shape)
         assert rec.indices == tuple(int(x) + 1 for x in witness)
+
+
+# -- the coaction workspace --------------------------------------------------------
+
+def _workspace_scan_unitaries():
+    chain = block_chain([random_projection(2, 1, (21, t)) for t in range(3)])
+    pair = block_pair(*noncommuting_projection_pair(2, seed=22))
+    return {"block_chain": chain, "block_pair": pair}
+
+
+def test_concurrent_scans_match_serial_scans():
+    # each thread contracts in its own workspace: a k=6 and a k=4 scan at once
+    mf = _RandomTensors(1, seed=23)
+    unitaries = _workspace_scan_unitaries()
+    serial = {name: check_quantum_invariance(mf, u, n_max=5).per_length
+              for name, u in unitaries.items()}
+    start, chain_done = threading.Barrier(2, timeout=60), threading.Event()
+    got = {name: [] for name in unitaries}
+
+    def scan(name, u):
+        # the faster k=4 scans repeat until the k=6 ones are done, so the two overlap throughout
+        try:
+            start.wait()
+            while len(got[name]) < 10 or (name == "block_pair" and not chain_done.is_set()):
+                got[name].append(check_quantum_invariance(mf, u, n_max=5).per_length)
+        finally:
+            if name == "block_chain":
+                chain_done.set()
+
+    threads = [threading.Thread(target=scan, args=item) for item in unitaries.items()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock over between word positions too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for name, runs in got.items():
+        assert len(runs) >= 10
+        assert all(per_length == serial[name] for per_length in runs), name
+
+
+def test_coaction_workspace_is_reused_and_bounded():
+    # a fresh thread starts with no workspace, so its growth is this test's alone
+    mf = CumulantMomentFunctional(semicircular_spec())
+    unitaries = _workspace_scan_unitaries()
+    oversize = from_permutation([1, 2, 3, 4], d=300)
+
+    def scans():
+        check_quantum_invariance(mf, unitaries["block_chain"], n_max=6)
+        first = magic._buffers.pair
+        assert [b.size for b in first] == [6**6 * 2 * 2] * 2
+        check_quantum_invariance(mf, unitaries["block_chain"], n_max=6)
+        assert all(a is b for a, b in zip(magic._buffers.pair, first))
+        check_quantum_invariance(mf, unitaries["block_pair"], n_max=5)
+        assert all(a is b for a, b in zip(magic._buffers.pair, first))
+        with pytest.raises(ValueError, match="coaction tensor with 4\\^7 300x300"):
+            check_quantum_invariance(mf, oversize, n_max=7)
+        assert all(a is b for a, b in zip(magic._buffers.pair, first))
+        assert [b.size for b in magic._buffers.pair] == [6**6 * 2 * 2] * 2
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(scans).result()
 
 
 # -- classical exchangeability ------------------------------------------------------

@@ -5,6 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from qexch import magic
+from qexch.cumulants import CumulantMomentFunctional, semicircular_spec
+from qexch.exchangeability import check_quantum_invariance
 from qexch.magic import (
     MagicUnitary,
     RelationsReport,
@@ -293,6 +296,17 @@ def test_collapse_sum_all_agrees_with_scalar_entry_point():
                     assert np.max(np.abs(got - interval_collapse_sum(u, i, pi))) <= 1e-12
 
 
+def test_collapse_sum_all_result_outlives_later_contractions():
+    # the kernel returns a view of its workspace; collapse_sum_all hands out a copy
+    u = block_pair(*noncommuting_projection_pair(2, seed=7))
+    first = collapse_sum_all(u, Partition(3, [[1, 2], [3]]))
+    kept = first.copy()
+    assert not any(np.shares_memory(first, b) for b in magic._buffers.pair)
+    collapse_sum_all(u, Partition(3, [[1], [2], [3]]))
+    check_quantum_invariance(CumulantMomentFunctional(semicircular_spec()), u, n_max=3)
+    assert np.array_equal(first, kept)
+
+
 def test_kernel_indicator_matches_leq():
     pi = Partition(4, [[1, 2], [3, 4]])
     ind = kernel_indicator(pi, 3)
@@ -327,6 +341,20 @@ def test_noncommuting_entries_break_crossing_collapse():
         for a, b in [(p, q), (p, qc), (pc, q), (pc, qc)]
     )
     assert np.allclose(got, direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_collapse_lemma_residual_is_the_norm_of_the_difference(d):
+    # dense non-magic entries: no collapse sum is its target, so every tuple counts
+    rng = np.random.default_rng(d)
+    u = MagicUnitary(rng.standard_normal((3, 3, d, d)) + 1j * rng.standard_normal((3, 3, d, d)))
+    devs = []
+    for n in range(1, 4):
+        for pi in enumerate_noncrossing(n):
+            target = kernel_indicator(pi, 3)[..., None, None] * np.eye(d)
+            diff = (collapse_sum_all(u, pi) - target).reshape(-1, d * d)
+            devs.append(np.linalg.norm(diff, axis=1).max())
+    assert collapse_lemma_residual(u, 3) == max(devs)  # in-place subtraction, bitwise
 
 
 def test_collapse_lemma_residual_detects_a_broken_row():
