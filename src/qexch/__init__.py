@@ -22,7 +22,6 @@ from .algebra import (
 from .cumulants import (
     CumulantMomentFunctional,
     CumulantSpec,
-    MultilinearFamily,
     check_mixed_cumulants,
     cumulants_to_moments,
     moment_family,

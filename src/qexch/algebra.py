@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+# the one default tolerance: a residual at most this large passes
+DEFAULT_TOL = 1e-8
 
 # memory guards for vectorized moment tensors: index tuples, and complex entries
 # of a tensor of b_dim x b_dim values such as the concrete oracle's product stack
@@ -22,6 +23,12 @@ MAX_TENSOR_TUPLES = 2_000_000
 MAX_TENSOR_ENTRIES = 2**24  # 256 MiB of complex128
 # the longest tensor numpy can index: its 64 axes less two for a b_dim x b_dim value
 MAX_TENSOR_LENGTH = 62
+
+
+def check_entries(count, what):
+    """Reject an array of count complex entries above MAX_TENSOR_ENTRIES, before it exists."""
+    if count > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"{what} would hold {count} entries, over the cap of {MAX_TENSOR_ENTRIES}")
 
 
 def as_matrix(a, dim=None, name="matrix", finite=True):
@@ -63,13 +70,15 @@ class State:
         return complex(np.trace(self.density @ a))
 
     def residuals(self):
-        herm = frobenius(self.density - self.density.conj().T)
-        trace = abs(complex(np.trace(self.density)) - 1.0)
-        eigs = np.linalg.eigvalsh((self.density + self.density.conj().T) / 2)
+        # an overflow must reach the residuals as inf or NaN and fail them
+        with np.errstate(over="ignore", invalid="ignore"):
+            herm = frobenius(self.density - self.density.conj().T)
+            trace = abs(complex(np.trace(self.density)) - 1.0)
+            eigs = np.linalg.eigvalsh((self.density + self.density.conj().T) / 2)
         return {
             "state_hermitian": herm,
             "state_trace": float(trace),
-            "state_negativity": float(max(0.0, -eigs.min())),
+            "state_negativity": float(max(0.0, -eigs.min(), key=_severity)),
         }
 
 
@@ -101,7 +110,7 @@ class SubalgebraWithExpectation:
         self.b_basis = basis
         self.e_map = emap
         self._span = np.stack([b.reshape(-1) for b in basis], axis=1)
-        if self.distance_to_span(np.eye(dim)) > 1e-9:
+        if not self.contains(np.eye(dim)):
             raise ValueError("the identity must lie in the span of b_basis")
 
     def expect(self, a):
@@ -205,12 +214,16 @@ def pinching_context(blocks, density=None):
 
 
 @dataclass
-class ContextReport:
-    """Axiom residuals for an AlgebraContext."""
+class ResidualReport:
+    """Named residuals held to one tolerance; NaN and inf are the worst and fail.
 
+    witnesses maps a residual's name to where its value was attained.
+    """
+
+    title: str
     residuals: dict
     tolerance: float
-    samples: int
+    witnesses: dict = field(default_factory=dict)
 
     @property
     def max_residual(self):
@@ -221,10 +234,11 @@ class ContextReport:
         return self.max_residual <= self.tolerance
 
     def summary(self):
-        lines = [f"context check (tol={self.tolerance:g}, samples={self.samples})"]
+        lines = [f"{self.title} (tol={self.tolerance:g})"]
         for name, value in self.residuals.items():
+            at = f" at {self.witnesses[name]}" if name in self.witnesses else ""
             mark = "ok" if value <= self.tolerance else "FAIL"
-            lines.append(f"  {name:<24s} {value:.3e}  {mark}")
+            lines.append(f"  {name:<22s} {value:.3e}{at}  {mark}")
         lines.append("PASS" if self.passed else "FAIL")
         return "\n".join(lines)
 
@@ -249,33 +263,32 @@ def verify_context(ctx, samples=20, tol=DEFAULT_TOL, seed=0):
     res = dict(ctx.state.residuals())
 
     res["expectation_unital"] = frobenius(sub.expect(np.eye(d)) - np.eye(d))
+    # every max is taken by _severity, so that a NaN is never dropped
     res["expectation_fixes_b"] = max(
-        frobenius(sub.expect(b) - b) for b in sub.b_basis
+        (frobenius(sub.expect(b) - b) for b in sub.b_basis), key=_severity
     )
     res["expectation_range"] = max(
-        sub.distance_to_span(sub.expect(unit)) for unit in _matrix_units(d)
+        (sub.distance_to_span(sub.expect(unit)) for unit in _matrix_units(d)), key=_severity
     )
 
-    bimodule = 0.0
-    positivity = 0.0
+    bimodule, positivity = [0.0], [0.0]
     for _ in range(samples):
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         b1 = sub.random_element(rng)
         b2 = sub.random_element(rng)
-        bimodule = max(
-            bimodule, frobenius(sub.expect(b1 @ a @ b2) - b1 @ sub.expect(a) @ b2)
-        )
+        bimodule.append(frobenius(sub.expect(b1 @ a @ b2) - b1 @ sub.expect(a) @ b2))
         pos = sub.expect(a.conj().T @ a)
         herm = frobenius(pos - pos.conj().T)
         eigs = np.linalg.eigvalsh((pos + pos.conj().T) / 2)
-        positivity = max(positivity, herm, max(0.0, -float(eigs.min())))
-    res["bimodule"] = bimodule
-    res["positivity_spot"] = positivity
+        positivity += [herm, -float(eigs.min())]
+    res["bimodule"] = max(bimodule, key=_severity)
+    res["positivity_spot"] = max(positivity, key=_severity)
 
     res["state_compatibility"] = max(
-        abs(ctx.phi(sub.expect(unit)) - ctx.phi(unit)) for unit in _matrix_units(d)
+        (abs(ctx.phi(sub.expect(unit)) - ctx.phi(unit)) for unit in _matrix_units(d)),
+        key=_severity,
     )
-    return ContextReport(residuals=res, tolerance=tol, samples=samples)
+    return ResidualReport(f"context axioms over {samples} samples", res, tol)
 
 
 class BPolynomial:

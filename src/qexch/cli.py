@@ -59,6 +59,16 @@ def _parse_int(value, field, minimum=None):
     return value
 
 
+def _parse_dim(value, field, blocks=1):
+    """A dimension d >= 1 such that `blocks` matrices of d x d entries stay within the entry cap."""
+    d = _parse_int(value, field, minimum=1)
+    try:
+        algebra.check_entries(blocks * d * d, f"dimension {d}")
+    except ValueError as exc:
+        _fail(field, str(exc))
+    return d
+
+
 def _parse_int_list(value, field, minimum=None):
     if not isinstance(value, list):
         _fail(field, f"expected a list of integers, got {value!r}")
@@ -115,7 +125,7 @@ def build_functional(spec, field="functional"):
         _fail(field, "must be an object")
     kind = _require(spec, "kind", field, str)
     if kind == "cumulant":
-        b_dim = _parse_int(spec.get("b_dim", 1), f"{field}.b_dim")
+        b_dim = _parse_dim(spec.get("b_dim", 1), f"{field}.b_dim")
         table = _require(spec, "cumulants", field, dict)
         kappa = {}
         for order, value in table.items():
@@ -138,10 +148,11 @@ def build_functional(spec, field="functional"):
         return cumulants.CumulantMomentFunctional(spec_obj)
     if kind == "concrete":
         dim = _parse_int(_require(spec, "dim", field), f"{field}.dim")
+        _parse_dim(dim, f"{field}.dim", dim * dim)  # the expectation map has dim**4 entries
         density = _parse_matrix(_require(spec, "density", field), f"{field}.density", dim)
         state = algebra.State(density)
         for name, residual in state.residuals().items():
-            if not residual <= magic.PROJECTION_TOL:
+            if not residual <= algebra.DEFAULT_TOL:
                 _fail(f"{field}.density", f"not a state: {name} residual {residual:.2e}")
         b_choice = spec.get("b", "scalar")
         if b_choice == "scalar":
@@ -177,13 +188,15 @@ def build_unitary(spec, seed, field):
     kind = _require(spec, "kind", field, str)
     if kind == "permutation":
         sigma = _parse_int_list(_require(spec, "sigma", field), f"{field}.sigma")
-        d = _parse_int(spec.get("d", 1), f"{field}.d", minimum=1)
+        d = _parse_dim(spec.get("d", 1), f"{field}.d", len(sigma) ** 2)
         try:
             return magic.from_permutation(sigma, d=d)
         except ValueError as exc:
             _fail(f"{field}.sigma", str(exc))
     if kind in ("block_pair", "block_chain"):
-        d = _parse_int(_require(spec, "d", field), f"{field}.d", minimum=1)
+        listed = spec.get("projections", spec.get("seeds"))
+        r = max(len(listed), 1) if isinstance(listed, list) else 1
+        d = _parse_dim(_require(spec, "d", field), f"{field}.d", 4 * r * r)
         if "projections" in spec:
             qs = [
                 _parse_projection(m, f"{field}.projections[{t}]", d)
@@ -409,7 +422,7 @@ def _resolve_tolerance(args, doc):
         return _check_tol(value, ENV_TOL)
     if doc is not None and "tolerance" in doc:
         return float(doc["tolerance"])
-    return exchangeability.DEFAULT_TOL
+    return algebra.DEFAULT_TOL
 
 
 def _resolve_seed(args, doc):

@@ -10,12 +10,18 @@ family whose mixed cumulants vanish by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import MomentFunctional, _severity, frobenius
+from .algebra import (
+    DEFAULT_TOL,
+    MomentFunctional,
+    ResidualReport,
+    _severity,
+    check_entries,
+    frobenius,
+)
 from .partitions import (
     _pattern_table,
     _profile_counts,
@@ -35,32 +41,19 @@ def _noncrossing(n):
     return tuple(enumerate_noncrossing(n))
 
 
-class MultilinearFamily:
-    """A family rho_n of multilinear B-valued maps for n = 1..max_order."""
-
-    def __init__(self, max_order, evaluate):
-        self.max_order = max_order
-        self._evaluate = evaluate
-
-    def __call__(self, args):
-        args = tuple(args)
-        if not 1 <= len(args) <= self.max_order:
-            raise ValueError(
-                f"arity {len(args)} outside the family range 1..{self.max_order}"
-            )
-        return self._evaluate(args)
-
-
 def moment_family(ctx, max_order=MAX_WORD_LENGTH):
-    """The moment functionals rho_n(a_1..a_n) = E[a_1 ... a_n] of a context."""
+    """The moment functionals rho_n(a_1..a_n) = E[a_1 ... a_n] of a context, n = 1..max_order."""
 
-    def evaluate(args):
+    def rho(args):
+        args = tuple(args)
+        if not 1 <= len(args) <= max_order:
+            raise ValueError(f"arity {len(args)} outside the family range 1..{max_order}")
         acc = args[0]
         for a in args[1:]:
             acc = acc @ a
         return ctx.expect(acc)
 
-    return MultilinearFamily(max_order, evaluate)
+    return rho
 
 
 def rho_pi(rho, pi, args, peel="min"):
@@ -176,34 +169,13 @@ def moments_to_cumulants(mf, variables, decorations=None, n_max=None):
     return table
 
 
-@dataclass
-class MixedCumulantReport:
-    """Largest mixed cumulant found among tuples over the given variables."""
-
-    max_mixed: float
-    worst_tuple: tuple
-    tolerance: float
-    checked: int
-
-    @property
-    def passed(self):
-        return self.max_mixed <= self.tolerance
-
-    def summary(self):
-        verdict = "PASS" if self.passed else "FAIL"
-        return (
-            f"mixed cumulants: max {self.max_mixed:.3e} at {self.worst_tuple} "
-            f"over {self.checked} tuples (tol={self.tolerance:g})  {verdict}"
-        )
-
-
-def check_mixed_cumulants(mf, variables, decorations=None, tol=1e-9):
+def check_mixed_cumulants(mf, variables, decorations=None, tol=DEFAULT_TOL):
     """Scan every mixed tuple over the distinct values of `variables`.
 
     Tuples of each length from 2 up to len(variables) are formed from the
     distinct variable indices; decorations, when given, apply only at full
     length.  A free family passes, any dependence shows up as a nonzero
-    mixed cumulant.
+    mixed cumulant; the largest is reported with its tuple as witness.
     """
     variables = tuple(variables)
     values = sorted(set(variables))
@@ -222,8 +194,9 @@ def check_mixed_cumulants(mf, variables, decorations=None, tol=1e-9):
             checked += 1
             if _severity(norm) > _severity(worst):
                 worst, worst_tuple = norm, tup
-    return MixedCumulantReport(
-        max_mixed=worst, worst_tuple=worst_tuple, tolerance=tol, checked=checked
+    return ResidualReport(
+        f"mixed cumulants over {checked} tuples", {"mixed_cumulant": worst}, tol,
+        {"mixed_cumulant": worst_tuple},
     )
 
 
@@ -241,6 +214,7 @@ class CumulantSpec:
         self.b_dim = int(b_dim)
         if self.b_dim < 1:
             raise ValueError("b_dim must be positive")
+        check_entries(self.b_dim**2, f"a {self.b_dim}x{self.b_dim} value")
         table = {}
         for order, value in dict(kappa).items():
             order = int(order)

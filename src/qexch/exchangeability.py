@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL,
     BPolynomial,
     ConcreteMomentFunctional,
     _severity,
@@ -28,8 +29,6 @@ from .algebra import (
 from .cumulants import MAX_TRANSFORM_ORDER, check_mixed_cumulants
 from .magic import MagicUnitary, _check_coaction_size, _coaction_all, ensure_projection
 from .partitions import _pattern_table
-
-DEFAULT_TOL = 1e-8
 
 
 @dataclass
@@ -192,10 +191,11 @@ def check_factorization(mf, variables, polys, l):
     return frobenius(lhs - rhs)
 
 
-def _random_polynomial(mf, rng, max_degree=2, words=2):
+def _random_polynomial(mf, rng):
+    """Two words, each of degree 1 or 2, with coefficients drawn by mf.random_coeff."""
     word_list = []
-    for _ in range(words):
-        degree = int(rng.integers(1, max_degree + 1))
+    for _ in range(2):
+        degree = int(rng.integers(1, 3))
         word_list.append(tuple(mf.random_coeff(rng) for _ in range(degree + 1)))
     return BPolynomial(word_list)
 
@@ -243,12 +243,13 @@ class FreenessReport:
         return "\n".join(lines)
 
 
-def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0, polys_per_tuple=3):
+def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0):
     """Run both freeness criteria over the given variables.
 
-    (a) every alternating product of E-centered polynomials has zero
-    expectation; (b) every mixed cumulant vanishes.  The criteria agree in
-    exact arithmetic; both residuals are reported.
+    (a) every alternating product of E-centered random polynomials, three
+    draws per tuple, has zero expectation; (b) every mixed cumulant
+    vanishes.  The criteria agree in exact arithmetic; both residuals are
+    reported.
     """
     if n_max > MAX_TRANSFORM_ORDER:
         raise ValueError(f"n_max={n_max} exceeds the cumulant order cap {MAX_TRANSFORM_ORDER}")
@@ -262,7 +263,7 @@ def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0, polys_per_tu
         for tup in itertools.product(values, repeat=m):
             if any(tup[t] == tup[t + 1] for t in range(m - 1)):
                 continue
-            for _ in range(polys_per_tuple):
+            for _ in range(3):
                 polys = [
                     center(_random_polynomial(mf, rng), v, mf) for v in tup
                 ]
@@ -274,8 +275,8 @@ def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0, polys_per_tu
     return FreenessReport(
         centered_max=centered_max,
         centered_worst=centered_worst,
-        mixed_max=mixed.max_mixed,
-        mixed_worst=mixed.worst_tuple,
+        mixed_max=mixed.max_residual,
+        mixed_worst=mixed.witnesses["mixed_cumulant"],
         tolerance=tol,
     )
 

@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MAX_TENSOR_ENTRIES, _severity, as_matrix, frobenius
+from .algebra import (
+    DEFAULT_TOL,
+    ResidualReport,
+    _severity,
+    as_matrix,
+    check_entries,
+    frobenius,
+)
 from .partitions import enumerate_noncrossing, is_noncrossing, kernel, leq
-
-PROJECTION_TOL = 1e-8
 
 
 class MagicUnitary:
@@ -98,14 +102,10 @@ def _coaction_all(entries, w, n):
 
 def _check_coaction_size(k, n, d, r=1):
     """Reject a coaction tensor of more than MAX_TENSOR_ENTRIES entries before any work."""
-    if k**n * d * d * r > MAX_TENSOR_ENTRIES:
-        raise ValueError(
-            f"coaction tensor with {k}^{n} {d}x{d} values of width {r} exceeds "
-            f"the cap of {MAX_TENSOR_ENTRIES} entries"
-        )
+    check_entries(k**n * d * d * r, f"coaction tensor with {k}^{n} {d}x{d} values of width {r}")
 
 
-def ensure_projection(q, tol=PROJECTION_TOL):
+def ensure_projection(q, tol=DEFAULT_TOL):
     """Re-symmetrize and validate an orthogonal projection.
 
     Inputs are repaired by (q + q*)/2 only; a residual above tol after that
@@ -129,6 +129,7 @@ def from_permutation(sigma, d=1):
     k = len(sigma)
     if sorted(sigma) != list(range(1, k + 1)):
         raise ValueError(f"{sigma} is not a permutation of 1..{k}")
+    check_entries(k * k * d * d, f"a {k}x{k} magic unitary of {d}x{d} entries")
     entries = np.zeros((k, k, d, d), dtype=complex)
     for i, image in enumerate(sigma):
         entries[i, image - 1] = np.eye(d)
@@ -147,6 +148,7 @@ def block_chain(qs):
     if any(q.shape[0] != d for q in qs):
         raise ValueError("all projections must share one dimension")
     r = len(qs)
+    check_entries(4 * r * r * d * d, f"a {2 * r}x{2 * r} magic unitary of {d}x{d} entries")
     eye = np.eye(d)
     entries = np.zeros((2 * r, 2 * r, d, d), dtype=complex)
     for t, q in enumerate(qs):
@@ -174,6 +176,7 @@ def random_projection(d, rank, seed):
     """Deterministic pseudo-random rank-`rank` orthogonal projection in M_d."""
     if not 0 <= rank <= d:
         raise ValueError(f"rank must be in 0..{d}, got {rank}")
+    check_entries(d * d, f"a {d}x{d} projection")
     if rank == 0:
         return np.zeros((d, d), dtype=complex)
     if rank == d:
@@ -181,8 +184,8 @@ def random_projection(d, rank, seed):
     return _projection_from_rng(np.random.default_rng(seed), d, rank)
 
 
-def noncommuting_projection_pair(d, seed, min_commutator=0.01, max_tries=100):
-    """Seeded pair of rank-1 projections with commutator norm at least the floor.
+def noncommuting_projection_pair(d, seed):
+    """Seeded pair of rank-1 projections with commutator norm at least 0.01.
 
     Degenerate draws are discarded and resampled, so the pair is generic by
     construction while staying deterministic in the seed.
@@ -190,36 +193,12 @@ def noncommuting_projection_pair(d, seed, min_commutator=0.01, max_tries=100):
     if d < 2:
         raise ValueError(f"no non-commuting projections exist in dimension d={d}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(100):
         p = _projection_from_rng(rng, d, 1)
         q = _projection_from_rng(rng, d, 1)
-        if frobenius(p @ q - q @ p) >= min_commutator:
+        if frobenius(p @ q - q @ p) >= 0.01:
             return p, q
-    raise RuntimeError(f"no non-commuting pair found in {max_tries} draws")
-
-
-@dataclass
-class RelationsReport:
-    """Residuals of the defining relations plus the derived orthogonality."""
-
-    residuals: dict
-    tolerance: float
-
-    @property
-    def max_residual(self):
-        return max(self.residuals.values(), key=_severity)
-
-    @property
-    def passed(self):
-        return self.max_residual <= self.tolerance
-
-    def summary(self):
-        lines = [f"magic unitary relations (tol={self.tolerance:g})"]
-        for name, value in self.residuals.items():
-            mark = "ok" if value <= self.tolerance else "FAIL"
-            lines.append(f"  {name:<22s} {value:.3e}  {mark}")
-        lines.append("PASS" if self.passed else "FAIL")
-        return "\n".join(lines)
+    raise RuntimeError("no non-commuting pair found in 100 draws")
 
 
 def _max_norm(stack):
@@ -229,7 +208,7 @@ def _max_norm(stack):
     return float(np.linalg.norm(flat, axis=1).max())
 
 
-def verify_relations(u, tol=1e-9):
+def verify_relations(u, tol=DEFAULT_TOL):
     """Residual report: projections, row/column orthogonality and sums,
     and the derived orthogonality sum_k u_ik u_jk = delta_ij."""
     ent = u.entries
@@ -255,7 +234,7 @@ def verify_relations(u, tol=1e-9):
     gram_cols = np.einsum("kiab,kjbc->ijac", ent, ent)
     gram_cols[np.eye(k, dtype=bool)] -= eye
     res["orthogonal_matrix_columns"] = _max_norm(gram_cols)
-    return RelationsReport(residuals=res, tolerance=tol)
+    return ResidualReport("magic unitary relations", res, tol)
 
 
 def word_product(u, i, j):

@@ -1,12 +1,14 @@
 """Contexts, conditional expectations, polynomials, and moment oracles."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from qexch import algebra, cli, cumulants, exchangeability, magic
 from qexch.algebra import (
     AlgebraContext,
     BPolynomial,
-    ContextReport,
     ConcreteMomentFunctional,
     MomentFunctional,
     State,
@@ -18,6 +20,7 @@ from qexch.algebra import (
     pinching_context,
     product_expectation,
     scalar_context,
+    scalar_subalgebra,
     verify_context,
 )
 
@@ -31,10 +34,63 @@ def rng():
     return np.random.default_rng(2024)
 
 
-def test_context_report_nan_is_worst():
-    rep = ContextReport({"state_trace": 0.0, "bimodule": np.nan, "positivity_spot": 0.5}, 1.0, 1)
+# -- the one tolerance and the one residual report -----------------------------
+
+def _public_functions(module):
+    """(name, function) for every public function and method defined in module."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            yield from ((f"{name}.{m}", f) for m, f in vars(obj).items() if inspect.isfunction(f))
+        elif inspect.isfunction(obj):
+            yield name, obj
+
+
+def test_every_tol_default_is_the_one_default(monkeypatch):
+    defaults = {
+        f"{module.__name__}.{name}": inspect.signature(fn).parameters["tol"].default
+        for module in (algebra, cumulants, exchangeability, magic)
+        for name, fn in _public_functions(module)
+        if "tol" in inspect.signature(fn).parameters
+    }
+    assert "qexch.magic.verify_relations" in defaults and len(defaults) >= 10
+    assert defaults == dict.fromkeys(defaults, algebra.DEFAULT_TOL)
+    assert algebra.DEFAULT_TOL == 1e-8
+    monkeypatch.delenv(cli.ENV_TOL, raising=False)
+    args = cli.build_parser().parse_args(["check-magic", "{}"])
+    assert cli._resolve_tolerance(args, None) == algebra.DEFAULT_TOL
+
+
+class _NaNOffHermitian(SubalgebraWithExpectation):
+    """E = phi(.) 1 on Hermitian matrices and NaN on every other matrix."""
+
+    def expect(self, a):
+        out = super().expect(a)
+        return out if np.allclose(a, a.conj().T) else np.full_like(out, np.nan)
+
+
+# finite, but its square is inf - inf off the diagonal
+_OVERFLOWING = np.array([[1e200, 1e200], [1e200, -1e200]])
+
+
+@pytest.mark.parametrize("produce", [
+    lambda: magic.verify_relations(magic.MagicUnitary(_OVERFLOWING[None, None])),
+    # the first matrix unit is Hermitian, so a max that let NaN lose would pass this
+    lambda: verify_context(AlgebraContext(
+        State(np.eye(2) / 2), _NaNOffHermitian([np.eye(2)], scalar_subalgebra(np.eye(2) / 2).e_map)
+    )),
+    lambda: cumulants.check_mixed_cumulants(
+        ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [_OVERFLOWING] * 2), (1, 2)
+    ),
+], ids=["verify_relations", "verify_context", "check_mixed_cumulants"])
+def test_nan_residual_fails_closed(produce):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = produce()
+    assert isinstance(rep, algebra.ResidualReport)
     assert np.isnan(rep.max_residual)
     assert not rep.passed
+    assert rep.summary().endswith("\nFAIL") and " nan" in rep.summary()
 
 
 # -- contexts and expectation axioms -------------------------------------------

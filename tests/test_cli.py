@@ -212,13 +212,25 @@ def test_bad_env_tolerance_exits_two(tmp_path, capsys, monkeypatch):
 
 # -- subcommands ------------------------------------------------------------------------
 
-def test_check_magic_permutation(capsys):
-    code, out, _ = run_cli(
+def test_check_magic_permutation(capsys, monkeypatch):
+    monkeypatch.delenv("QEXCH_TOL", raising=False)
+    code, out, err = run_cli(
         ["check-magic", '{"kind": "permutation", "sigma": [2, 1, 3]}'], capsys
     )
-    assert code == 0
-    assert "0.000e+00" in out
-    assert "PASS" in out
+    assert (code, err) == (0, "")
+    # a permutation unitary satisfies every relation exactly, so the text is fixed
+    assert out == (
+        "magic unitary relations (tol=1e-08)\n"
+        "  hermitian              0.000e+00  ok\n"
+        "  idempotent             0.000e+00  ok\n"
+        "  row_orthogonality      0.000e+00  ok\n"
+        "  column_orthogonality   0.000e+00  ok\n"
+        "  row_sums               0.000e+00  ok\n"
+        "  column_sums            0.000e+00  ok\n"
+        "  orthogonal_matrix_rows 0.000e+00  ok\n"
+        "  orthogonal_matrix_columns 0.000e+00  ok\n"
+        "PASS\n"
+    )
 
 
 def test_check_magic_from_file(tmp_path, capsys):
@@ -232,6 +244,20 @@ def test_check_magic_rejects_bad_spec(capsys):
     code, _, err = run_cli(["check-magic", '{"kind": "mystery"}'], capsys)
     assert code == 2
     assert "kind" in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "permutation", "sigma": [2, 1, 3], "d": 1000000},
+    {"kind": "block_chain", "d": 1000000, "seeds": [1, 2]},
+    # each projection fits, but the 4x4 array of them does not
+    {"kind": "block_pair", "d": 4096, "seeds": [1, 2]},
+], ids=["permutation", "block_chain", "block_pair_4096"])
+def test_check_magic_oversized_d_exits_two_naming_field(capsys, spec):
+    start = time.monotonic()
+    code, out, err = run_cli(["check-magic", json.dumps(spec)], capsys)
+    assert time.monotonic() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unitary.d: ") and len(err.splitlines()) == 1
 
 
 def test_check_magic_nan_projection_exits_two_naming_field(capsys):
@@ -399,6 +425,9 @@ def _scenario(tmp_path, **changes):
                          "elements": [{"diag": [1, -1]}]}}, "functional.density"),
         ({"functional": {"kind": "concrete", "dim": 2, "density": [[0.5, 0.1], [0, 0.5]],
                          "elements": [{"diag": [1, -1]}]}}, "functional.density"),
+        # eigenvalues +-1e308, but (rho + rho*) / 2 overflows, and a NaN eigenvalue must fail
+        ({"functional": {"kind": "concrete", "dim": 2, "density": [[0.5, 1e308], [1e308, 0.5]],
+                         "elements": [{"diag": [1, -1]}]}}, "functional.density"),
         ({"checks": [{"name": "counterexample", "n": 3, "psi_u11": "9/10"}]},
          "checks[0].psi_u11"),
         ({"unitaries": [{"kind": "block_pair", "d": 2,
@@ -415,6 +444,19 @@ def _scenario(tmp_path, **changes):
                          "elements": [{"diag": [1, -1]}]}}, "functional.density.diag"),
         ({"functional": {"kind": "concrete", "dim": 1, "density": {"diag": [1]},
                          "elements": []}}, "functional.elements"),
+        # sizes whose arrays exceed MAX_TENSOR_ENTRIES are rejected before allocation
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": 10**12}},
+         "functional.b_dim"),
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": 100000}},
+         "functional.b_dim"),
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": 0}},
+         "functional.b_dim"),
+        ({"functional": {"kind": "concrete", "dim": 100, "density": {"diag": [0.01] * 100},
+                         "elements": [{"diag": [1] * 100}]}}, "functional.dim"),
+        ({"unitaries": [{"kind": "permutation", "sigma": [2, 1], "d": 1000000}]},
+         "unitaries[0].d"),
+        ({"unitaries": [{"kind": "block_chain", "d": 1000000, "seeds": [1]}]},
+         "unitaries[0].d"),
     ],
 )
 def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, field):

@@ -640,7 +640,7 @@ def test_mixed_cumulants_vanish_for_cumulant_backing():
     mf = CumulantMomentFunctional(random_spec(np.random.default_rng(13), 4))
     report = check_mixed_cumulants(mf, (1, 2, 1, 2), tol=1e-12)
     assert report.passed
-    assert report.max_mixed <= 1e-12
+    assert report.max_residual <= 1e-12
 
 
 def test_mixed_cumulants_detect_identical_variables():
@@ -652,7 +652,7 @@ def test_mixed_cumulants_detect_identical_variables():
     assert not report.passed
     # kappa_2(x1, x2) = E[x^2] - E[x]^2 for identical copies
     expected = ctx.expect(x @ x) - ctx.expect(x) @ ctx.expect(x)
-    assert abs(report.max_mixed - np.linalg.norm(expected)) <= 1e-10
+    assert abs(report.max_residual - np.linalg.norm(expected)) <= 1e-10
 
 
 def test_mixed_cumulants_detect_tensor_independent_bernoulli_pair():

@@ -208,8 +208,9 @@ def test_nan_mixed_moment_fails_freeness():
 
 def test_nan_mixed_moment_fails_mixed_cumulants():
     report = check_mixed_cumulants(CumulantMomentFunctional(_NaNMixedAtLength4()), (1, 2, 1, 2))
-    assert np.isnan(report.max_mixed)
-    assert report.worst_tuple == (1, 1, 1, 2)  # the first mixed tuple of length 4
+    assert np.isnan(report.max_residual)
+    # the first mixed tuple of length 4
+    assert report.witnesses == {"mixed_cumulant": (1, 1, 1, 2)}
     assert not report.passed
 
 

@@ -10,7 +10,6 @@ from qexch.cumulants import CumulantMomentFunctional, semicircular_spec
 from qexch.exchangeability import check_quantum_invariance
 from qexch.magic import (
     MagicUnitary,
-    RelationsReport,
     block_chain,
     block_pair,
     collapse_expected,
@@ -118,12 +117,6 @@ def test_projection_with_nan_residual_rejected():
     q = np.array([[1e200, 1e200], [1e200, -1e200]])
     with pytest.raises(ValueError, match="nan"):
         ensure_projection(q)
-
-
-def test_relations_report_nan_is_worst():
-    rep = RelationsReport({"hermitian": 0.0, "idempotent": np.nan, "row_sums": 1e-16}, 1e-9)
-    assert np.isnan(rep.max_residual)
-    assert not rep.passed
 
 
 # -- random projections --------------------------------------------------------------
