@@ -17,18 +17,21 @@ import numpy as np
 # the one default tolerance: a residual at most this large passes
 DEFAULT_TOL = 1e-8
 
-# memory guards for vectorized moment tensors: index tuples, and complex entries
-# of a tensor of b_dim x b_dim values such as the concrete oracle's product stack
-MAX_TENSOR_TUPLES = 2_000_000
-MAX_TENSOR_ENTRIES = 2**24  # 256 MiB of complex128
+# the one size policy: whatever a request sizes (an array, a pattern table, a
+# partition list) is charged its bytes with check_bytes before it is built
+MAX_BYTES = 2**28  # 256 MiB: 2**24 complex128 entries of 16 bytes
 # the longest tensor numpy can index: its 64 axes less two for a b_dim x b_dim value
 MAX_TENSOR_LENGTH = 62
 
 
-def check_entries(count, what):
-    """Reject an array of count complex entries above MAX_TENSOR_ENTRIES, before it exists."""
-    if count > MAX_TENSOR_ENTRIES:
-        raise ValueError(f"{what} would hold {count} entries, over the cap of {MAX_TENSOR_ENTRIES}")
+def check_bytes(nbytes, what):
+    """Reject an object of nbytes bytes above MAX_BYTES, before it exists.
+
+    A complex array is charged 16 bytes per entry; structures of Python
+    objects are charged an upper bound of their measured footprint.
+    """
+    if nbytes > MAX_BYTES:
+        raise ValueError(f"{what} is too large: {nbytes} bytes, over the budget of {MAX_BYTES}")
 
 
 def as_matrix(a, dim=None, name="matrix", finite=True):
@@ -101,14 +104,9 @@ class SubalgebraWithExpectation:
             raise ValueError("b_basis must be nonempty")
         dim = basis[0].shape[0]
         basis = [as_matrix(b, dim, "basis element") for b in basis]
-        emap = np.asarray(e_map, dtype=complex)
-        if emap.shape != (dim * dim, dim * dim):
-            raise ValueError(
-                f"e_map must have shape ({dim * dim}, {dim * dim}), got {emap.shape}"
-            )
         self.dim = dim
         self.b_basis = basis
-        self.e_map = emap
+        self.e_map = as_matrix(e_map, dim * dim, "e_map")
         self._span = np.stack([b.reshape(-1) for b in basis], axis=1)
         if not self.contains(np.eye(dim)):
             raise ValueError("the identity must lie in the span of b_basis")
@@ -442,23 +440,20 @@ class MomentFunctional:
 
         Every word of the tensor passes _check_word exactly when the corner
         word (k, ..., k) with the decorations inside does.  The tensor must
-        also stay within MAX_TENSOR_LENGTH positions, MAX_TENSOR_TUPLES
-        tuples and MAX_TENSOR_ENTRIES entries of b_dim x b_dim values.
-        Returns the decorations validated, or None.
+        also stay within MAX_TENSOR_LENGTH positions, and its complex
+        b_dim x b_dim values within MAX_BYTES.  Returns the decorations
+        validated, or None.
         """
         if n > MAX_TENSOR_LENGTH:
             raise ValueError(
                 f"tensor length {n} exceeds the cap {MAX_TENSOR_LENGTH} "
                 "(numpy's 64 axes less two for a b_dim x b_dim value)"
             )
-        if k > 1 and (n >= MAX_TENSOR_TUPLES.bit_length() or k**n > MAX_TENSOR_TUPLES):
-            raise ValueError(f"moment tensor with {k}^{n} entries is too large")
         eye = self.identity_coeff()
         coeffs = None if decorations is None else (eye, *decorations, eye)
         coeffs = self._check_word((k,) * n, coeffs)[1]
-        if k**n * self.b_dim**2 > MAX_TENSOR_ENTRIES:
-            b = self.b_dim
-            raise ValueError(f"moment tensor with {k}^{n} {b}x{b} values is too large")
+        b = self.b_dim
+        check_bytes(16 * k**n * b * b, f"moment tensor with {k}^{n} {b}x{b} values")
         return None if coeffs is None else list(coeffs[1:-1])
 
     def scalar_moment_tensor(self, k, n):

@@ -60,10 +60,10 @@ def _parse_int(value, field, minimum=None):
 
 
 def _parse_dim(value, field, blocks=1):
-    """A dimension d >= 1 such that `blocks` matrices of d x d entries stay within the entry cap."""
+    """A dimension d >= 1 such that `blocks` complex d x d matrices stay within MAX_BYTES."""
     d = _parse_int(value, field, minimum=1)
     try:
-        algebra.check_entries(blocks * d * d, f"dimension {d}")
+        algebra.check_bytes(16 * blocks * d * d, f"dimension {d}")
     except ValueError as exc:
         _fail(field, str(exc))
     return d
@@ -140,7 +140,7 @@ def build_functional(spec, field="functional"):
                 kappa[n] = [_parse_complex(value, f"{field}.cumulants[{order}]")] * b_dim
         max_order = spec.get("max_order")
         if max_order is not None:
-            max_order = _parse_int(max_order, f"{field}.max_order")
+            max_order = _parse_int(max_order, f"{field}.max_order", minimum=1)
         try:
             spec_obj = cumulants.CumulantSpec(kappa, b_dim=b_dim, max_order=max_order)
         except ValueError as exc:
@@ -160,7 +160,14 @@ def build_functional(spec, field="functional"):
         elif b_choice == "diagonal":
             sub = algebra.pinching_subalgebra([[x] for x in range(dim)])
         elif isinstance(b_choice, dict) and "blocks" in b_choice:
-            sub = algebra.pinching_subalgebra(b_choice["blocks"])
+            blocks = [
+                _parse_int_list(b, f"{field}.b.blocks[{t}]", minimum=0)
+                for t, b in enumerate(_require(b_choice, "blocks", f"{field}.b", list))
+            ]
+            # checked against dim before pinching_subalgebra sizes its map from the blocks
+            if sorted(x for b in blocks for x in b) != list(range(dim)):
+                _fail(f"{field}.b", f"blocks must partition 0..{dim - 1}, got {blocks}")
+            sub = algebra.pinching_subalgebra(blocks)
         else:
             _fail(f"{field}.b", f"expected 'scalar', 'diagonal', or {{'blocks': ...}}, got {b_choice!r}")
         ctx = algebra.AlgebraContext(state, sub)
@@ -504,8 +511,8 @@ def cmd_cumulants(args):
     spec = _load_spec_argument(args.functional, "functional")
     mf = build_functional(spec, "functional")
     n = args.n
-    if n < 1:
-        raise ScenarioError("--n: must be >= 1")
+    if not 1 <= n <= cumulants.MAX_TRANSFORM_ORDER:
+        _fail("--n", f"must be in 1..{cumulants.MAX_TRANSFORM_ORDER}, got {n}")
     table = cumulants.moments_to_cumulants(mf, (1,) * n)
     rows = []
     for order in range(1, n + 1):

@@ -19,11 +19,12 @@ from .algebra import (
     MomentFunctional,
     ResidualReport,
     _severity,
-    check_entries,
+    check_bytes,
     frobenius,
 )
 from .partitions import (
     _pattern_table,
+    _pattern_table_charge,
     _profile_counts,
     canonical_pattern,
     delete_block,
@@ -214,7 +215,7 @@ class CumulantSpec:
         self.b_dim = int(b_dim)
         if self.b_dim < 1:
             raise ValueError("b_dim must be positive")
-        check_entries(self.b_dim**2, f"a {self.b_dim}x{self.b_dim} value")
+        check_bytes(16 * self.b_dim**2, f"a {self.b_dim}x{self.b_dim} value")
         table = {}
         for order, value in dict(kappa).items():
             order = int(order)
@@ -231,6 +232,8 @@ class CumulantSpec:
         if max_order is None:
             max_order = max(table) if table else 1
         self.max_order = int(max_order)
+        if self.max_order < 1:
+            raise ValueError(f"max_order must be at least 1, got {self.max_order}")
         self.kappa = {n: v for n, v in table.items() if n <= self.max_order}
         if weights is None:
             weights = np.full(self.b_dim, 1.0 / self.b_dim)
@@ -340,6 +343,12 @@ class CumulantMomentFunctional(MomentFunctional):
     def random_coeff(self, rng):
         diag = rng.standard_normal(self.b_dim) + 1j * rng.standard_normal(self.b_dim)
         return np.diag(diag)
+
+    def _check_tensor(self, k, n, decorations=None):
+        """The shared tensor check, plus the kernel-pattern table the tensor routes build."""
+        decorations = super()._check_tensor(k, n, decorations)
+        check_bytes(*_pattern_table_charge(k, n))
+        return decorations
 
     def scalar_moment_tensor(self, k, n):
         self._check_tensor(k, n)

@@ -23,12 +23,13 @@ from .algebra import (
     ConcreteMomentFunctional,
     _severity,
     center,
+    check_bytes,
     frobenius,
     product_expectation,
 )
 from .cumulants import MAX_TRANSFORM_ORDER, check_mixed_cumulants
-from .magic import MagicUnitary, _check_coaction_size, _coaction_all, ensure_projection
-from .partitions import _pattern_table
+from .magic import MagicUnitary, _coaction_all, _coaction_charge, ensure_projection
+from .partitions import _pattern_table, _pattern_table_charge
 
 
 @dataclass
@@ -92,7 +93,7 @@ def _scan_lengths(mf, k, n_max, tol, make_seed, act, check_name, d=1, r=1):
     buffer and each tuple's residual is reduced from it in one pass.
     """
     mf._check_tensor(k, n_max)
-    _check_coaction_size(k, n_max, d, r)
+    check_bytes(*_coaction_charge(k, n_max, d, r))
     per_length = []
     for n in range(1, n_max + 1):
         w = make_seed(n).reshape(k**n, -1)
@@ -128,8 +129,11 @@ def check_classical_exchangeability(mf, k, n_max, tol=DEFAULT_TOL):
     The orbits of S_k on {1..k}^n are the kernel classes, so the moments
     are invariant exactly when phi(x_i...) equals phi(x_p(i)...) for every
     tuple i, where p(i) is the canonical pattern of i.  Every tuple of
-    every length 1..n_max is checked against its pattern.
+    every length 1..n_max is checked against its pattern.  The pattern
+    table of the longest length is charged before any work.
     """
+    check_bytes(*_pattern_table_charge(k, n_max))
+
     def orbit_gather(w, n):
         ids, patterns = _pattern_table(k, n)
         reps = np.ravel_multi_index(tuple(zip(*patterns)), (k,) * n)

@@ -18,10 +18,10 @@ from .algebra import (
     ResidualReport,
     _severity,
     as_matrix,
-    check_entries,
+    check_bytes,
     frobenius,
 )
-from .partitions import enumerate_noncrossing, is_noncrossing, kernel, leq
+from .partitions import _noncrossing_charge, enumerate_noncrossing, is_noncrossing, kernel, leq
 
 
 class MagicUnitary:
@@ -53,15 +53,14 @@ def _workspace(k, n, d, r):
     """Two flat views of k**n * d * d * r entries into the calling thread's buffers.
 
     The two buffers are kept between calls, grow to the largest size asked
-    for so far and never shrink.  Growth passes _check_coaction_size
-    first, so a thread holds at most 2 * MAX_TENSOR_ENTRIES complex
-    entries: the transient peak of one contraction, kept until the thread
-    exits.
+    for so far and never shrink.  Growth is charged first, so a thread
+    holds at most 2 * MAX_BYTES: the transient peak of one contraction,
+    kept until the thread exits.
     """
     size = k**n * d * d * r
     pair = getattr(_buffers, "pair", ())
     if not pair or pair[0].size < size:
-        _check_coaction_size(k, n, d, r)
+        check_bytes(*_coaction_charge(k, n, d, r))
         pair = _buffers.pair = ()  # the old pair is freed before the new one is allocated
         pair = _buffers.pair = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
     return pair[0][:size], pair[1][:size]
@@ -100,9 +99,9 @@ def _coaction_all(entries, w, n):
     return t.reshape(r, d, k**n, d).transpose(2, 1, 3, 0)
 
 
-def _check_coaction_size(k, n, d, r=1):
-    """Reject a coaction tensor of more than MAX_TENSOR_ENTRIES entries before any work."""
-    check_entries(k**n * d * d * r, f"coaction tensor with {k}^{n} {d}x{d} values of width {r}")
+def _coaction_charge(k, n, d, r=1):
+    """(bytes, description) of one coaction buffer: k**n * d * d * r complex entries."""
+    return 16 * k**n * d * d * r, f"coaction tensor with {k}^{n} {d}x{d} values of width {r}"
 
 
 def ensure_projection(q, tol=DEFAULT_TOL):
@@ -129,7 +128,7 @@ def from_permutation(sigma, d=1):
     k = len(sigma)
     if sorted(sigma) != list(range(1, k + 1)):
         raise ValueError(f"{sigma} is not a permutation of 1..{k}")
-    check_entries(k * k * d * d, f"a {k}x{k} magic unitary of {d}x{d} entries")
+    check_bytes(16 * k * k * d * d, f"a {k}x{k} magic unitary of {d}x{d} entries")
     entries = np.zeros((k, k, d, d), dtype=complex)
     for i, image in enumerate(sigma):
         entries[i, image - 1] = np.eye(d)
@@ -148,7 +147,7 @@ def block_chain(qs):
     if any(q.shape[0] != d for q in qs):
         raise ValueError("all projections must share one dimension")
     r = len(qs)
-    check_entries(4 * r * r * d * d, f"a {2 * r}x{2 * r} magic unitary of {d}x{d} entries")
+    check_bytes(64 * r * r * d * d, f"a {2 * r}x{2 * r} magic unitary of {d}x{d} entries")
     eye = np.eye(d)
     entries = np.zeros((2 * r, 2 * r, d, d), dtype=complex)
     for t, q in enumerate(qs):
@@ -176,7 +175,7 @@ def random_projection(d, rank, seed):
     """Deterministic pseudo-random rank-`rank` orthogonal projection in M_d."""
     if not 0 <= rank <= d:
         raise ValueError(f"rank must be in 0..{d}, got {rank}")
-    check_entries(d * d, f"a {d}x{d} projection")
+    check_bytes(16 * d * d, f"a {d}x{d} projection")
     if rank == 0:
         return np.zeros((d, d), dtype=complex)
     if rank == d:
@@ -301,7 +300,7 @@ def collapse_sum_all(u, pi):
     """
     if not is_noncrossing(pi):
         raise ValueError("crossing partition rejected")
-    _check_coaction_size(u.k, pi.n, u.d)
+    check_bytes(*_coaction_charge(u.k, pi.n, u.d))
     w = kernel_indicator(pi, u.k).reshape(-1, 1).astype(float)
     return _coaction_all(u.entries, w, pi.n).reshape((u.k,) * pi.n + (u.d, u.d)).copy()
 
@@ -309,7 +308,7 @@ def collapse_sum_all(u, pi):
 def kernel_indicator(pi, k):
     """Boolean array over {1..k}^n: True where the tuple is constant on each block."""
     n = pi.n
-    grids = np.indices((k,) * n)
+    grids = np.indices((k,) * n, sparse=True)
     mask = np.ones((k,) * n, dtype=bool)
     for block in pi.blocks:
         first = block[0] - 1
@@ -325,8 +324,11 @@ def collapse_lemma_residual(u, n_max):
     target is the identity where ker i >= pi and zero elsewhere.  The
     target is subtracted on the d x d diagonal of collapse_sum_all's copy
     in place, which gives the difference bitwise without building it.
+    The partitions and the coaction of the longest length are charged
+    before the first contraction.
     """
-    _check_coaction_size(u.k, n_max, u.d)
+    check_bytes(*_noncrossing_charge(n_max))  # first: it is cheap for any n_max
+    check_bytes(*_coaction_charge(u.k, n_max, u.d))
     devs = []
     for n in range(1, n_max + 1):
         for pi in enumerate_noncrossing(n):

@@ -8,12 +8,17 @@ structurally.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
-MAX_ENUMERATE_ALL = 12
-MAX_ENUMERATE_NONCROSSING = 14
+from .algebra import check_bytes
+
+# The charges below count partitions or patterns at min(n, _COUNT_LENGTH) points:
+# exact up to there and far past any byte budget beyond it, so that a huge n is
+# rejected without big-integer arithmetic that would itself take minutes.
+_COUNT_LENGTH = 64
 
 
 class Partition:
@@ -60,16 +65,22 @@ class Partition:
         return f"Partition({self.n}, [{inner}])"
 
 
+def _all_partitions_charge(n):
+    """(bytes, description) of enumerate_all(n): Bell(n) partitions, each charged
+    an upper bound of the measured peak per partition."""
+    m = min(n, _COUNT_LENGTH)
+    return 4096 + _pattern_count(m, m) * (256 + 72 * n), f"all partitions of {n} points"
+
+
 def enumerate_all(n):
     """All partitions of {1..n} in canonical form.
 
     Grows partitions element by element: each new element either joins an
     existing block or opens a new one, so every partition appears once.
     """
-    if not 1 <= n <= MAX_ENUMERATE_ALL:
-        raise ValueError(
-            f"full partition enumeration supports 1 <= n <= {MAX_ENUMERATE_ALL}, got {n}"
-        )
+    if n < 1:
+        raise ValueError(f"full partition enumeration needs n >= 1, got {n}")
+    check_bytes(*_all_partitions_charge(n))
     partial = [[[1]]]
     for x in range(2, n + 1):
         grown = []
@@ -192,12 +203,20 @@ def _profile_counts(patterns):
     return counts, sizes
 
 
+def _noncrossing_charge(n):
+    """(bytes, description) of enumerate_noncrossing(n): Catalan(n) partitions,
+    each charged an upper bound of the measured peak per partition (the
+    cached local tuples included)."""
+    m = min(n, _COUNT_LENGTH)
+    count = math.comb(2 * m, m) // (m + 1)
+    return 4096 + count * (512 + 48 * n), f"non-crossing partitions of {n} points"
+
+
 def enumerate_noncrossing(n):
     """All non-crossing partitions of {1..n}; the count is the n-th Catalan number."""
-    if not 1 <= n <= MAX_ENUMERATE_NONCROSSING:
-        raise ValueError(
-            f"non-crossing enumeration supports 1 <= n <= {MAX_ENUMERATE_NONCROSSING}, got {n}"
-        )
+    if n < 1:
+        raise ValueError(f"non-crossing enumeration needs n >= 1, got {n}")
+    check_bytes(*_noncrossing_charge(n))
     return [
         Partition(n, [tuple(x + 1 for x in b) for b in blocks])
         for blocks in _noncrossing_local(n)
@@ -230,6 +249,33 @@ def canonical_pattern(indices):
     """Relabel values by order of first appearance; kernels agree iff patterns do."""
     seen = {}
     return tuple(seen.setdefault(v, len(seen)) for v in indices)
+
+
+def _pattern_count(k, n):
+    """How many kernel patterns {1..k}^n has: the Stirling numbers S(n, j), summed over j <= k."""
+    k = min(k, n)  # S(n, j) = 0 for j > n
+    row = [1] + [0] * k  # S(0, j) for j = 0..k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return sum(row)
+
+
+def _pattern_table_charge(k, n):
+    """(bytes, description) of _pattern_table(k, n), bounded above.
+
+    Per tuple: the index and label arrays (n entries each), the
+    relabelling scratch and the int64 and int32 id arrays.  Per pattern:
+    its tuple of n ints and the list it is built from.  Per position:
+    ravel_multi_index's int64 casting buffer of up to 8192 entries.  The
+    rates were measured with tracemalloc; the tests hold the charge above
+    the peak.
+    """
+    m = min(n, _COUNT_LENGTH)
+    itemsize = np.min_scalar_type(k).itemsize
+    per_tuple = (2 * n + 2) * itemsize + 32
+    per_pattern = 128 + 17 * n
+    nbytes = 8192 + 69632 * n + k**m * per_tuple + _pattern_count(k, m) * per_pattern
+    return nbytes, f"kernel-pattern table of {k}^{n} tuples"
 
 
 @lru_cache(maxsize=32)

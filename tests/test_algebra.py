@@ -175,6 +175,14 @@ def test_coefficients_validated_against_subalgebra(rng):
         BPolynomial([(random_matrix(rng, 2),)], subalgebra=ctx.subalgebra)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_expectation_map_rejected(bad):
+    e_map = scalar_subalgebra(np.eye(2) / 2).e_map.copy()
+    e_map[0, 3] = bad
+    with pytest.raises(ValueError, match="e_map contains non-finite entries"):
+        SubalgebraWithExpectation([np.eye(2)], e_map)
+
+
 def test_dimension_mismatch_rejected(rng):
     p = BPolynomial.variable(2)
     with pytest.raises(ValueError):

@@ -277,6 +277,21 @@ def test_cumulants_table_semicircular(capsys):
     assert lines and "5" in lines[0]  # m_6 = 5
 
 
+@pytest.mark.parametrize("n", ["0", "9"])
+def test_cumulants_order_out_of_range_names_the_flag(capsys, n):
+    spec = '{"kind": "cumulant", "cumulants": {"2": 1}}'
+    code, out, err = run_cli(["cumulants", spec, "--n", n], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --n: must be in 1..8, got {n}\n"
+
+
+def test_cumulants_reads_integral_float_blocks_as_integers(capsys):
+    # like every integer field, 0.0 is read as 0
+    code, out, err = run_cli(["cumulants", json.dumps(_pinched([[0.0], [1]]))], capsys)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(["cumulants", json.dumps(_pinched([[0], [1]]))], capsys)
+
+
 def test_collapse_subcommand(capsys):
     code, out, _ = run_cli(
         [
@@ -369,6 +384,12 @@ def test_unknown_subcommand_exits_two(capsys):
 
 # -- malformed input: exit 2, the field named, no traceback ---------------------------
 
+def _pinched(blocks):
+    """A 2x2 concrete functional whose B is the pinching given by `blocks`."""
+    return {"kind": "concrete", "dim": 2, "density": {"diag": [0.5, 0.5]},
+            "b": {"blocks": blocks}, "elements": [{"diag": [1, -1]}]}
+
+
 def _scenario(tmp_path, **changes):
     doc = {
         "name": "x",
@@ -444,7 +465,7 @@ def _scenario(tmp_path, **changes):
                          "elements": [{"diag": [1, -1]}]}}, "functional.density.diag"),
         ({"functional": {"kind": "concrete", "dim": 1, "density": {"diag": [1]},
                          "elements": []}}, "functional.elements"),
-        # sizes whose arrays exceed MAX_TENSOR_ENTRIES are rejected before allocation
+        # sizes whose arrays exceed MAX_BYTES are rejected before allocation
         ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": 10**12}},
          "functional.b_dim"),
         ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": 100000}},
@@ -457,6 +478,19 @@ def _scenario(tmp_path, **changes):
          "unitaries[0].d"),
         ({"unitaries": [{"kind": "block_chain", "d": 1000000, "seeds": [1]}]},
          "unitaries[0].d"),
+        # each block a list of integers, and the blocks a partition of 0..dim-1
+        ({"functional": _pinched([["a"], [0]])}, "functional.b.blocks[0][0]"),
+        ({"functional": _pinched([0, 1])}, "functional.b.blocks[0]"),
+        ({"functional": _pinched([[True], [0]])}, "functional.b.blocks[0][0]"),
+        ({"functional": _pinched([[0.5], [1]])}, "functional.b.blocks[0][0]"),
+        ({"functional": _pinched(5)}, "functional.b.blocks"),
+        ({"functional": _pinched([[0]])}, "functional.b"),
+        ({"functional": _pinched([[0, 1], [1]])}, "functional.b"),
+        ({"functional": _pinched([list(range(300))])}, "functional.b"),
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": 1}, "max_order": -3}},
+         "functional.max_order"),
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": 1}, "max_order": 0}},
+         "functional.max_order"),
     ],
 )
 def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, field):
@@ -485,7 +519,19 @@ def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, f
     {"functional": json.loads(BERNOULLI.read_text())["functional"],
      "unitaries": [{"kind": "permutation", "sigma": [1]}],
      "checks": [{"name": "quantum_invariance", "n_max": 3000}]},
-], ids=["one_point_n24", "bernoulli_n10", "free_d300_n7", "bernoulli_one_point_n3000"])
+    # 2^20 tuples of 2x2 values fit, but the kernel-pattern table peaks at 272 MiB
+    {"functional": _pinched([[0, 1]]),
+     "checks": [{"name": "classical_invariance", "k": 2, "n_max": 20}]},
+    # 2^14 coaction entries fit, but the non-crossing partitions of 14 points need 2.5 GiB
+    {"unitaries": [{"kind": "permutation", "sigma": [2, 1]}],
+     "checks": [{"name": "collapse_lemma", "n_max": 14}]},
+    # lengths whose exact partition or tuple counts alone would take minutes to compute
+    {"unitaries": [{"kind": "permutation", "sigma": [1]}],
+     "checks": [{"name": "collapse_lemma", "n_max": 10**9}]},
+    {"functional": _pinched([[0, 1]]),
+     "checks": [{"name": "classical_invariance", "k": 2, "n_max": 10**9}]},
+], ids=["one_point_n24", "bernoulli_n10", "free_d300_n7", "bernoulli_one_point_n3000",
+        "classical_k2_n20", "collapse_n14", "collapse_one_point_huge", "classical_k2_huge"])
 def test_oversize_scan_exits_two_before_any_work(tmp_path, capsys, changes):
     path = _scenario(tmp_path, **changes)
     start = time.monotonic()

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexch.algebra import (
-    MAX_TENSOR_ENTRIES,
-    MAX_TENSOR_TUPLES,
+    MAX_BYTES,
     BPolynomial,
     ConcreteMomentFunctional,
     MomentFunctional,
@@ -32,7 +31,13 @@ from qexch.cumulants import (
     rho_pi,
     semicircular_spec,
 )
-from qexch.partitions import Partition, _pattern_table, canonical_pattern, enumerate_noncrossing
+from qexch.partitions import (
+    Partition,
+    _pattern_table,
+    _pattern_table_charge,
+    canonical_pattern,
+    enumerate_noncrossing,
+)
 
 NC10 = Partition(10, [[1, 10], [2, 5, 9], [3, 4], [6], [7, 8]])
 
@@ -274,6 +279,13 @@ def test_spec_rejects_non_finite_values(kappa, weights, message):
         CumulantSpec(kappa, weights=weights)
 
 
+@pytest.mark.parametrize("max_order", [0, -3])
+def test_spec_rejects_max_order_below_one(max_order):
+    # a cutoff below 1 would drop every cumulant and leave all moments zero
+    with pytest.raises(ValueError, match="max_order must be at least 1"):
+        CumulantSpec({2: [1.0]}, max_order=max_order)
+
+
 def test_moments_beyond_cutoff_are_still_defined():
     spec = CumulantSpec({2: [1.0]}, max_order=2)
     mf = CumulantMomentFunctional(spec)
@@ -287,12 +299,16 @@ def test_word_length_cap():
 
 
 def test_moment_tensor_tuple_cap():
+    # 2^21 tuples: words over the length cap, and a pattern table over the budget;
+    # 4^11 tuples: a 64 MiB tensor whose pattern table alone is over the budget
     mf = CumulantMomentFunctional(semicircular_spec())
-    n = MAX_TENSOR_TUPLES.bit_length()  # smallest n with 2**n above the cap
-    with pytest.raises(ValueError):
-        mf.scalar_moment_tensor(2, n)
-    with pytest.raises(ValueError):
-        mf.expectation_tensor(2, n)
+    assert 16 * 4**11 <= MAX_BYTES < _pattern_table_charge(4, 11)[0]
+    assert _pattern_table_charge(2, 21)[0] > MAX_BYTES
+    for route in (mf.scalar_moment_tensor, mf.expectation_tensor):
+        with pytest.raises(ValueError):
+            route(2, 21)
+        with pytest.raises(ValueError, match=r"kernel-pattern table of 4\^11 tuples is too large"):
+            route(4, 11)
 
 
 def test_pattern_table_matches_canonical_pattern_loop():
@@ -623,8 +639,8 @@ def test_every_route_rejects_a_malformed_request_alike(kind, route, request_name
 
 @pytest.mark.parametrize("kind", ["concrete", "cumulant"])
 def test_tensor_entry_cap_counts_the_values_of_each_tuple(kind):
-    # 4^10 tuples pass the tuple cap, but with 16x16 values they are 2^28 entries
-    assert 4**10 <= MAX_TENSOR_TUPLES and 4**10 * 16**2 > MAX_TENSOR_ENTRIES
+    # 4^10 scalar values fit the budget, but 16x16 values are 2^28 entries of 16 bytes
+    assert 16 * 4**10 <= MAX_BYTES < 16 * 4**10 * 16**2
     if kind == "concrete":
         mf = ConcreteMomentFunctional(scalar_context(np.eye(16) / 16), [np.eye(16)] * 4)
     else:

@@ -247,7 +247,7 @@ def test_collapse_matches_independent_filter_oracle():
 
 
 def test_collapse_sum_all_rejects_an_oversize_coaction_before_any_work():
-    # 4^7 tuples of 300x300 values: 22 GiB, far above MAX_TENSOR_ENTRIES
+    # 4^7 tuples of 300x300 values: 22 GiB, far above MAX_BYTES
     u = from_permutation([1, 2, 3, 4], d=300)
     with pytest.raises(ValueError, match="coaction tensor with 4\\^7 300x300 values"):
         collapse_sum_all(u, Partition(7, [[p] for p in range(1, 8)]))

@@ -2,14 +2,23 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qexch.algebra import MAX_BYTES
 from qexch.partitions import (
     Partition,
+    _all_partitions_charge,
     _nc_size_profiles,
+    _noncrossing_charge,
+    _noncrossing_local,
+    _pattern_count,
+    _pattern_table,
+    _pattern_table_charge,
     canonical_pattern,
     delete_block,
     enumerate_all,
@@ -147,6 +156,62 @@ def test_enumerate_noncrossing_bounds():
         enumerate_noncrossing(0)
     with pytest.raises(ValueError):
         enumerate_noncrossing(15)
+
+
+# -- byte charges ------------------------------------------------------------------
+
+def _traced_peak(build):
+    """Peak bytes tracemalloc sees while build() runs, above what was traced before."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_pattern_count_is_the_stirling_sum():
+    for n in range(1, 9):
+        assert _pattern_count(n, n) == _pattern_count(n + 3, n) == bell(n)
+        for k in range(1, 5):
+            assert _pattern_count(k, n) == len(_pattern_table(k, n)[1])
+    assert _pattern_count(2, 20) == 2**19
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_pattern_table_charge_bounds_its_traced_peak(k):
+    n = 1
+    while k**n <= 50_000:
+        _pattern_table.cache_clear()
+        peak = _traced_peak(lambda: _pattern_table(k, n))
+        assert peak <= _pattern_table_charge(k, n)[0], (k, n, peak)
+        n += 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_charges_bound_their_traced_peaks(n):
+    _noncrossing_local.cache_clear()  # the charge covers the cached local tuples too
+    assert _traced_peak(lambda: enumerate_noncrossing(n)) <= _noncrossing_charge(n)[0]
+    assert _traced_peak(lambda: enumerate_all(n)) <= _all_partitions_charge(n)[0]
+
+
+@pytest.mark.parametrize("enumerate_, n", [
+    (enumerate_noncrossing, 14), (enumerate_all, 12),
+    (enumerate_noncrossing, 10**9), (enumerate_all, 10**9),
+])
+def test_oversize_enumeration_is_rejected_before_enumerating(enumerate_, n):
+    # about 2.5 GiB and 4 GiB measured at 14 and 12; every size is refused before
+    # the first partition, and a huge n without big-integer arithmetic
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"partitions of {n} points is too large"):
+        enumerate_(n)
+    assert time.monotonic() - start < 0.1
+    assert _noncrossing_charge(12)[0] <= MAX_BYTES < _noncrossing_charge(13)[0]
+    assert _all_partitions_charge(10)[0] <= MAX_BYTES < _all_partitions_charge(11)[0]
 
 
 # -- crossing predicate ----------------------------------------------------------
