@@ -203,12 +203,10 @@ def scalar_context(density):
     return AlgebraContext(State(density), scalar_subalgebra(density))
 
 
-def pinching_context(blocks, density=None):
-    """Pinching onto a block-diagonal subalgebra; default state is the normalized trace."""
-    flat = sorted(x for b in blocks for x in b)
-    dim = len(flat)
-    state = normalized_trace_state(dim) if density is None else State(density)
-    return AlgebraContext(state, pinching_subalgebra(blocks))
+def pinching_context(blocks):
+    """Pinching onto a block-diagonal subalgebra, in the normalized trace state."""
+    sub = pinching_subalgebra(blocks)
+    return AlgebraContext(normalized_trace_state(sub.dim), sub)
 
 
 @dataclass
@@ -373,6 +371,10 @@ class MomentFunctional:
     def scalar_moment(self, variables):
         raise NotImplementedError
 
+    def phi(self, b):
+        """The state on B that scalar_moment applies to words, at one B-value b."""
+        raise NotImplementedError
+
     def identity_coeff(self):
         return np.eye(self.b_dim, dtype=complex)
 
@@ -510,6 +512,9 @@ class ConcreteMomentFunctional(MomentFunctional):
         if not variables:
             return 1.0 + 0j
         return self.context.phi(self._word_matrix(variables, None))
+
+    def phi(self, b):
+        return self.context.phi(b)
 
     def random_coeff(self, rng):
         return self.context.subalgebra.random_element(rng)

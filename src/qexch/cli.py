@@ -159,7 +159,9 @@ def build_functional(spec, field="functional"):
             sub = algebra.scalar_subalgebra(density)
         elif b_choice == "diagonal":
             sub = algebra.pinching_subalgebra([[x] for x in range(dim)])
-        elif isinstance(b_choice, dict) and "blocks" in b_choice:
+        elif isinstance(b_choice, dict):
+            if set(b_choice) != {"blocks"}:
+                _fail(f"{field}.b", f"takes only the 'blocks' key, got {sorted(b_choice)}")
             blocks = [
                 _parse_int_list(b, f"{field}.b.blocks[{t}]", minimum=0)
                 for t, b in enumerate(_require(b_choice, "blocks", f"{field}.b", list))
@@ -513,13 +515,9 @@ def cmd_cumulants(args):
     n = args.n
     if not 1 <= n <= cumulants.MAX_TRANSFORM_ORDER:
         _fail("--n", f"must be in 1..{cumulants.MAX_TRANSFORM_ORDER}, got {n}")
+    # kappa_n is B-valued; the state that gives m_n reduces it to a number
     table = cumulants.moments_to_cumulants(mf, (1,) * n)
-    rows = []
-    for order in range(1, n + 1):
-        moment = mf.scalar_moment((1,) * order)
-        kn = table[order]
-        kappa_scalar = complex(np.trace(kn)) / kn.shape[0]
-        rows.append((order, moment, kappa_scalar))
+    rows = [(o, mf.scalar_moment((1,) * o), mf.phi(table[o])) for o in range(1, n + 1)]
     if args.format == "json":
         payload = [
             {"order": o, "moment": [m.real, m.imag], "kappa": [k.real, k.imag]}
@@ -637,10 +635,7 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -149,34 +149,26 @@ class CumulantExtractor:
         return self.kappa_partition(delete_block(pi, block), new_vars, new_coeffs)
 
 
-def moments_to_cumulants(mf, variables, decorations=None, n_max=None):
-    """Cumulant table for the prefixes of a decorated word.
+def moments_to_cumulants(mf, variables):
+    """Cumulant table for the prefixes of a word.
 
-    Returns {m: kappa_m} for m = 1..n_max where kappa_m is the cumulant of
-    the word on variables[:m] with decorations[:m+1].
+    Returns {m: kappa_m} for m = 1..len(variables) where kappa_m is the
+    cumulant of the word on variables[:m].
     """
     variables = tuple(variables)
-    if n_max is None:
-        n_max = len(variables)
-    if n_max > len(variables):
-        raise ValueError("n_max exceeds the number of supplied variables")
-    if n_max > MAX_TRANSFORM_ORDER:
-        raise ValueError(f"n_max must be <= {MAX_TRANSFORM_ORDER}")
+    if len(variables) > MAX_TRANSFORM_ORDER:
+        raise ValueError(f"word length must be <= {MAX_TRANSFORM_ORDER}")
     extractor = CumulantExtractor(mf)
-    table = {}
-    for m in range(1, n_max + 1):
-        coeffs = None if decorations is None else tuple(decorations[: m + 1])
-        table[m] = extractor.kappa_word(variables[:m], coeffs)
-    return table
+    return {m: extractor.kappa_word(variables[:m]) for m in range(1, len(variables) + 1)}
 
 
-def check_mixed_cumulants(mf, variables, decorations=None, tol=DEFAULT_TOL):
+def check_mixed_cumulants(mf, variables, tol=DEFAULT_TOL):
     """Scan every mixed tuple over the distinct values of `variables`.
 
     Tuples of each length from 2 up to len(variables) are formed from the
-    distinct variable indices; decorations, when given, apply only at full
-    length.  A free family passes, any dependence shows up as a nonzero
-    mixed cumulant; the largest is reported with its tuple as witness.
+    distinct variable indices.  A free family passes, any dependence shows
+    up as a nonzero mixed cumulant; the largest is reported with its tuple
+    as witness.
     """
     variables = tuple(variables)
     values = sorted(set(variables))
@@ -190,8 +182,7 @@ def check_mixed_cumulants(mf, variables, decorations=None, tol=DEFAULT_TOL):
         for tup in itertools.product(values, repeat=m):
             if len(set(tup)) < 2:
                 continue
-            coeffs = decorations if (decorations is not None and m == len(variables)) else None
-            norm = frobenius(extractor.kappa_word(tup, coeffs))
+            norm = frobenius(extractor.kappa_word(tup))
             checked += 1
             if _severity(norm) > _severity(worst):
                 worst, worst_tuple = norm, tup
@@ -339,6 +330,9 @@ class CumulantMomentFunctional(MomentFunctional):
             return 1.0 + 0j
         vec = self.spec.kernel_sum([canonical_pattern(variables)])[0]
         return complex(self.spec.weights @ vec)
+
+    def phi(self, b):
+        return complex(self.spec.weights @ np.diag(b))
 
     def random_coeff(self, rng):
         diag = rng.standard_normal(self.b_dim) + 1j * rng.standard_normal(self.b_dim)

@@ -28,8 +28,10 @@ from .algebra import (
     product_expectation,
 )
 from .cumulants import MAX_TRANSFORM_ORDER, check_mixed_cumulants
-from .magic import MagicUnitary, _coaction_all, _coaction_charge, ensure_projection
-from .partitions import _pattern_table, _pattern_table_charge
+from .magic import (
+    MagicUnitary, _coaction_all, _coaction_charge, ensure_projection, verify_relations,
+)
+from .partitions import _pattern_table, _pattern_table_charge, canonical_pattern
 
 
 @dataclass
@@ -231,21 +233,6 @@ class FreenessReport:
     def passed(self):
         return self.centered_pass and self.mixed_pass
 
-    def summary(self):
-        if self.vacuous:
-            return "freeness: single variable, vacuously free  PASS"
-        lines = [
-            f"freeness (tol={self.tolerance:g})",
-            f"  centered alternating products: max {self.centered_max:.3e} "
-            f"at {self.centered_worst}  {'ok' if self.centered_pass else 'FAIL'}",
-            f"  mixed cumulants:               max {self.mixed_max:.3e} "
-            f"at {self.mixed_worst}  {'ok' if self.mixed_pass else 'FAIL'}",
-        ]
-        if not self.consistent:
-            lines.append("  WARNING: the two criteria disagree")
-        lines.append("PASS" if self.passed else "FAIL")
-        return "\n".join(lines)
-
 
 def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0):
     """Run both freeness criteria over the given variables.
@@ -367,58 +354,28 @@ def finite_counterexample(n):
 
     Supported for n in {2, 3}, where every magic unitary representation
     commutes and the invariant state is the uniform average over the
-    permutation group.  All values are exact rationals.
+    permutation group.  The model is permutation_coordinate_unitary(n),
+    whose entries are 0/1 diagonals over its atoms, so every value is an
+    exact rational.  The column is exchangeable when psi of every row
+    tuple of length <= 3 equals psi of its kernel pattern, the orbit
+    representative under relabelling.
     """
     if n not in (2, 3):
         raise ValueError("the commutative column model is only valid for n in {2, 3}")
-    perms = list(itertools.permutations(range(1, n + 1)))
-    count = len(perms)
-
-    def column_indicator(row):
-        # u_{row,1} as a 0/1 vector over the permutation atoms
-        return [1 if sigma[row - 1] == 1 else 0 for sigma in perms]
+    u = permutation_coordinate_unitary(n)
+    column = np.diagonal(u.entries[:, 0], axis1=1, axis2=2).real
 
     def psi(rows):
-        vec = [1] * count
-        for row in rows:
-            ind = column_indicator(row)
-            vec = [a * b for a, b in zip(vec, ind)]
-        return Fraction(sum(vec), count)
+        # the uniform state of a product of diagonals: its atom count over u.d
+        return Fraction(float(column[[r - 1 for r in rows]].prod(axis=0).sum())) / u.d
 
     psi_u11 = psi([1])
     psi_u11_u21 = psi([1, 2])
-
-    exchangeable = True
-    for m in range(1, 4):
-        for tup in itertools.product(range(1, n + 1), repeat=m):
-            base = psi(tup)
-            for sigma in perms:
-                if psi([sigma[r - 1] for r in tup]) != base:
-                    exchangeable = False
-
-    # exact check of the defining relations on the function model
-    relations = True
-    atoms = range(count)
-
-    def u(i, j):
-        return [1 if perms[a][i - 1] == j else 0 for a in atoms]
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            vec = u(i, j)
-            if any(v * v != v for v in vec):
-                relations = False
-        row_sum = [sum(u(i, j)[a] for j in range(1, n + 1)) for a in atoms]
-        col_sum = [sum(u(j, i)[a] for j in range(1, n + 1)) for a in atoms]
-        if any(v != 1 for v in row_sum + col_sum):
-            relations = False
-    for i in range(1, n + 1):
-        for j1, j2 in itertools.combinations(range(1, n + 1), 2):
-            if any(a * b != 0 for a, b in zip(u(i, j1), u(i, j2))):
-                relations = False
-            if any(a * b != 0 for a, b in zip(u(j1, i), u(j2, i))):
-                relations = False
-
+    exchangeable = all(
+        psi(t) == psi([p + 1 for p in canonical_pattern(t)])
+        for m in range(1, 4)
+        for t in itertools.product(range(1, n + 1), repeat=m)
+    )
     free_prediction = psi_u11 * psi_u11
     contradiction = psi_u11_u21 != free_prediction and psi_u11 > 0
     return ColumnModelReport(
@@ -427,6 +384,6 @@ def finite_counterexample(n):
         psi_u11_u21=psi_u11_u21,
         free_prediction=free_prediction,
         exchangeable=exchangeable,
-        relations_exact=relations,
+        relations_exact=verify_relations(u, tol=0.0).passed,
         contradiction=contradiction,
     )

@@ -44,12 +44,6 @@ class Partition:
     def num_blocks(self):
         return len(self.blocks)
 
-    def block_containing(self, x):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise ValueError(f"element {x} not in ground set of size {self.n}")
-
     def __eq__(self, other):
         return (
             isinstance(other, Partition)

@@ -285,6 +285,21 @@ def test_cumulants_order_out_of_range_names_the_flag(capsys, n):
     assert err == f"error: --n: must be in 1..8, got {n}\n"
 
 
+def test_cumulants_reduces_kappa_by_the_functionals_state(capsys):
+    # x = diag(1, -1) lies in the diagonal B, so E[x] = x and every kappa_n, n >= 2, is 0;
+    # the state diag(0.9, 0.1) gives m_1 = kappa_1 = 0.8, the normalized trace would give 0
+    spec = json.dumps({"kind": "concrete", "dim": 2, "b": "diagonal",
+                       "density": {"diag": [0.9, 0.1]}, "elements": [{"diag": [1, -1]}]})
+    code, out, err = run_cli(["cumulants", spec, "--n", "3"], capsys)
+    assert (code, err) == (0, "")
+    rows = [float(x) for line in out.splitlines()[1:] for x in line.split()[1:]]
+    assert rows == pytest.approx([0.8, 0.8, 1.0, 0.0, 0.8, 0.0], abs=1e-12)
+    code, out, err = run_cli(["cumulants", spec, "--n", "3", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    kappas = [x for r in json.loads(out) for x in r["kappa"]]
+    assert kappas == pytest.approx([0.8, 0.0, 0.0, 0.0, 0.0, 0.0], abs=1e-12)
+
+
 def test_cumulants_reads_integral_float_blocks_as_integers(capsys):
     # like every integer field, 0.0 is read as 0
     code, out, err = run_cli(["cumulants", json.dumps(_pinched([[0.0], [1]]))], capsys)
@@ -491,6 +506,9 @@ def _scenario(tmp_path, **changes):
          "functional.max_order"),
         ({"functional": {"kind": "cumulant", "cumulants": {"2": 1}, "max_order": 0}},
          "functional.max_order"),
+        # a b object takes only 'blocks'; 'block' was silently ignored
+        ({"functional": {**_pinched([[0], [1]]), "b": {"blocks": [[0], [1]], "block": [[0, 1]]}}},
+         "functional.b"),
     ],
 )
 def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, field):

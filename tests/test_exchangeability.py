@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexch import magic
+from qexch import exchangeability, magic
 from qexch.algebra import (
     BPolynomial,
     ConcreteMomentFunctional,
@@ -802,6 +802,33 @@ def test_counterexample_rejects_other_sizes():
     for n in (1, 4, 5):
         with pytest.raises(ValueError):
             finite_counterexample(n)
+
+
+def test_column_model_reads_exchangeability_from_the_model(monkeypatch):
+    # the n=3 model on the atoms id and (1 2) is still magic, but u_11 and u_31 differ:
+    # psi(u11) = 1/2 and psi(u31) = 0, although rows 1 and 3 have one kernel pattern
+    u = permutation_coordinate_unitary(3)
+    kept = [0, 2]  # atoms in itertools.permutations order: (1, 2, 3), (1, 3, 2), (2, 1, 3), ...
+    restricted = MagicUnitary(u.entries[:, :, kept][:, :, :, kept])
+    assert verify_relations(restricted, tol=0.0).passed
+    monkeypatch.setattr(exchangeability, "permutation_coordinate_unitary", lambda n: restricted)
+    report = finite_counterexample(3)
+    assert report.psi_u11 == Fraction(1, 2)
+    assert report.relations_exact
+    assert not report.exchangeable
+    assert not report.passed
+
+
+def test_column_model_reads_relations_from_the_model(monkeypatch):
+    u = permutation_coordinate_unitary(3)
+    entries = u.entries.copy()
+    entries[0, 0, 0, 0] = 0.5
+    monkeypatch.setattr(
+        exchangeability, "permutation_coordinate_unitary", lambda n: MagicUnitary(entries)
+    )
+    report = finite_counterexample(3)
+    assert not report.relations_exact
+    assert not report.passed
 
 
 def test_coordinate_unitary_is_exactly_magic():
