@@ -172,6 +172,11 @@ def build_functional(spec, field="functional"):
             sub = algebra.pinching_subalgebra(blocks)
         else:
             _fail(f"{field}.b", f"expected 'scalar', 'diagonal', or {{'blocks': ...}}, got {b_choice!r}")
+        # phi(a) = vec(rho^T) . vec(a), so phi o E = phi is one product with e_map
+        phi = state.density.T.reshape(-1)
+        residual = algebra.frobenius(phi @ sub.e_map - phi)
+        if not residual <= algebra.DEFAULT_TOL:
+            _fail(f"{field}.density", f"phi o E != phi: residual {residual:.2e}")
         ctx = algebra.AlgebraContext(state, sub)
         elements = _require(spec, "elements", field, list)
         mats = [

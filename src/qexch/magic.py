@@ -8,6 +8,7 @@ genuinely non-commuting ones for k >= 4.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 
@@ -66,6 +67,34 @@ def _workspace(k, n, d, r):
     return pair[0][:size], pair[1][:size]
 
 
+# numpy's bundled OpenBLAS hands a zgemm of 2**16 or more multiply-adds to its
+# thread pool; every product of the coaction kernel stays below that.
+_GEMM_MACS = 1 << 16
+
+
+@functools.lru_cache(maxsize=256)
+def _tile(length, unit):
+    """Largest divisor t of length with t * unit < _GEMM_MACS, or length itself
+    when a single row of unit multiply-adds already reaches the cap.
+
+    The divisors are built from length's prime factors, which for the
+    kernel's lengths r * k**e * d**f are those of k, d and r: a few steps,
+    where scanning every candidate cost as much as a small contraction.
+    """
+    cap = (_GEMM_MACS - 1) // unit
+    if length <= cap or cap == 0:
+        return length
+    divisors, rest, p = {1}, length, 2
+    while p * p <= rest:
+        while rest % p == 0:
+            rest //= p
+            divisors |= {x * p for x in divisors if x * p <= cap}
+        p += 1
+    if rest > 1:
+        divisors |= {x * rest for x in divisors if x * rest <= cap}
+    return max(divisors)
+
+
 def _coaction_all(entries, w, n):
     """R[i] = sum_j u[i1 j1] ... u[in jn] (x) w[j] for every tuple i.
 
@@ -74,29 +103,49 @@ def _coaction_all(entries, w, n):
     so the matrix order of the word is preserved, and the running tensor
     stays laid out as (r, j_1..j_{s-1}, a, i_s..i_n, c), a being the row of
     the partial word: the pair (j_{s-1}, a) contracted next is adjacent, so
-    no position copies.  Position n is one product of w, read as
-    ((r j_1..j_{n-1}), j_n), with G[j, (a i c)] = u_ij[a, c]; each position
-    s < n is one batched matmul of M[(a i), (j x)] = u_ij[a, x] with a
-    reshape view of the running tensor.
+    no position copies.  Position n multiplies w, read as
+    ((r j_1..j_{n-1}), j_n), by G[j, (a i c)] = u_ij[a, c]; each position
+    s < n multiplies M[(a i), (j x)] = u_ij[a, x] into a reshape view of
+    the running tensor.
 
-    Every position writes into one of the calling thread's two workspace
-    buffers (see _workspace), so a call that does not grow them maps no
-    fresh pages.  The result is a transposed view of the final
-    (r, a, i_1..i_n, c) buffer: the caller may modify it in place, and it
-    stays valid until the same thread calls _coaction_all again.  A caller that keeps it longer must copy it.  w
-    must not be a view of the workspace.
+    Every product is tiled below _GEMM_MACS multiply-adds, so the whole
+    contraction runs on the calling thread.  Position n reads w as
+    (-1, rows, k) tiles against a broadcast G; position s splits the
+    trailing axis of its view into (-1, cols) and does one batched matmul
+    over (batch, tile).  rows and cols are the largest divisors of their
+    axes under the cap (_tile).  numpy's OpenBLAS 0.3.31 gives a zgemm of
+    2**16 or more multiply-adds to its second thread (per-thread CPU
+    ticks: 62 208 stayed on the caller, 65 536 moved); on two cores that
+    thread burned as much CPU as the caller for no wall-time gain, and its
+    hand-off sometimes stalled a k=4, n=6 call from 0.5 ms to 16 ms.  A
+    tile splits rows or columns, never the summed index, so every entry
+    keeps its value; only the sign of an exact zero may follow OpenBLAS's
+    blocking.
+
+    Every position reads one of the calling thread's two workspace
+    buffers (see _workspace) and writes the other, so a call that does
+    not grow them maps no fresh pages.  The result is a transposed view of
+    the final (r, a, i_1..i_n, c) buffer: the caller may modify it in
+    place, and it stays valid until the same thread calls _coaction_all
+    again.  A caller that keeps it longer must copy it.  w must not be a
+    view of the workspace.
     """
     k, d = entries.shape[0], entries.shape[2]
     r = w.shape[1]
     src, dst = _workspace(k, n, d, r)
     g = entries.transpose(1, 2, 0, 3).reshape(k, d * k * d)
     m = entries.transpose(2, 0, 1, 3).reshape(d * k, k * d)
-    t = np.matmul(w.T.reshape(-1, k), g, out=src.reshape(-1, d * k * d))
+    rows = _tile(r * k ** (n - 1), k * d * k * d)
+    np.matmul(w.T.reshape(-1, rows, k), g, out=src.reshape(-1, rows, d * k * d))
     for s in range(n - 1, 0, -1):
         batch = r * k ** (s - 1)
-        t = np.matmul(m, t.reshape(batch, k * d, -1), out=dst.reshape(batch, d * k, -1))
+        cols = _tile(k ** (n - s) * d, d * k * k * d)
+        src_tiles, dst_tiles = (
+            b.reshape(batch, k * d, -1, cols).transpose(0, 2, 1, 3) for b in (src, dst)
+        )
+        np.matmul(m, src_tiles, out=dst_tiles)
         src, dst = dst, src
-    return t.reshape(r, d, k**n, d).transpose(2, 1, 3, 0)
+    return src.reshape(r, d, k**n, d).transpose(2, 1, 3, 0)
 
 
 def _coaction_charge(k, n, d, r=1):

@@ -509,6 +509,10 @@ def _scenario(tmp_path, **changes):
         # a b object takes only 'blocks'; 'block' was silently ignored
         ({"functional": {**_pinched([[0], [1]]), "b": {"blocks": [[0], [1]], "block": [[0, 1]]}}},
          "functional.b"),
+        # a state, but not preserved by the pinching: phi(x) = 0.8 while phi(E[x]) = 0
+        ({"functional": {"kind": "concrete", "dim": 2, "b": "diagonal",
+                         "density": [[0.5, 0.4], [0.4, 0.5]], "elements": [[[0, 1], [1, 0]]]}},
+         "functional.density"),
     ],
 )
 def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, field):

@@ -305,6 +305,55 @@ def test_coaction_kernel_matches_literal_sum_on_dense_entries(k, d, r, n, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("r", [1, 4])
+def test_coaction_kernel_products_stay_below_the_blas_thread_cap(monkeypatch, k, r):
+    # OpenBLAS hands a product of 2**16 multiply-adds or more to its thread pool
+    macs = []
+    matmul = np.matmul
+
+    def recording(a, b, **kwargs):
+        macs.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    rng = np.random.default_rng(k * r)
+    u = _dense_unitary(rng, k, 2)
+    for n in range(1, 7):
+        macs.clear()
+        _coaction_all(u.entries, _random_w(rng, k**n, r), n)
+        assert len(macs) == n
+        assert max(macs) < magic._GEMM_MACS, (n, macs)
+
+
+def _positionwise_coaction(entries, w, n):
+    """Reference: the coaction as n einsum contractions, one word position at a time."""
+    k, d = entries.shape[0], entries.shape[2]
+    t = np.einsum("...R,XC->...XCR", w.reshape((k,) * n + (-1,)), np.eye(d))
+    axes = "abcdef"[:n]
+    for s in reversed(range(n)):
+        # the partial word u[i_s j_s] u[i_{s+1} j_{s+1}] ... has row index y
+        before = axes[:s] + "J" + axes[s + 1:]
+        t = np.einsum(f"{axes[s]}JyX,{before}XCR->{axes}yCR", entries, t)
+    return t.reshape(k**n, d, d, -1)
+
+
+@pytest.mark.parametrize("k, n", [(4, 6), (6, 5)])
+@pytest.mark.parametrize("r", [1, 4])
+def test_coaction_kernel_matches_positionwise_einsum_where_tiles_split(k, n, r):
+    d = 2
+    # every product of these shapes is split into several tiles
+    assert magic._tile(r * k ** (n - 1), k * k * d * d) < r * k ** (n - 1)
+    assert magic._tile(k ** (n - 1) * d, k * k * d * d) < k ** (n - 1) * d
+    rng = np.random.default_rng((k, n, r))
+    u = _dense_unitary(rng, k, d)
+    w = _random_w(rng, k**n, r)
+    got = _coaction_all(u.entries, w, n)
+    want = _positionwise_coaction(u.entries, w, n)
+    assert got.shape == want.shape == (k**n, d, d, r)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class _RandomTensors(CumulantMomentFunctional):
     """Dense random moment tensors, so residuals differ from tuple to tuple."""
 

@@ -300,6 +300,17 @@ def test_collapse_sum_all_result_outlives_later_contractions():
     assert np.array_equal(first, kept)
 
 
+def test_tile_is_the_largest_divisor_under_the_product_cap():
+    cap = magic._GEMM_MACS
+    # the kernel's axis lengths r * k**e * d, and lengths with a large prime factor
+    for length in [*range(1, 600), 6**5 * 2, 4**5 * 4, 7**5, 257 * 6**4, 65537 * 2]:
+        divisors = [t for t in range(1, length + 1) if length % t == 0]
+        for unit in (1, 7, 128, 144, 432, cap - 1, cap):
+            fits = [t for t in divisors if t * unit < cap]
+            # a single row that reaches the cap leaves the product untiled
+            assert magic._tile(length, unit) == (max(fits) if fits else length), (length, unit)
+
+
 def test_kernel_indicator_matches_leq():
     pi = Partition(4, [[1, 2], [3, 4]])
     ind = kernel_indicator(pi, 3)
