@@ -3,7 +3,8 @@
 A scenario is a JSON document describing one moment functional, a list of
 magic unitaries, and the checks to run against them.  Reports are written
 as JSON (deterministic byte-for-byte for a fixed scenario) next to a
-human-readable summary on stdout.
+human-readable summary on stdout.  Every field of a scenario is read before
+any check runs, and a key that no field reads is malformed input.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
 input.  Tolerance resolution: --tol flag, then the QEXCH_TOL environment
@@ -17,7 +18,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +37,14 @@ def _fail(field, message):
     raise ScenarioError(f"{field}: {message}")
 
 
+def _finite(x):
+    """Whether x is a finite int or float (a bool is not a number here)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _parse_complex(value, field):
     parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
-    if not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-        for x in parts
-    ):
+    if not all(_finite(x) for x in parts):
         _fail(field, f"expected a finite number or [re, im] pair, got {value!r}")
     return complex(*parts)
 
@@ -59,129 +63,155 @@ def _parse_int(value, field, minimum=None):
     return value
 
 
-def _parse_dim(value, field, blocks=1):
-    """A dimension d >= 1 such that `blocks` complex d x d matrices stay within MAX_BYTES."""
+def _parse_str(value, field):
+    if not isinstance(value, str):
+        _fail(field, f"expected a string, got {value!r}")
+    return value
+
+
+def _parse_list(value, field, item=None):
+    """A list, each entry read by item(entry, field) when item is given."""
+    if not isinstance(value, list):
+        _fail(field, f"expected a list, got {value!r}")
+    return value if item is None else [item(x, f"{field}[{t}]") for t, x in enumerate(value)]
+
+
+def _parse_int_list(value, field, minimum=None):
+    return _parse_list(value, field, partial(_parse_int, minimum=minimum))
+
+
+def _parse_dim(value, field, blocks=1, power=2):
+    """A dimension d >= 1 such that `blocks` complex arrays of d**power entries fit MAX_BYTES."""
     d = _parse_int(value, field, minimum=1)
     try:
-        algebra.check_bytes(16 * blocks * d * d, f"dimension {d}")
+        algebra.check_bytes(16 * blocks * d**power, f"dimension {d}")
     except ValueError as exc:
         _fail(field, str(exc))
     return d
 
 
-def _parse_int_list(value, field, minimum=None):
-    if not isinstance(value, list):
-        _fail(field, f"expected a list of integers, got {value!r}")
-    return [_parse_int(x, f"{field}[{t}]", minimum) for t, x in enumerate(value)]
-
-
 def _check_tol(value, field):
     """A tolerance: a finite, non-negative number."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not (math.isfinite(value) and value >= 0)
-    ):
+    if not (_finite(value) and value >= 0):
         _fail(field, f"expected a finite non-negative number, got {value!r}")
     return float(value)
 
 
-def _parse_matrix(value, field, dim=None):
-    """Matrix as nested rows of complex scalars, or {'diag': [...]}."""
+_REQUIRED = object()
+
+
+class _Object:
+    """One JSON object of the input, read key by key; close() rejects every key left unread.
+
+    A key is named `<field>.<key>`, or `<key>` at the scenario's top level (field "").
+    """
+
+    def __init__(self, value, field):
+        if not isinstance(value, dict):
+            _fail(field or "scenario", f"expected an object, got {type(value).__name__}")
+        self.value, self.prefix, self.read = value, f"{field}." if field else "", set()
+
+    def get(self, key, parse=None, default=_REQUIRED):
+        """parse(value, field) of the key's value; an absent key gives default, as it is."""
+        self.read.add(key)
+        if key in self.value:
+            value = self.value[key]
+            return value if parse is None else parse(value, self.prefix + key)
+        if default is _REQUIRED:
+            _fail(self.prefix + key, "missing required field")
+        return default
+
+    def close(self):
+        takes = ", ".join(sorted(self.read))
+        for key in sorted(set(self.value) - self.read):
+            _fail(self.prefix + key, f"unexpected key; this object takes {takes}")
+
+
+def _parse_matrix(value, field, dim):
+    """A dim x dim matrix: nested rows of complex scalars, or {'diag': [...]}."""
     if isinstance(value, dict):
-        if set(value) != {"diag"}:
-            _fail(field, f"matrix object supports only the 'diag' key, got {sorted(value)}")
-        if not isinstance(value["diag"], list):
-            _fail(f"{field}.diag", f"expected a list of numbers, got {value['diag']!r}")
-        diag = [_parse_complex(x, f"{field}.diag[{i}]") for i, x in enumerate(value["diag"])]
-        mat = np.diag(diag).astype(complex)
-    elif isinstance(value, list):
-        rows = []
-        for r, row in enumerate(value):
-            if not isinstance(row, list):
-                _fail(field, f"row {r} is not a list")
-            rows.append([_parse_complex(x, f"{field}[{r}][{c}]") for c, x in enumerate(row)])
-        mat = np.array(rows, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            _fail(field, f"expected a square matrix, got shape {mat.shape}")
-    else:
+        obj = _Object(value, field)
+        diag = obj.get("diag", partial(_parse_list, item=_parse_complex))
+        obj.close()
+        if len(diag) != dim:
+            _fail(f"{field}.diag", f"expected {dim} entries, got {len(diag)}")
+        return np.diag(np.array(diag, dtype=complex))
+    if not isinstance(value, list):
         _fail(field, "expected a matrix (list of rows) or {'diag': [...]}")
-    if dim is not None and mat.shape[0] != dim:
-        _fail(field, f"expected a {dim}x{dim} matrix, got {mat.shape[0]}x{mat.shape[0]}")
-    return mat
+    rows = [_parse_list(row, f"{field}[{r}]", _parse_complex) for r, row in enumerate(value)]
+    if len(rows) != dim or any(len(row) != dim for row in rows):
+        _fail(field, f"expected a {dim}x{dim} matrix")
+    return np.array(rows, dtype=complex)
 
 
-def _require(obj, key, field, types=None):
-    if key not in obj:
-        _fail(f"{field}.{key}", "missing required field")
-    value = obj[key]
-    if types is not None and not isinstance(value, types):
-        _fail(f"{field}.{key}", f"unexpected type {type(value).__name__}")
-    return value
+def _parse_cumulants(value, field, b_dim):
+    """Order -> kappa_order as b_dim complex numbers; each order key an integer >= 1 in decimal."""
+    if not isinstance(value, dict):
+        _fail(field, f"expected an object, got {type(value).__name__}")
+    kappa = {}
+    for key, entry in value.items():
+        name = f"{field}[{key}]"
+        try:
+            order = int(key)
+        except ValueError:
+            order = 0
+        if key != str(order) or order < 1:
+            _fail(name, "an order is an integer >= 1 written in decimal, without sign or padding")
+        if isinstance(entry, list) and len(entry) == b_dim > 1:
+            kappa[order] = _parse_list(entry, name, _parse_complex)
+        else:
+            kappa[order] = [_parse_complex(entry, name)] * b_dim
+    return kappa
+
+
+def _parse_b(value, field, dim):
+    """B's pinching blocks: None for 'scalar', singletons for 'diagonal', or {'blocks': ...}."""
+    if value == "scalar":
+        return None
+    if value == "diagonal":
+        return [[x] for x in range(dim)]
+    if not isinstance(value, dict):
+        _fail(field, f"expected 'scalar', 'diagonal', or {{'blocks': ...}}, got {value!r}")
+    obj = _Object(value, field)
+    blocks = obj.get("blocks", partial(_parse_list, item=partial(_parse_int_list, minimum=0)))
+    obj.close()
+    # checked against dim before pinching_subalgebra sizes its map from the blocks
+    if sorted(x for b in blocks for x in b) != list(range(dim)):
+        _fail(field, f"blocks must partition 0..{dim - 1}, got {blocks}")
+    return blocks
 
 
 def build_functional(spec, field="functional"):
-    if not isinstance(spec, dict):
-        _fail(field, "must be an object")
-    kind = _require(spec, "kind", field, str)
+    obj = _Object(spec, field)
+    kind = obj.get("kind", _parse_str)
     if kind == "cumulant":
-        b_dim = _parse_dim(spec.get("b_dim", 1), f"{field}.b_dim")
-        table = _require(spec, "cumulants", field, dict)
-        kappa = {}
-        for order, value in table.items():
-            try:
-                n = int(order)
-            except ValueError:
-                _fail(f"{field}.cumulants", f"order {order!r} is not an integer")
-            if isinstance(value, list) and len(value) == b_dim and b_dim > 1:
-                kappa[n] = [_parse_complex(v, f"{field}.cumulants[{order}][{t}]")
-                            for t, v in enumerate(value)]
-            else:
-                kappa[n] = [_parse_complex(value, f"{field}.cumulants[{order}]")] * b_dim
-        max_order = spec.get("max_order")
-        if max_order is not None:
-            max_order = _parse_int(max_order, f"{field}.max_order", minimum=1)
+        b_dim = obj.get("b_dim", _parse_dim, 1)
+        kappa = obj.get("cumulants", partial(_parse_cumulants, b_dim=b_dim))
+        max_order = obj.get("max_order", partial(_parse_int, minimum=1), None)
+        obj.close()
         try:
             spec_obj = cumulants.CumulantSpec(kappa, b_dim=b_dim, max_order=max_order)
         except ValueError as exc:
             _fail(field, str(exc))
         return cumulants.CumulantMomentFunctional(spec_obj)
     if kind == "concrete":
-        dim = _parse_int(_require(spec, "dim", field), f"{field}.dim")
-        _parse_dim(dim, f"{field}.dim", dim * dim)  # the expectation map has dim**4 entries
-        density = _parse_matrix(_require(spec, "density", field), f"{field}.density", dim)
+        dim = obj.get("dim", partial(_parse_dim, power=4))  # the expectation map has dim**4 entries
+        density = obj.get("density", partial(_parse_matrix, dim=dim))
+        blocks = obj.get("b", partial(_parse_b, dim=dim), None)  # None: scalar B
+        mats = obj.get("elements", partial(_parse_list, item=partial(_parse_matrix, dim=dim)))
+        obj.close()
         state = algebra.State(density)
         for name, residual in state.residuals().items():
             if not residual <= algebra.DEFAULT_TOL:
                 _fail(f"{field}.density", f"not a state: {name} residual {residual:.2e}")
-        b_choice = spec.get("b", "scalar")
-        if b_choice == "scalar":
-            sub = algebra.scalar_subalgebra(density)
-        elif b_choice == "diagonal":
-            sub = algebra.pinching_subalgebra([[x] for x in range(dim)])
-        elif isinstance(b_choice, dict):
-            if set(b_choice) != {"blocks"}:
-                _fail(f"{field}.b", f"takes only the 'blocks' key, got {sorted(b_choice)}")
-            blocks = [
-                _parse_int_list(b, f"{field}.b.blocks[{t}]", minimum=0)
-                for t, b in enumerate(_require(b_choice, "blocks", f"{field}.b", list))
-            ]
-            # checked against dim before pinching_subalgebra sizes its map from the blocks
-            if sorted(x for b in blocks for x in b) != list(range(dim)):
-                _fail(f"{field}.b", f"blocks must partition 0..{dim - 1}, got {blocks}")
-            sub = algebra.pinching_subalgebra(blocks)
-        else:
-            _fail(f"{field}.b", f"expected 'scalar', 'diagonal', or {{'blocks': ...}}, got {b_choice!r}")
+        sub = (algebra.scalar_subalgebra(density) if blocks is None
+               else algebra.pinching_subalgebra(blocks))
         # phi(a) = vec(rho^T) . vec(a), so phi o E = phi is one product with e_map
         phi = state.density.T.reshape(-1)
         residual = algebra.frobenius(phi @ sub.e_map - phi)
         if not residual <= algebra.DEFAULT_TOL:
             _fail(f"{field}.density", f"phi o E != phi: residual {residual:.2e}")
         ctx = algebra.AlgebraContext(state, sub)
-        elements = _require(spec, "elements", field, list)
-        mats = [
-            _parse_matrix(e, f"{field}.elements[{t}]", dim) for t, e in enumerate(elements)
-        ]
         try:
             return algebra.ConcreteMomentFunctional(ctx, mats)
         except ValueError as exc:
@@ -197,37 +227,39 @@ def _parse_projection(value, field, d):
 
 
 def build_unitary(spec, seed, field):
-    if not isinstance(spec, dict):
-        _fail(field, "must be an object")
-    kind = _require(spec, "kind", field, str)
+    obj = _Object(spec, field)
+    kind = obj.get("kind", _parse_str)
     if kind == "permutation":
-        sigma = _parse_int_list(_require(spec, "sigma", field), f"{field}.sigma")
-        d = _parse_dim(spec.get("d", 1), f"{field}.d", len(sigma) ** 2)
+        sigma = obj.get("sigma", _parse_int_list)
+        d = obj.get("d", partial(_parse_dim, blocks=len(sigma) ** 2), 1)
+        obj.close()
         try:
             return magic.from_permutation(sigma, d=d)
         except ValueError as exc:
             _fail(f"{field}.sigma", str(exc))
     if kind in ("block_pair", "block_chain"):
-        listed = spec.get("projections", spec.get("seeds"))
-        r = max(len(listed), 1) if isinstance(listed, list) else 1
-        d = _parse_dim(_require(spec, "d", field), f"{field}.d", 4 * r * r)
-        if "projections" in spec:
-            qs = [
-                _parse_projection(m, f"{field}.projections[{t}]", d)
-                for t, m in enumerate(_require(spec, "projections", field, list))
-            ]
-        elif "seeds" in spec:
-            rank = _parse_int(spec.get("rank", 1), f"{field}.rank", minimum=0)
-            qs = [
-                magic.random_projection(d, rank, (seed, s))
-                for s in _parse_int_list(spec["seeds"], f"{field}.seeds", minimum=0)
-            ]
-        else:
+        # exactly one of projections and seeds; rank goes only with seeds
+        source = "projections" if "projections" in spec else "seeds"
+        if source not in spec:
             _fail(field, "needs 'projections' or 'seeds'")
-        if kind == "block_pair" and len(qs) != 2:
-            _fail(field, f"block_pair needs exactly 2 projections, got {len(qs)}")
-        if "r" in spec and _parse_int(spec["r"], f"{field}.r") != len(qs):
-            _fail(f"{field}.r", f"r={spec['r']} but {len(qs)} projections were given")
+        listed = obj.get(source, _parse_list)  # the entries are read once d is known
+        d = obj.get("d", partial(_parse_dim, blocks=4 * max(len(listed), 1) ** 2))
+        if source == "projections":
+            qs = [_parse_projection(m, f"{field}.projections[{t}]", d)
+                  for t, m in enumerate(listed)]
+        else:
+            seeds = _parse_int_list(listed, f"{field}.seeds", minimum=0)
+            rank = obj.get("rank", partial(_parse_int, minimum=0), 1)
+            if rank > d:
+                _fail(f"{field}.rank", f"must be at most d = {d}, got {rank}")
+        r = obj.get("r", _parse_int, len(listed))
+        obj.close()
+        if r != len(listed):
+            _fail(f"{field}.r", f"r={r} but {len(listed)} projections were given")
+        if kind == "block_pair" and len(listed) != 2:
+            _fail(field, f"block_pair needs exactly 2 projections, got {len(listed)}")
+        if source == "seeds":
+            qs = [magic.random_projection(d, rank, (seed, s)) for s in seeds]
         try:
             return magic.block_chain(qs)
         except ValueError as exc:
@@ -235,36 +267,8 @@ def build_unitary(spec, seed, field):
     _fail(f"{field}.kind", f"unknown unitary kind {kind!r}")
 
 
-@dataclass
-class _Check:
-    """One scenario check as its table entry sees it."""
-
-    spec: dict  # the check's JSON object
-    field: str
-    params: dict  # the parameters read so far, as the report records them
-    read: set  # the keys param() has read; params may also hold results
-    mf: object
-    unitaries: list  # (label, MagicUnitary) pairs
-    tol: float
-    seed: int
-
-    def param(self, key, default):
-        """One parameter, validated against the type of its default, recorded in params.
-
-        A string default takes a string; an integer default a positive
-        integer; a list default a list of positive integers.
-        """
-        value, name = self.spec.get(key, default), f"{self.field}.{key}"
-        if isinstance(default, str):
-            if not isinstance(value, str):
-                _fail(name, f"expected a string, got {value!r}")
-        elif isinstance(default, list):
-            value = _parse_int_list(value, name, minimum=1)
-        else:
-            value = _parse_int(value, name, minimum=1)
-        self.params[key] = value
-        self.read.add(key)
-        return value
+# what every check runs against; unitaries are (label, MagicUnitary) pairs
+_Context = namedtuple("_Context", "mf unitaries tol seed")
 
 
 def _verdict(rep):
@@ -274,63 +278,59 @@ def _verdict(rep):
     return rep.max_residual, rep.passed, note
 
 
-def _relations(c, u):
+def _relations(c, p, u):
     return _verdict(magic.verify_relations(u, tol=c.tol))
 
 
-def _quantum_invariance(c, u):
-    rep = exchangeability.check_quantum_invariance(c.mf, u, c.param("n_max", 4), c.tol)
-    return _verdict(rep)
+def _quantum_invariance(c, p, u):
+    return _verdict(exchangeability.check_quantum_invariance(c.mf, u, p["n_max"], c.tol))
 
 
-def _e_invariance(c, u):
-    n_max, rng = c.param("n_max", 3), np.random.default_rng(c.seed)
-    decorations = [c.mf.random_coeff(rng) for _ in range(n_max - 1)]
-    return _verdict(exchangeability.check_E_invariance(c.mf, u, decorations, n_max, c.tol))
+def _e_invariance(c, p, u):
+    rng = np.random.default_rng(c.seed)
+    decorations = [c.mf.random_coeff(rng) for _ in range(p["n_max"] - 1)]
+    return _verdict(exchangeability.check_E_invariance(c.mf, u, decorations, p["n_max"], c.tol))
 
 
-def _collapse_lemma(c, u):
-    worst = magic.collapse_lemma_residual(u, c.param("n_max", 4))
+def _collapse_lemma(c, p, u):
+    worst = magic.collapse_lemma_residual(u, p["n_max"])
     return worst, worst <= c.tol, ""
 
 
-def _classical_invariance(c, u):
-    k, n_max = c.param("k", max((v.k for _, v in c.unitaries), default=2)), c.param("n_max", 4)
-    rep = exchangeability.check_classical_exchangeability(c.mf, k, n_max, c.tol)
+def _classical_invariance(c, p, u):
+    if p["k"] is None:
+        p["k"] = max((v.k for _, v in c.unitaries), default=2)
+    rep = exchangeability.check_classical_exchangeability(c.mf, p["k"], p["n_max"], c.tol)
     return _verdict(rep)
 
 
-def _factorization(c, u):
-    variables, l = c.param("vars", [1, 2, 3]), c.param("l", 1)
+def _factorization(c, p, u):
     rng = np.random.default_rng(c.seed)
     residuals = []
-    for _ in range(c.param("trials", 5)):
-        polys = [exchangeability._random_polynomial(c.mf, rng) for _ in variables]
-        residuals.append(exchangeability.check_factorization(c.mf, variables, polys, l))
+    for _ in range(p["trials"]):
+        polys = [exchangeability._random_polynomial(c.mf, rng) for _ in p["vars"]]
+        residuals.append(exchangeability.check_factorization(c.mf, p["vars"], polys, p["l"]))
     worst = float(np.max(residuals))
     return worst, worst <= c.tol, ""
 
 
-def _freeness(c, u):
-    rep = exchangeability.check_freeness(
-        c.mf, c.param("vars", [1, 2]), n_max=c.param("n_max", 4), tol=c.tol, seed=c.seed
-    )
+def _freeness(c, p, u):
+    rep = exchangeability.check_freeness(c.mf, p["vars"], n_max=p["n_max"], tol=c.tol, seed=c.seed)
     note = "criteria agree" if rep.consistent else "criteria DISAGREE"
     return max(rep.centered_max, rep.mixed_max, key=algebra._severity), rep.passed, note
 
 
-def _crossing_sum(c, u):
+def _crossing_sum(c, p, u):
     # Fixed thresholds, not the tolerance: the probe of a non-commuting pair
     # must stay 1e-4 away from the identity, that of a pair (p, p) within 1e-10.
-    d, s, variant = c.param("d", 2), c.param("s", 2), c.param("variant", "plain")
     ok, worst_gap = True, 0.0
-    for t in range(c.param("pairs", 20)):
+    for t in range(p["pairs"]):
         commuting = t % 2 == 1
         if commuting:
-            p = q = magic.random_projection(d, 1, (c.seed, t))
+            a = b = magic.random_projection(p["d"], 1, (c.seed, t))
         else:
-            p, q = magic.noncommuting_projection_pair(d, (c.seed, t))
-        _, dist = exchangeability.crossing_sum_probe(p, q, s, variant)
+            a, b = magic.noncommuting_projection_pair(p["d"], (c.seed, t))
+        _, dist = exchangeability.crossing_sum_probe(a, b, p["s"], p["variant"])
         good = dist <= 1e-10 if commuting else dist > 1e-4
         ok = ok and good
         gap = 0.0 if good else dist if commuting else 1e-4 - dist
@@ -338,28 +338,54 @@ def _crossing_sum(c, u):
     return worst_gap, ok, ""
 
 
-def _counterexample(c, u):
-    rep = exchangeability.finite_counterexample(c.param("n", 3))
-    c.params.update(psi_u11=str(rep.psi_u11), psi_u11_u21=str(rep.psi_u11_u21))
+def _counterexample(c, p, u):
+    rep = exchangeability.finite_counterexample(p["n"])
+    p.update(psi_u11=str(rep.psi_u11), psi_u11_u21=str(rep.psi_u11_u21))
     return 0.0 if rep.passed else 1.0, rep.passed, ""
 
 
-# name -> (run, once per unitary); run(check, u) reads its parameters with
-# check.param and returns (residual, passed, note).
+# name -> (run, once per unitary, parameter defaults).  A parameter takes the
+# type of its default: a string, a list of positive integers, or (any other
+# default, None included) a positive integer.  run(context, params, u) returns
+# (residual, passed, note) and may add results to params for the report.
 CHECKS = {
-    "relations": (_relations, True),
-    "quantum_invariance": (_quantum_invariance, True),
-    "classical_invariance": (_classical_invariance, False),
-    "e_invariance": (_e_invariance, True),
-    "factorization": (_factorization, False),
-    "freeness": (_freeness, False),
-    "collapse_lemma": (_collapse_lemma, True),
-    "crossing_sum": (_crossing_sum, False),
-    "counterexample": (_counterexample, False),
+    "relations": (_relations, True, {}),
+    "quantum_invariance": (_quantum_invariance, True, {"n_max": 4}),
+    # k = None: the largest k of the scenario's unitaries, else 2
+    "classical_invariance": (_classical_invariance, False, {"k": None, "n_max": 4}),
+    "e_invariance": (_e_invariance, True, {"n_max": 3}),
+    "factorization": (_factorization, False, {"vars": [1, 2, 3], "l": 1, "trials": 5}),
+    "freeness": (_freeness, False, {"vars": [1, 2], "n_max": 4}),
+    "collapse_lemma": (_collapse_lemma, True, {"n_max": 4}),
+    "crossing_sum": (_crossing_sum, False, {"d": 2, "s": 2, "variant": "plain", "pairs": 20}),
+    "counterexample": (_counterexample, False, {"n": 3}),
 }
 
 
+def _parse_param(default):
+    if isinstance(default, str):
+        return _parse_str
+    if isinstance(default, list):
+        return partial(_parse_int_list, minimum=1)
+    return partial(_parse_int, minimum=1)
+
+
+def _parse_check(value, field, unitaries):
+    """A check as (name, parameters), every parameter read against its default."""
+    obj = _Object(value, field)
+    name = obj.get("name", _parse_str)
+    if name not in CHECKS:
+        _fail(f"{field}.name", f"unknown check {name!r}")
+    _, per_unitary, defaults = CHECKS[name]
+    if per_unitary and not unitaries:
+        _fail(field, f"{name} runs once per unitary, and the scenario has none")
+    params = {key: obj.get(key, _parse_param(v), v) for key, v in defaults.items()}
+    obj.close()
+    return name, params
+
+
 def load_scenario(path):
+    """The scenario file with every field read; the functional and unitaries stay specs."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -368,63 +394,54 @@ def load_scenario(path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario: top level must be an object")
-    for key in ("name", "functional", "checks"):
-        if key not in doc:
-            _fail(key, "missing required field")
-    if "tolerance" in doc:
-        _check_tol(doc["tolerance"], "tolerance")
-    if not isinstance(doc.get("unitaries", []), list):
-        _fail("unitaries", "must be a list")
-    if not isinstance(doc["checks"], list):
-        _fail("checks", "must be a list")
-    for pos, check in enumerate(doc["checks"]):
-        if not isinstance(check, dict) or "name" not in check:
-            _fail(f"checks[{pos}]", "each check is an object with a 'name'")
-        if not isinstance(check["name"], str) or check["name"] not in CHECKS:
-            _fail(f"checks[{pos}].name", f"unknown check {check['name']!r}")
-    return doc
+    top = _Object(doc, "")
+    scenario = {
+        "name": top.get("name", _parse_str),
+        "tolerance": top.get("tolerance", _check_tol, None),
+        "seed": top.get("seed", partial(_parse_int, minimum=0), 0),
+        "functional": top.get("functional"),
+        "unitaries": top.get("unitaries", _parse_list, []),
+    }
+    read_check = partial(_parse_check, unitaries=scenario["unitaries"])
+    scenario["checks"] = top.get("checks", partial(_parse_list, item=read_check))
+    top.close()
+    return scenario
 
 
 def run_scenario(doc, tol, seed):
-    """Execute every check; returns (report dict, summary lines)."""
+    """Build a loaded scenario's functional and unitaries, run every check: (report, lines)."""
     mf = build_functional(doc["functional"])
     unitaries = []
-    for pos, uspec in enumerate(doc.get("unitaries", [])):
+    for pos, uspec in enumerate(doc["unitaries"]):
         u = build_unitary(uspec, seed, f"unitaries[{pos}]")
         unitaries.append((f"{uspec['kind']}#{pos}", u))
+    context = _Context(mf, unitaries, tol, seed)
     records, lines = [], []
-    for pos, spec in enumerate(doc["checks"]):
-        name, field = spec["name"], f"checks[{pos}]"
-        check = _Check(spec, field, {}, set(), mf, unitaries, tol, seed)
-        run, per_unitary = CHECKS[name]
-        if per_unitary and not unitaries:
-            _fail(field, f"{name} runs once per unitary, and the scenario has none")
+    for pos, (name, params) in enumerate(doc["checks"]):
+        run, per_unitary, _ = CHECKS[name]
         for label, u in unitaries if per_unitary else [(None, None)]:
             try:
                 # non-finite residuals fail closed, so overflow needs no warning
                 with np.errstate(over="ignore", invalid="ignore"):
-                    residual, passed, note = run(check, u)
+                    residual, passed, note = run(context, params, u)
             except ValueError as exc:
-                _fail(field, str(exc))
-            params = check.params if label is None else {"unitary": label, **check.params}
+                _fail(f"checks[{pos}]", str(exc))
+            record = params if label is None else {"unitary": label, **params}
             records.append(
-                {"name": name, "params": params, "residual": float(residual), "pass": bool(passed)}
+                {"name": name, "params": record, "residual": float(residual), "pass": bool(passed)}
             )
             target = f" [{label}]" if label else ""
             extra = f"  ({note})" if note else ""
             lines.append(f"{name}{target}: residual={residual:.3e} "
                          f"{'PASS' if passed else 'FAIL'}{extra}")
-        for key in sorted(set(spec) - {"name"} - check.read):
-            _fail(f"{field}.{key}", "unknown parameter")
     all_pass = all(r["pass"] for r in records)
     report = {"scenario": doc["name"], "seed": seed, "tolerance": tol, "checks": records,
               "pass": all_pass}
     return report, lines
 
 
-def _resolve_tolerance(args, doc):
+def _resolve_tolerance(args, scenario_tol=None):
+    """The --tol flag, then the QEXCH_TOL environment variable, then the scenario, then 1e-8."""
     if args.tol is not None:
         return _check_tol(args.tol, "--tol")
     env = os.environ.get(ENV_TOL)
@@ -434,17 +451,11 @@ def _resolve_tolerance(args, doc):
         except ValueError as exc:
             raise ScenarioError(f"{ENV_TOL}: not a number ({env!r})") from exc
         return _check_tol(value, ENV_TOL)
-    if doc is not None and "tolerance" in doc:
-        return float(doc["tolerance"])
-    return algebra.DEFAULT_TOL
+    return algebra.DEFAULT_TOL if scenario_tol is None else scenario_tol
 
 
-def _resolve_seed(args, doc):
-    if args.seed is not None:
-        return _parse_int(args.seed, "--seed", minimum=0)
-    if doc is not None and "seed" in doc:
-        return _parse_int(doc["seed"], "seed", minimum=0)
-    return 0
+def _resolve_seed(args, default=0):
+    return default if args.seed is None else _parse_int(args.seed, "--seed", minimum=0)
 
 
 def _json_text(doc):
@@ -487,8 +498,8 @@ def _load_spec_argument(value, field):
 
 def cmd_verify(args):
     doc = load_scenario(args.scenario)
-    tol = _resolve_tolerance(args, doc)
-    seed = _resolve_seed(args, doc)
+    tol = _resolve_tolerance(args, doc["tolerance"])
+    seed = _resolve_seed(args, doc["seed"])
     if args.report is None:
         args.report = Path(args.scenario).stem + ".report.json"
     report, lines = run_scenario(doc, tol, seed)
@@ -498,8 +509,8 @@ def cmd_verify(args):
 
 def cmd_check_magic(args):
     spec = _load_spec_argument(args.unitary, "unitary")
-    tol = _resolve_tolerance(args, None)
-    seed = _resolve_seed(args, None)
+    tol = _resolve_tolerance(args)
+    seed = _resolve_seed(args)
     u = build_unitary(spec, seed, "unitary")
     rep = magic.verify_relations(u, tol=tol)
     report = {
@@ -557,7 +568,7 @@ def cmd_collapse(args):
     from .partitions import Partition
 
     spec = _load_spec_argument(args.unitary, "unitary")
-    seed = _resolve_seed(args, None)
+    seed = _resolve_seed(args)
     u = build_unitary(spec, seed, "unitary")
     i_tuple = tuple(_parse_json_flag(args.i, "--i", 1))
     if not i_tuple or max(i_tuple) > u.k:
@@ -570,7 +581,7 @@ def cmd_collapse(args):
     expected = magic.collapse_expected(i_tuple, pi)
     target = np.eye(u.d) if expected else np.zeros((u.d, u.d))
     residual = float(np.linalg.norm(value - target))
-    tol = _resolve_tolerance(args, None)
+    tol = _resolve_tolerance(args)
     print(f"collapse sum for i={i_tuple}, pi={[list(b) for b in pi.blocks]}:")
     with np.printoptions(precision=6, suppress=True):
         print(value)

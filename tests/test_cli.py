@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexch import exchangeability
+from qexch import exchangeability, magic
 from qexch.cli import _json_text, main
 from qexch.exchangeability import FreenessReport
 
@@ -405,6 +405,9 @@ def _pinched(blocks):
             "b": {"blocks": blocks}, "elements": [{"diag": [1, -1]}]}
 
 
+PROJECTIONS = [[[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]]  # two rank-one projections, d = 2
+
+
 def _scenario(tmp_path, **changes):
     doc = {
         "name": "x",
@@ -508,10 +511,36 @@ def _scenario(tmp_path, **changes):
          "functional.max_order"),
         # a b object takes only 'blocks'; 'block' was silently ignored
         ({"functional": {**_pinched([[0], [1]]), "b": {"blocks": [[0], [1]], "block": [[0, 1]]}}},
-         "functional.b"),
+         "functional.b.block"),
         # a state, but not preserved by the pinching: phi(x) = 0.8 while phi(E[x]) = 0
         ({"functional": {"kind": "concrete", "dim": 2, "b": "diagonal",
                          "density": [[0.5, 0.4], [0.4, 0.5]], "elements": [[[0, 1], [1, 0]]]}},
+         "functional.density"),
+        # every object takes only the keys it reads: a misspelled key was silently dropped
+        ({"seeds": [1, 2]}, "seeds"),
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": 1, "4": 5}, "max_ordr": 2}},
+         "functional.max_ordr"),
+        ({"functional": {**_pinched([[0], [1]]), "b": "scalar", "B": "diagonal"}}, "functional.B"),
+        ({"unitaries": [{"kind": "permutation", "sigma": [2, 1, 3], "k": 3}]}, "unitaries[0].k"),
+        ({"unitaries": [{"kind": "permutation", "sigma": [2, 1, 3], "D": 5}]}, "unitaries[0].D"),
+        # a block kind takes exactly one of projections and seeds, and rank only with seeds
+        ({"unitaries": [{"kind": "block_pair", "d": 2, "projections": PROJECTIONS,
+                         "seeds": [1, 2]}]}, "unitaries[0].seeds"),
+        ({"unitaries": [{"kind": "block_pair", "d": 2, "projections": PROJECTIONS, "rank": 1}]},
+         "unitaries[0].rank"),
+        ({"functional": {**_pinched([[0], [1]]), "density": {"diag": [0.5, 0.5], "off": [0]}}},
+         "functional.density.off"),
+        # an order key is an integer >= 1 in canonical decimal form
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": 1, "02": 5}}},
+         "functional.cumulants[02]"),
+        ({"functional": {"kind": "cumulant", "cumulants": {" 4 ": 1}}},
+         "functional.cumulants[ 4 ]"),
+        ({"functional": {"kind": "cumulant", "cumulants": {"-1": 1}}},
+         "functional.cumulants[-1]"),
+        # a rank above d, and ragged matrix rows, were reported without a field
+        ({"unitaries": [{"kind": "block_chain", "d": 2, "seeds": [1], "rank": 3}]},
+         "unitaries[0].rank"),
+        ({"functional": {**_pinched([[0], [1]]), "density": [[0.5, 0], [0.5]]}},
          "functional.density"),
     ],
 )
@@ -523,6 +552,18 @@ def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, f
     assert code == 2
     assert err.startswith(f"error: {field}: ")
     assert out == ""
+
+
+def test_misspelled_parameter_exits_two_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(magic, "collapse_lemma_residual", lambda *args: calls.append(args))
+    checks = [{"name": "collapse_lemma"}, {"name": "freeness", "nvars": [1, 2]}]
+    code, out, err = run_cli(
+        ["verify", str(_scenario(tmp_path, checks=checks)), "--report", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: checks[1].nvars: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("changes", [
