@@ -128,8 +128,8 @@ class SubalgebraWithExpectation:
         coef, *_ = np.linalg.lstsq(self._span, v, rcond=None)
         return frobenius(v - self._span @ coef)
 
-    def contains(self, a, tol=DEFAULT_TOL):
-        return self.distance_to_span(a) <= tol
+    def contains(self, a):
+        return self.distance_to_span(a) <= DEFAULT_TOL
 
     def random_element(self, rng):
         coef = rng.standard_normal(len(self.b_basis)) + 1j * rng.standard_normal(
@@ -137,9 +137,9 @@ class SubalgebraWithExpectation:
         )
         return sum(c * b for c, b in zip(coef, self.b_basis))
 
-    def is_commutative(self, tol=DEFAULT_TOL):
+    def is_commutative(self):
         return all(
-            frobenius(a @ b - b @ a) <= tol
+            frobenius(a @ b - b @ a) <= DEFAULT_TOL
             for a, b in itertools.combinations_with_replacement(self.b_basis, 2)
         )
 

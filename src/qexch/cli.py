@@ -7,8 +7,7 @@ human-readable summary on stdout.  Every field of a scenario is read before
 any check runs, and a key that no field reads is malformed input.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
-input.  Tolerance resolution: --tol flag, then the QEXCH_TOL environment
-variable, then the scenario file, then 1e-8.
+input.  Tolerance resolution: --tol flag, then the scenario file, then 1e-8.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections import namedtuple
 from functools import partial
@@ -25,8 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, cumulants, exchangeability, magic
-
-ENV_TOL = "QEXCH_TOL"
 
 
 class ScenarioError(Exception):
@@ -187,10 +183,9 @@ def build_functional(spec, field="functional"):
     if kind == "cumulant":
         b_dim = obj.get("b_dim", _parse_dim, 1)
         kappa = obj.get("cumulants", partial(_parse_cumulants, b_dim=b_dim))
-        max_order = obj.get("max_order", partial(_parse_int, minimum=1), None)
         obj.close()
         try:
-            spec_obj = cumulants.CumulantSpec(kappa, b_dim=b_dim, max_order=max_order)
+            spec_obj = cumulants.CumulantSpec(kappa, b_dim=b_dim)
         except ValueError as exc:
             _fail(field, str(exc))
         return cumulants.CumulantMomentFunctional(spec_obj)
@@ -252,10 +247,7 @@ def build_unitary(spec, seed, field):
             rank = obj.get("rank", partial(_parse_int, minimum=0), 1)
             if rank > d:
                 _fail(f"{field}.rank", f"must be at most d = {d}, got {rank}")
-        r = obj.get("r", _parse_int, len(listed))
         obj.close()
-        if r != len(listed):
-            _fail(f"{field}.r", f"r={r} but {len(listed)} projections were given")
         if kind == "block_pair" and len(listed) != 2:
             _fail(field, f"block_pair needs exactly 2 projections, got {len(listed)}")
         if source == "seeds":
@@ -287,6 +279,7 @@ def _quantum_invariance(c, p, u):
 
 
 def _e_invariance(c, p, u):
+    c.mf._check_tensor(u.k, p["n_max"])  # before n_max - 1 decorations are drawn
     rng = np.random.default_rng(c.seed)
     decorations = [c.mf.random_coeff(rng) for _ in range(p["n_max"] - 1)]
     return _verdict(exchangeability.check_E_invariance(c.mf, u, decorations, p["n_max"], c.tol))
@@ -441,16 +434,9 @@ def run_scenario(doc, tol, seed):
 
 
 def _resolve_tolerance(args, scenario_tol=None):
-    """The --tol flag, then the QEXCH_TOL environment variable, then the scenario, then 1e-8."""
+    """The --tol flag, then the scenario, then 1e-8."""
     if args.tol is not None:
         return _check_tol(args.tol, "--tol")
-    env = os.environ.get(ENV_TOL)
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError as exc:
-            raise ScenarioError(f"{ENV_TOL}: not a number ({env!r})") from exc
-        return _check_tol(value, ENV_TOL)
     return algebra.DEFAULT_TOL if scenario_tol is None else scenario_tol
 
 

@@ -26,6 +26,7 @@ from .partitions import (
     _pattern_table,
     _pattern_table_charge,
     _profile_counts,
+    _profile_counts_charge,
     canonical_pattern,
     delete_block,
     enumerate_noncrossing,
@@ -42,13 +43,13 @@ def _noncrossing(n):
     return tuple(enumerate_noncrossing(n))
 
 
-def moment_family(ctx, max_order=MAX_WORD_LENGTH):
-    """The moment functionals rho_n(a_1..a_n) = E[a_1 ... a_n] of a context, n = 1..max_order."""
+def moment_family(ctx):
+    """The moment functionals rho_n(a_1..a_n) = E[a_1 ... a_n] of a context, for every n >= 1."""
 
     def rho(args):
         args = tuple(args)
-        if not 1 <= len(args) <= max_order:
-            raise ValueError(f"arity {len(args)} outside the family range 1..{max_order}")
+        if not args:
+            raise ValueError("the moment family starts at arity 1")
         acc = args[0]
         for a in args[1:]:
             acc = acc @ a
@@ -197,12 +198,12 @@ class CumulantSpec:
 
     B is represented diagonally: every value is the diagonal of a b_dim x
     b_dim matrix.  kappa[n] is the order-n cumulant of a single variable;
-    cumulants of order above max_order and all cumulants mixing distinct
-    variables vanish.  `weights` define the state on B used for scalar
-    moments (uniform by default).
+    the cumulants of orders kappa does not list, and all cumulants mixing
+    distinct variables, vanish.  `weights` define the state on B used for
+    scalar moments (uniform by default).
     """
 
-    def __init__(self, kappa, b_dim=1, max_order=None, weights=None):
+    def __init__(self, kappa, b_dim=1, weights=None):
         self.b_dim = int(b_dim)
         if self.b_dim < 1:
             raise ValueError("b_dim must be positive")
@@ -220,12 +221,7 @@ class CumulantSpec:
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"order-{order} value is not finite")
             table[order] = vec
-        if max_order is None:
-            max_order = max(table) if table else 1
-        self.max_order = int(max_order)
-        if self.max_order < 1:
-            raise ValueError(f"max_order must be at least 1, got {self.max_order}")
-        self.kappa = {n: v for n, v in table.items() if n <= self.max_order}
+        self.kappa = table
         if weights is None:
             weights = np.full(self.b_dim, 1.0 / self.b_dim)
         self.weights = np.asarray(weights, dtype=complex)
@@ -257,7 +253,7 @@ class CumulantSpec:
 
 def semicircular_spec(b_dim=1):
     """Unit variance, all other cumulants zero."""
-    return CumulantSpec({2: np.ones(b_dim)}, b_dim=b_dim, max_order=2)
+    return CumulantSpec({2: np.ones(b_dim)}, b_dim=b_dim)
 
 
 def random_spec(rng, max_order, b_dim=1):
@@ -265,7 +261,7 @@ def random_spec(rng, max_order, b_dim=1):
     kappa = {
         n: rng.uniform(-1.0, 1.0, size=b_dim) for n in range(1, max_order + 1)
     }
-    return CumulantSpec(kappa, b_dim=b_dim, max_order=max_order)
+    return CumulantSpec(kappa, b_dim=b_dim)
 
 
 class CumulantMomentFunctional(MomentFunctional):
@@ -339,9 +335,11 @@ class CumulantMomentFunctional(MomentFunctional):
         return np.diag(diag)
 
     def _check_tensor(self, k, n, decorations=None):
-        """The shared tensor check, plus the kernel-pattern table the tensor routes build."""
+        """The shared tensor check, plus the kernel-pattern table and the count
+        matrix that the tensor routes build."""
         decorations = super()._check_tensor(k, n, decorations)
         check_bytes(*_pattern_table_charge(k, n))
+        check_bytes(*_profile_counts_charge(k, n))
         return decorations
 
     def scalar_moment_tensor(self, k, n):

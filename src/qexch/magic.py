@@ -153,17 +153,18 @@ def _coaction_charge(k, n, d, r=1):
     return 16 * k**n * d * d * r, f"coaction tensor with {k}^{n} {d}x{d} values of width {r}"
 
 
-def ensure_projection(q, tol=DEFAULT_TOL):
+def ensure_projection(q):
     """Re-symmetrize and validate an orthogonal projection.
 
-    Inputs are repaired by (q + q*)/2 only; a residual above tol after that
-    is a hard error, since downstream identities rely on exact algebra.
+    Inputs are repaired by (q + q*)/2 only; a residual above DEFAULT_TOL
+    after that is a hard error, since downstream identities rely on exact
+    algebra.
     """
     q = as_matrix(q, name="projection")
     h = (q + q.conj().T) / 2
     with np.errstate(over="ignore", invalid="ignore"):
         residual = max(frobenius(q - h), frobenius(h @ h - h), key=_severity)
-    if not residual <= tol:
+    if not residual <= DEFAULT_TOL:
         raise ValueError(f"matrix is not a projection (residual {residual:.2e})")
     return h
 

@@ -197,6 +197,28 @@ def _profile_counts(patterns):
     return counts, sizes
 
 
+@lru_cache(maxsize=256)  # every tensor request of a scan asks again
+def _profile_counts_charge(k, n):
+    """(bytes, description) of _profile_counts over the kernel patterns of
+    {1..k}^n, bounded above.
+
+    There are p(n) block-size profiles of n points, p the partition
+    function.  Per pattern and profile: the float64 count, the entry of the
+    pattern's profile row and the cached (sizes, count) pair with its
+    sizes tuple of up to n ints.  Per length: the recursion's scratch,
+    which doubles with each point (it alone sets the peak at k = 1).  The
+    rates were measured with tracemalloc; the tests hold the charge above
+    the peak.
+    """
+    m = min(n, _COUNT_LENGTH)
+    profiles = [1] + [0] * m  # p(0..m), built up one part size at a time
+    for part in range(1, m + 1):
+        for total in range(part, m + 1):
+            profiles[total] += profiles[total - part]
+    nbytes = 4096 + (256 << m) + _pattern_count(k, m) * profiles[m] * (192 + 8 * n)
+    return nbytes, f"block-size profile counts of {k}^{n} tuples"
+
+
 def _noncrossing_charge(n):
     """(bytes, description) of enumerate_noncrossing(n): Catalan(n) partitions,
     each charged an upper bound of the measured peak per partition (the

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexch import exchangeability, magic
+from qexch import cumulants, exchangeability, magic
 from qexch.cli import _json_text, main
 from qexch.exchangeability import FreenessReport
 
@@ -186,34 +186,24 @@ def test_json_stdout_format(tmp_path, capsys):
 
 # -- tolerance resolution ------------------------------------------------------------
 
-def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QEXCH_TOL", "1e-30")
-    code, _, _ = run_cli(
-        ["verify", str(FREE), "--report", str(tmp_path / "r.json")], capsys
-    )
-    assert code == 1  # double precision cannot meet 1e-30
+def test_tolerance_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    # the tolerance comes from --tol or the scenario only: a QEXCH_TOL in the
+    # environment changes neither the verdict nor a report byte
+    def verify():
+        report = tmp_path / "r.json"
+        code, out, _ = run_cli(["verify", str(BERNOULLI), "--report", str(report)], capsys)
+        return code, out, report.read_bytes()
 
-
-def test_flag_beats_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QEXCH_TOL", "1e-30")
-    code, _, _ = run_cli(
-        ["verify", str(FREE), "--tol", "1e-8", "--report", str(tmp_path / "r.json")],
-        capsys,
-    )
-    assert code == 0
-
-
-def test_bad_env_tolerance_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QEXCH_TOL", "very small")
-    code, _, err = run_cli(["verify", str(FREE)], capsys)
-    assert code == 2
-    assert "QEXCH_TOL" in err
+    default = verify()
+    assert default[0] == 1
+    for value in ("1e-30", "nan", "1000"):
+        monkeypatch.setenv("QEXCH_TOL", value)
+        assert verify() == default
 
 
 # -- subcommands ------------------------------------------------------------------------
 
-def test_check_magic_permutation(capsys, monkeypatch):
-    monkeypatch.delenv("QEXCH_TOL", raising=False)
+def test_check_magic_permutation(capsys):
     code, out, err = run_cli(
         ["check-magic", '{"kind": "permutation", "sigma": [2, 1, 3]}'], capsys
     )
@@ -270,7 +260,7 @@ def test_check_magic_nan_projection_exits_two_naming_field(capsys):
 
 
 def test_cumulants_table_semicircular(capsys):
-    spec = '{"kind": "cumulant", "cumulants": {"2": 1.0}, "max_order": 2}'
+    spec = '{"kind": "cumulant", "cumulants": {"2": 1.0}}'
     code, out, _ = run_cli(["cumulants", spec, "--n", "6"], capsys)
     assert code == 0
     lines = [l for l in out.splitlines() if l.strip().startswith("6")]
@@ -411,7 +401,7 @@ PROJECTIONS = [[[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]]  # two rank-one proje
 def _scenario(tmp_path, **changes):
     doc = {
         "name": "x",
-        "functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "max_order": 2},
+        "functional": {"kind": "cumulant", "cumulants": {"2": 1.0}},
         "unitaries": [{"kind": "permutation", "sigma": [2, 1, 4, 3], "d": 2}],
         "checks": [{"name": "relations"}],
     }
@@ -542,6 +532,11 @@ def _scenario(tmp_path, **changes):
          "unitaries[0].rank"),
         ({"functional": {**_pinched([[0], [1]]), "density": [[0.5, 0], [0.5]]}},
          "functional.density"),
+        # removed keys: max_order only dropped listed cumulants, and r restated a count
+        ({"functional": {"kind": "cumulant", "cumulants": {"2": 1, "4": 5}, "max_order": 3}},
+         "functional.max_order"),
+        ({"unitaries": [{"kind": "block_pair", "d": 2, "seeds": [1, 2], "r": 2}]},
+         "unitaries[0].r"),
     ],
 )
 def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, field):
@@ -593,8 +588,12 @@ def test_misspelled_parameter_exits_two_before_any_check_runs(tmp_path, capsys, 
      "checks": [{"name": "collapse_lemma", "n_max": 10**9}]},
     {"functional": _pinched([[0, 1]]),
      "checks": [{"name": "classical_invariance", "k": 2, "n_max": 10**9}]},
+    # an 8 MiB moment tensor, but the count matrix and its profiles ran 131 s to 741 MiB
+    {"unitaries": [{"kind": "permutation", "sigma": [2, 1, 3]}],
+     "checks": [{"name": "quantum_invariance", "n_max": 12}]},
 ], ids=["one_point_n24", "bernoulli_n10", "free_d300_n7", "bernoulli_one_point_n3000",
-        "classical_k2_n20", "collapse_n14", "collapse_one_point_huge", "classical_k2_huge"])
+        "classical_k2_n20", "collapse_n14", "collapse_one_point_huge", "classical_k2_huge",
+        "cumulant_k3_n12"])
 def test_oversize_scan_exits_two_before_any_work(tmp_path, capsys, changes):
     path = _scenario(tmp_path, **changes)
     start = time.monotonic()
@@ -615,6 +614,24 @@ def test_length_cap_is_named(tmp_path, capsys):
     assert code == 2
     assert err == ("error: checks[0]: tensor length 63 exceeds the cap 62 "
                    "(numpy's 64 axes less two for a b_dim x b_dim value)\n")
+
+
+def test_e_invariance_draws_decorations_only_after_the_length_check(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the length is checked before any of the n_max - 1 decorations is drawn
+    calls = []
+    draw = cumulants.CumulantMomentFunctional.random_coeff
+    monkeypatch.setattr(cumulants.CumulantMomentFunctional, "random_coeff",
+                        lambda self, rng: calls.append(rng) or draw(self, rng))
+    for n_max, code, drawn in ((10**6, 2, 0), (3, 0, 2)):
+        calls.clear()
+        changes = {"unitaries": [{"kind": "permutation", "sigma": [2, 1]}],
+                   "checks": [{"name": "e_invariance", "n_max": n_max}]}
+        got, _, err = run_cli(
+            ["verify", str(_scenario(tmp_path, **changes)), "--report", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert (got, len(calls)) == (code, drawn), err
 
 
 @pytest.mark.parametrize(
@@ -753,14 +770,6 @@ def test_bad_tol_flag_exits_two(tmp_path, capsys, value):
     )
     assert code == 2
     assert "--tol" in err
-
-
-@pytest.mark.parametrize("value", ["nan", "-inf", "-1e-8"])
-def test_bad_env_tolerance_value_exits_two(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("QEXCH_TOL", value)
-    code, _, err = run_cli(["verify", str(FREE), "--report", str(tmp_path / "r.json")], capsys)
-    assert code == 2
-    assert "QEXCH_TOL" in err
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, True])

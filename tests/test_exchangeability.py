@@ -190,7 +190,7 @@ class _NaNMixedAtLength4(CumulantSpec):
     """
 
     def __init__(self):
-        super().__init__({2: 1.0}, max_order=2)
+        super().__init__({2: 1.0})
 
     def kernel_sum(self, patterns):
         patterns = list(patterns)

@@ -19,6 +19,8 @@ from qexch.partitions import (
     _pattern_count,
     _pattern_table,
     _pattern_table_charge,
+    _profile_counts,
+    _profile_counts_charge,
     canonical_pattern,
     delete_block,
     enumerate_all,
@@ -182,14 +184,21 @@ def test_pattern_count_is_the_stirling_sum():
     assert _pattern_count(2, 20) == 2**19
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
 def test_pattern_table_charge_bounds_its_traced_peak(k):
     n = 1
-    while k**n <= 50_000:
+    while k**n <= 50_000 and n <= 16:
         _pattern_table.cache_clear()
         peak = _traced_peak(lambda: _pattern_table(k, n))
         assert peak <= _pattern_table_charge(k, n)[0], (k, n, peak)
         n += 1
+    # the count matrix of the table's patterns, with its profile rows and cache
+    for n in range(1, 9) if k <= 4 else ():
+        patterns = _pattern_table(k, n)[1]
+        _profile_counts.cache_clear()
+        _nc_size_profiles.cache_clear()
+        peak = _traced_peak(lambda: _profile_counts(patterns))
+        assert peak <= _profile_counts_charge(k, n)[0], (k, n, peak)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
