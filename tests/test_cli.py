@@ -186,9 +186,10 @@ def test_json_stdout_format(tmp_path, capsys):
 
 # -- tolerance resolution ------------------------------------------------------------
 
-def test_tolerance_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("value", ["1e-30", "1000", "nan", "-inf", "-1e-8", "very small"])
+def test_tolerance_environment_variable_is_not_read(tmp_path, capsys, monkeypatch, value):
     # the tolerance comes from --tol or the scenario only: a QEXCH_TOL in the
-    # environment changes neither the verdict nor a report byte
+    # environment, well-formed or not, changes neither the verdict nor a report byte
     def verify():
         report = tmp_path / "r.json"
         code, out, _ = run_cli(["verify", str(BERNOULLI), "--report", str(report)], capsys)
@@ -196,9 +197,17 @@ def test_tolerance_environment_variable_is_not_read(tmp_path, capsys, monkeypatc
 
     default = verify()
     assert default[0] == 1
-    for value in ("1e-30", "nan", "1000"):
-        monkeypatch.setenv("QEXCH_TOL", value)
-        assert verify() == default
+    monkeypatch.setenv("QEXCH_TOL", value)
+    assert verify() == default
+
+
+def test_flag_beats_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QEXCH_TOL", "1e-30")
+    code, _, _ = run_cli(
+        ["verify", str(FREE), "--tol", "1e-8", "--report", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert code == 0
 
 
 # -- subcommands ------------------------------------------------------------------------
