@@ -561,7 +561,7 @@ def cmd_collapse(args):
         _fail("--i", f"expected a nonempty list of indices in 1..{u.k}, got {args.i}")
     try:
         pi = Partition(len(i_tuple), _parse_json_flag(args.pi, "--pi", 2))
-        value = magic.interval_collapse_sum(u, i_tuple, pi)
+        value = magic.collapse_sum_all(u, pi)[tuple(x - 1 for x in i_tuple)]
     except ValueError as exc:
         _fail("--pi", str(exc))
     expected = magic.collapse_expected(i_tuple, pi)

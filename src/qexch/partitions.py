@@ -20,6 +20,9 @@ from .algebra import check_bytes
 # rejected without big-integer arithmetic that would itself take minutes.
 _COUNT_LENGTH = 64
 
+# partitions per profile group, which bounds _profile_counts' masks per pattern
+_GROUP_ROWS = 1 << 12
+
 
 class Partition:
     """A partition of {1..n} into disjoint nonempty blocks."""
@@ -112,71 +115,46 @@ def is_noncrossing(p):
     return True
 
 
-def _first_block_splits(m, candidates):
-    """(block, gaps) for every block of 0 drawn from candidates within 1..m-1.
-
-    The gaps are the ranges strictly between consecutive members of the
-    block and after its last one.  No block can cross the block of 0, so
-    the gaps are independent: this is the first-block decomposition that
-    both recursions below fill in.
-    """
-    for r in range(len(candidates) + 1):
-        for chosen in itertools.combinations(candidates, r):
-            block = (0,) + chosen
-            yield block, [range(a + 1, b) for a, b in zip(block, chosen + (m,))]
+@lru_cache(maxsize=32)
+def _noncrossing_local(m):
+    """Non-crossing partitions of {0..m-1}, one int8 row each: entry x is the
+    least element of x's block.  The block of 0 is chosen first; no block can
+    cross it, so each gap it leaves is filled independently and recursively,
+    the last gap varying fastest."""
+    if m == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    parts = []
+    for r in range(m):
+        for chosen in itertools.combinations(range(1, m), r):
+            gaps = [range(a + 1, b) for a, b in zip((0,) + chosen, chosen + (m,))]
+            subs = [_noncrossing_local(len(g)) + g.start for g in gaps]
+            rows = np.zeros((math.prod(map(len, subs)), m), dtype=np.int8)
+            before = 1
+            for g, sub in zip(gaps, subs):
+                rows.reshape(before, len(sub), -1, m)[..., g.start:g.stop] = sub[:, None, :]
+                before *= len(sub)
+            parts.append(rows)
+    table = np.concatenate(parts)
+    table.flags.writeable = False  # cached and shared
+    return table
 
 
 @lru_cache(maxsize=32)
-def _noncrossing_local(m):
-    """Non-crossing partitions of {0..m-1} as tuples of blocks.
-
-    Each gap of the block of 0 is filled recursively, which yields every
-    non-crossing partition once.
-    """
-    if m == 0:
-        return ((),)
-    out = []
-    for block, gaps in _first_block_splits(m, range(1, m)):
-        gap_choices = [
-            tuple(
-                tuple(tuple(g[x] for x in bl) for bl in blocks)
-                for blocks in _noncrossing_local(len(g))
-            )
-            for g in gaps
-        ]
-        for combo in itertools.product(*gap_choices):
-            out.append((block,) + tuple(itertools.chain.from_iterable(combo)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=1 << 15)
-def _nc_size_profiles(pattern):
-    """Block-size profiles of non-crossing partitions refining a kernel.
-
-    Returns ((sizes, count), ...) where `sizes` is a sorted tuple of block
-    sizes and `count` how many admissible partitions share it.  The block
-    of the first position may only recruit later positions with the same
-    pattern value; the gaps in between recurse independently.
-    """
-    if not pattern:
-        return (((), 1),)
-    m = len(pattern)
-    candidates = tuple(p for p in range(1, m) if pattern[p] == pattern[0])
-    out = {}
-    for block, gaps in _first_block_splits(m, candidates):
-        combined = {(): 1}
-        for g in gaps:
-            sub = _nc_size_profiles(canonical_pattern(pattern[p] for p in g))
-            merged = {}
-            for sizes_a, ca in combined.items():
-                for sizes_b, cb in sub:
-                    key = tuple(sorted(sizes_a + sizes_b))
-                    merged[key] = merged.get(key, 0) + ca * cb
-            combined = merged
-        for sizes, count in combined.items():
-            key = tuple(sorted(sizes + (len(block),)))
-            out[key] = out.get(key, 0) + count
-    return tuple(sorted(out.items()))
+def _nc_profile_groups(n):
+    """((sizes, rows), ...): the rows of _noncrossing_local(n) whose sorted block
+    sizes are `sizes`, at most _GROUP_ROWS rows to a group."""
+    table = _noncrossing_local(n)
+    sizes = np.zeros((len(table), n + 1), dtype=np.int8)  # a spare 0: no row is empty
+    for x in range(n):
+        sizes[:, x] = (table == x).sum(axis=1)
+    sizes.sort(axis=1)
+    keys = sizes.view(f"V{n + 1}")[:, 0]  # each row's bytes as one sortable key
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    groups = []
+    for j, row in enumerate(first):
+        rows, profile = table[group == j], tuple(s for s in sizes[row].tolist() if s)
+        groups += [(profile, rows[s:s + _GROUP_ROWS]) for s in range(0, len(rows), _GROUP_ROWS)]
+    return tuple(groups)
 
 
 @lru_cache(maxsize=256)
@@ -184,48 +162,72 @@ def _profile_counts(patterns):
     """The count matrix of a sequence of patterns, and its block-size profiles.
 
     counts[r, c] is how many non-crossing partitions refining the kernel of
-    patterns[r] have the profile whose block sizes, padded with zeros, are
-    row c of `sizes`.  A partition sum whose terms depend only on block
-    sizes is counts @ (one term per profile).
+    patterns[r] (the pattern agrees at each position with its block leader)
+    have the block sizes of row c of `sizes`, padded with zeros.  A sum of
+    terms that depend only on block sizes is counts @ (one term per row).
     """
-    rows = [dict(_nc_size_profiles(p)) for p in patterns]
-    profiles = sorted(set().union(*rows))
-    counts = np.array([[row.get(prof, 0) for prof in profiles] for row in rows], dtype=float)
+    columns = {}
+    for n in {len(p) for p in patterns}:
+        rows = np.array([r for r, p in enumerate(patterns) if len(p) == n])
+        values = np.array([patterns[r] for r in rows], dtype=np.int8).reshape(len(rows), n).T
+        agree = [values == values[x] for x in range(n)]  # [x][l, r]: r equal at x and l
+        for profile, leaders in _nc_profile_groups(n):
+            below = np.ones((len(leaders), len(rows)), dtype=bool)
+            for x in range(1, n):  # position 0 leads its own block
+                below &= agree[x][leaders[:, x]]
+            columns.setdefault(profile, np.zeros(len(patterns)))[rows] += below.sum(axis=0)
+    profiles = sorted(prof for prof, column in columns.items() if column.any())
+    counts = np.column_stack([columns[prof] for prof in profiles])
     width = max(map(len, profiles))
     sizes = np.array([prof + (0,) * (width - len(prof)) for prof in profiles], dtype=np.intp)
     counts.flags.writeable = sizes.flags.writeable = False  # shared by every caller
     return counts, sizes
 
 
+def _catalan(m):
+    return math.comb(2 * m, m) // (m + 1)
+
+
 @lru_cache(maxsize=256)  # every tensor request of a scan asks again
 def _profile_counts_charge(k, n):
     """(bytes, description) of _profile_counts over the kernel patterns of
-    {1..k}^n, bounded above.
+    {1..k}^n, bounded above by the sizes of the arrays it builds; the work
+    grows like Catalan(n) x #patterns x n and is bounded by the same arrays.
 
-    There are p(n) block-size profiles of n points, p the partition
-    function.  Per pattern and profile: the float64 count, the entry of the
-    pattern's profile row and the cached (sizes, count) pair with its
-    sizes tuple of up to n ints.  Per length: the recursion's scratch,
-    which doubles with each point (it alone sets the peak at k = 1).  The
-    rates were measured with tracemalloc; the tests hold the charge above
-    the peak.
+    Per pattern: the float64 count matrix of p(n) profiles twice (columns
+    and stack), n agreement masks of n booleans, one group's mask and its
+    gather scratch (a boolean per partition each) and 96 bytes of indices.
+    A group has at most _GROUP_ROWS partitions and at most the largest
+    Narayana number N(n, b), the count of those with b blocks.  Per row of
+    NC(n): 8n + 64 bytes for the cold tables of every length up to n, the
+    groups and their scratch.  Per profile: 512 bytes of Python objects.
     """
     m = min(n, _COUNT_LENGTH)
     profiles = [1] + [0] * m  # p(0..m), built up one part size at a time
     for part in range(1, m + 1):
         for total in range(part, m + 1):
             profiles[total] += profiles[total - part]
-    nbytes = 4096 + (256 << m) + _pattern_count(k, m) * profiles[m] * (192 + 8 * n)
-    return nbytes, f"block-size profile counts of {k}^{n} tuples"
+    narayana = max(math.comb(m, b) * math.comb(m, b - 1) // m for b in range(1, m + 1))
+    group = min(_GROUP_ROWS, narayana)
+    per_pattern = 16 * profiles[m] + n * n + 2 * group + 96
+    nbytes = 65536 + 512 * profiles[m] + 8 * group + _pattern_count(k, m) * per_pattern
+    return nbytes + _catalan(m) * (8 * n + 64), f"block-size profile counts of {k}^{n} tuples"
 
 
 def _noncrossing_charge(n):
     """(bytes, description) of enumerate_noncrossing(n): Catalan(n) partitions,
     each charged an upper bound of the measured peak per partition (the
-    cached local tuples included)."""
+    cached table included)."""
     m = min(n, _COUNT_LENGTH)
-    count = math.comb(2 * m, m) // (m + 1)
-    return 4096 + count * (512 + 48 * n), f"non-crossing partitions of {n} points"
+    return 4096 + _catalan(m) * (512 + 48 * n), f"non-crossing partitions of {n} points"
+
+
+def _blocks(leaders):
+    """The blocks of {1..n} that a row of block leaders describes."""
+    blocks = {}
+    for x, lead in enumerate(leaders, start=1):
+        blocks.setdefault(lead, []).append(x)
+    return blocks.values()
 
 
 def enumerate_noncrossing(n):
@@ -233,10 +235,7 @@ def enumerate_noncrossing(n):
     if n < 1:
         raise ValueError(f"non-crossing enumeration needs n >= 1, got {n}")
     check_bytes(*_noncrossing_charge(n))
-    return [
-        Partition(n, [tuple(x + 1 for x in b) for b in blocks])
-        for blocks in _noncrossing_local(n)
-    ]
+    return [Partition(n, _blocks(row)) for row in _noncrossing_local(n).tolist()]
 
 
 def leq(p, q):

@@ -339,6 +339,25 @@ def test_collapse_rejects_crossing(capsys):
     assert "crossing" in err
 
 
+def test_collapse_oversized_partition_exits_two_naming_pi(capsys):
+    # 4^13 collapse sums: the literal block sum would run for about half an hour
+    start = time.monotonic()
+    code, out, err = run_cli(
+        [
+            "collapse",
+            '{"kind": "permutation", "sigma": [2, 1, 4, 3]}',
+            "--pi",
+            json.dumps([[x] for x in range(1, 14)]),
+            "--i",
+            json.dumps([1] * 13),
+        ],
+        capsys,
+    )
+    assert time.monotonic() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --pi: ") and len(err.splitlines()) == 1
+
+
 def test_counterexample_subcommand(capsys):
     code, out, _ = run_cli(["counterexample", "--n", "3"], capsys)
     assert code == 0

@@ -297,6 +297,23 @@ def test_moment_tensor_tuple_cap():
             route(4, 11)
 
 
+def test_admitted_tensor_lengths_keep_their_frontier():
+    # the longest tensor each k in 1..12 admits may grow, never shrink below these;
+    # k = 3 at 12 points stays refused (test_cli's cumulant_k3_n12)
+    mf = CumulantMomentFunctional(semicircular_spec())
+
+    def admitted(k, n):
+        try:
+            mf._check_tensor(k, n)
+        except ValueError:
+            return False
+        return True
+
+    longest = [max(n for n in range(1, MAX_WORD_LENGTH + 1) if admitted(k, n)) for k in range(1, 13)]
+    frontier = [12, 12, 10, 9, 9, 8, 7, 7, 7, 6, 6, 6]
+    assert all(got >= floor for got, floor in zip(longest, frontier)), longest
+
+
 def test_pattern_table_matches_canonical_pattern_loop():
     for k in range(1, 6):
         for n in range(1, 7):
