@@ -23,7 +23,6 @@ from .cumulants import (
     CumulantMomentFunctional,
     CumulantSpec,
     check_mixed_cumulants,
-    cumulants_to_moments,
     moment_family,
     moments_to_cumulants,
     random_spec,
@@ -57,7 +56,6 @@ from .partitions import (
     Partition,
     enumerate_all,
     enumerate_noncrossing,
-    first_interval_block,
     is_noncrossing,
     kernel,
     leq,

@@ -517,9 +517,9 @@ def cmd_cumulants(args):
     n = args.n
     if not 1 <= n <= cumulants.MAX_TRANSFORM_ORDER:
         _fail("--n", f"must be in 1..{cumulants.MAX_TRANSFORM_ORDER}, got {n}")
-    # kappa_n is B-valued; the state that gives m_n reduces it to a number
+    # m_n and kappa_n are B-valued; one state reduces both to numbers
     table = cumulants.moments_to_cumulants(mf, (1,) * n)
-    rows = [(o, mf.scalar_moment((1,) * o), mf.phi(table[o])) for o in range(1, n + 1)]
+    rows = [(o, mf.phi(mf.moment((1,) * o)), mf.phi(table[o])) for o in range(1, n + 1)]
     if args.format == "json":
         payload = [
             {"order": o, "moment": [m.real, m.imag], "kappa": [k.real, k.imag]}
@@ -533,21 +533,13 @@ def cmd_cumulants(args):
     return 0
 
 
-def _parse_json_flag(value, flag, depth):
-    """A flag's JSON value: integers >= 1 in lists nested depth deep; any fault names the flag."""
+def _parse_json_flag(value, flag, parse):
+    """parse(doc, flag) of a flag's JSON value; invalid JSON names the flag."""
     try:
         doc = json.loads(value)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{flag}: invalid JSON ({exc})") from exc
-
-    def walk(x, depth):
-        if depth == 0:
-            return _parse_int(x, flag, minimum=1)
-        if not isinstance(x, list):
-            _fail(flag, f"expected a list, got {x!r}")
-        return [walk(y, depth - 1) for y in x]
-
-    return walk(doc, depth)
+    return parse(doc, flag)
 
 
 def cmd_collapse(args):
@@ -556,11 +548,13 @@ def cmd_collapse(args):
     spec = _load_spec_argument(args.unitary, "unitary")
     seed = _resolve_seed(args)
     u = build_unitary(spec, seed, "unitary")
-    i_tuple = tuple(_parse_json_flag(args.i, "--i", 1))
+    positive = partial(_parse_int_list, minimum=1)
+    i_tuple = tuple(_parse_json_flag(args.i, "--i", positive))
     if not i_tuple or max(i_tuple) > u.k:
         _fail("--i", f"expected a nonempty list of indices in 1..{u.k}, got {args.i}")
+    blocks = _parse_json_flag(args.pi, "--pi", partial(_parse_list, item=positive))
     try:
-        pi = Partition(len(i_tuple), _parse_json_flag(args.pi, "--pi", 2))
+        pi = Partition(len(i_tuple), blocks)
         value = magic.collapse_sum_all(u, pi)[tuple(x - 1 for x in i_tuple)]
     except ValueError as exc:
         _fail("--pi", str(exc))

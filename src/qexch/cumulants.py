@@ -320,13 +320,6 @@ class CumulantMomentFunctional(MomentFunctional):
         rows = self.spec.kernel_sum(list(weights))
         return np.diag((rows * np.array(list(weights.values()))).sum(axis=0))
 
-    def scalar_moment(self, variables):
-        variables, _ = self._check_word(variables, None)
-        if not variables:
-            return 1.0 + 0j
-        vec = self.spec.kernel_sum([canonical_pattern(variables)])[0]
-        return complex(self.spec.weights @ vec)
-
     def phi(self, b):
         return complex(self.spec.weights @ np.diag(b))
 
@@ -356,8 +349,3 @@ class CumulantMomentFunctional(MomentFunctional):
         out = np.zeros((k**n, self.b_dim, self.b_dim), dtype=complex)
         out[:, diag_axis, diag_axis] = vals[ids]
         return out.reshape((k,) * n + (self.b_dim, self.b_dim))
-
-
-def cumulants_to_moments(spec, variables, coeffs=None):
-    """Moment of a decorated word under the free family described by spec."""
-    return CumulantMomentFunctional(spec).moment(variables, coeffs)

@@ -62,14 +62,6 @@ class InvarianceReport:
     def passed(self):
         return self.max_residual <= self.tolerance
 
-    def summary(self):
-        lines = [f"{self.check} (tol={self.tolerance:g})"]
-        for rec in self.per_length:
-            mark = "ok" if rec.residual <= self.tolerance else "FAIL"
-            lines.append(f"  n={rec.n}: residual {rec.residual:.3e} at i={rec.indices}  {mark}")
-        lines.append("PASS" if self.passed else "FAIL")
-        return "\n".join(lines)
-
 
 def _witness_index(residuals):
     """Flat index of the witness tuple of one length.

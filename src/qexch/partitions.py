@@ -94,24 +94,20 @@ def enumerate_all(n):
 def is_noncrossing(p):
     """True iff no two blocks interleave as s1 < t1 < s2 < t2.
 
-    Two sorted blocks cross exactly when their merged sequence alternates
-    between the blocks for at least four runs.
+    Read left to right, a block opens at its least element and closes at
+    its greatest; two blocks cross exactly when some element belongs to a
+    block other than the innermost open one.
     """
-    for a, b in itertools.combinations(p.blocks, 2):
-        runs = 0
-        last = None
-        ia = ib = 0
-        while ia < len(a) or ib < len(b):
-            take_a = ib >= len(b) or (ia < len(a) and a[ia] < b[ib])
-            if take_a:
-                ia += 1
-            else:
-                ib += 1
-            if take_a != last:
-                runs += 1
-                last = take_a
-                if runs >= 4:
-                    return False
+    owner = {x: b for b in p.blocks for x in b}
+    open_blocks = []
+    for x in range(1, p.n + 1):
+        b = owner[x]
+        if x == b[0]:
+            open_blocks.append(b)
+        elif open_blocks[-1] is not b:
+            return False
+        if x == b[-1]:
+            open_blocks.pop()
     return True
 
 
@@ -323,17 +319,6 @@ def _pattern_table(k, n):
 def interval_blocks(p):
     """Blocks made of consecutive integers, in ascending order of minimum."""
     return [b for b in p.blocks if b[-1] - b[0] == len(b) - 1]
-
-
-def first_interval_block(p):
-    """The interval block with the smallest minimum.
-
-    Only non-crossing partitions are guaranteed to contain an interval
-    block, so crossing input is rejected.
-    """
-    if not is_noncrossing(p):
-        raise ValueError("partition has crossing blocks; no interval block is guaranteed")
-    return interval_blocks(p)[0]
 
 
 def delete_block(p, block):

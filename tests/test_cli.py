@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexch import cumulants, exchangeability, magic
-from qexch.cli import _json_text, main
+from qexch.cli import CHECKS, _json_text, main
 from qexch.exchangeability import FreenessReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "qexch" / "fixtures"
@@ -83,6 +83,11 @@ ALL_CHECKS_EXPECTED = [
     ("crossing_sum", {"d": 3, "pairs": 6, "s": 3, "variant": "capped"}, 0.0),
     ("counterexample", {"n": 3, "psi_u11": "1/3", "psi_u11_u21": "0"}, 0.0),
 ]
+
+
+def test_all_checks_scenario_reaches_every_check():
+    names = {check["name"] for check in json.loads(ALL_CHECKS.read_text())["checks"]}
+    assert names == set(CHECKS)
 
 
 def test_all_checks_scenario_pinned(tmp_path, capsys):
@@ -375,15 +380,15 @@ COLLAPSE_UNITARY = '{"kind": "block_pair", "d": 2, "seeds": [1, 2]}'  # k = 4
 
 @pytest.mark.parametrize("flags, flag", [
     (["--i", "5", "--pi", "[[1]]"], "--i"),
-    (["--i", "[1.5, 2]", "--pi", "[[1, 2]]"], "--i"),
-    (["--i", "[1, true]", "--pi", "[[1, 2]]"], "--i"),
+    (["--i", "[1.5, 2]", "--pi", "[[1, 2]]"], "--i[0]"),
+    (["--i", "[1, true]", "--pi", "[[1, 2]]"], "--i[1]"),
     (["--i", "[1, 5]", "--pi", "[[1, 2]]"], "--i"),
     (["--i", "[]", "--pi", "[]"], "--i"),
     (["--i", "[1", "--pi", "[[1, 2]]"], "--i"),
     (["--i", "[1, 2]", "--pi", "7"], "--pi"),
     (["--i", "[1, 2]", "--pi", "[[1], [3]]"], "--pi"),
-    (["--i", "[1, 2]", "--pi", '[[1], ["2"]]'], "--pi"),
-    (["--i", "[1, 2]", "--pi", "[1, 2]"], "--pi"),
+    (["--i", "[1, 2]", "--pi", '[[1], ["2"]]'], "--pi[1][0]"),
+    (["--i", "[1, 2]", "--pi", "[1, 2]"], "--pi[0]"),
 ])
 def test_collapse_malformed_flag_exits_two_naming_it(capsys, flags, flag):
     code, out, err = run_cli(["collapse", COLLAPSE_UNITARY, *flags], capsys)

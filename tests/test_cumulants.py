@@ -24,7 +24,6 @@ from qexch.cumulants import (
     CumulantMomentFunctional,
     CumulantSpec,
     check_mixed_cumulants,
-    cumulants_to_moments,
     moment_family,
     moments_to_cumulants,
     random_spec,
@@ -238,25 +237,25 @@ def test_transform_order_guard():
 def test_semicircular_moments_count_noncrossing_pairings():
     mf = CumulantMomentFunctional(semicircular_spec())
     for m in range(1, 4):
-        even = mf.scalar_moment((1,) * (2 * m))
+        even = mf.phi(mf.moment((1,) * (2 * m)))
         assert abs(even - count_noncrossing_pairings(m)) <= 1e-12
-        odd = mf.scalar_moment((1,) * (2 * m - 1))
+        odd = mf.phi(mf.moment((1,) * (2 * m - 1)))
         assert abs(odd) <= 1e-12
-    assert abs(mf.scalar_moment((1,) * 2) - 1) <= 1e-12
-    assert abs(mf.scalar_moment((1,) * 4) - 2) <= 1e-12
-    assert abs(mf.scalar_moment((1,) * 6) - 5) <= 1e-12
+    assert abs(mf.phi(mf.moment((1,) * 2)) - 1) <= 1e-12
+    assert abs(mf.phi(mf.moment((1,) * 4)) - 2) <= 1e-12
+    assert abs(mf.phi(mf.moment((1,) * 6)) - 5) <= 1e-12
 
 
 def test_third_moment_with_third_cumulant():
     spec = CumulantSpec({2: [1.0], 3: [1.0]})
     mf = CumulantMomentFunctional(spec)
-    assert abs(mf.scalar_moment((1, 1, 1)) - 1.0) <= 1e-12
+    assert abs(mf.phi(mf.moment((1, 1, 1))) - 1.0) <= 1e-12
 
 
 def test_mixed_word_with_zero_means_vanishes():
     spec = CumulantSpec({2: [1.0]})
     mf = CumulantMomentFunctional(spec)
-    assert abs(mf.scalar_moment((1, 2))) == 0.0
+    assert abs(mf.phi(mf.moment((1, 2)))) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -275,7 +274,7 @@ def test_spec_rejects_non_finite_values(kappa, weights, message):
 def test_moments_beyond_cutoff_are_still_defined():
     spec = CumulantSpec({2: [1.0]})
     mf = CumulantMomentFunctional(spec)
-    assert abs(mf.scalar_moment((1,) * 8) - 14.0) <= 1e-12  # pairings of 8 points
+    assert abs(mf.phi(mf.moment((1,) * 8)) - 14.0) <= 1e-12  # pairings of 8 points
 
 
 def test_word_length_cap():
@@ -376,14 +375,6 @@ def test_round_trip_moments_to_cumulants_to_moments(b_dim, order, seed):
         word = tuple(int(v) for v in rng.integers(1, 4, size=n))
         coeffs = [mf.random_coeff(rng) for _ in range(n + 1)]
         assert np.abs(again.moment(word, coeffs) - mf.moment(word, coeffs)).max() <= 1e-10
-
-
-def test_cumulants_to_moments_function_matches_functional():
-    spec = random_spec(np.random.default_rng(11), 4)
-    mf = CumulantMomentFunctional(spec)
-    assert np.allclose(
-        cumulants_to_moments(spec, (1, 1, 2)), mf.moment((1, 1, 2))
-    )
 
 
 # -- freeness by construction -------------------------------------------------------------
@@ -604,7 +595,6 @@ def _as_polys(mf, word):
 # coefficients as its decorations
 CONTRACT_ROUTES = {
     "moment": lambda mf, w, c: mf.moment(w, c),
-    "scalar_moment": lambda mf, w, c: mf.scalar_moment(w),
     "product_expectation": lambda mf, w, c: mf.product_expectation(*_as_polys(mf, w)),
     "generic product_expectation":
         lambda mf, w, c: MomentFunctional.product_expectation(mf, *_as_polys(mf, w)),

@@ -25,7 +25,6 @@ from qexch.partitions import (
     delete_block,
     enumerate_all,
     enumerate_noncrossing,
-    first_interval_block,
     interval_blocks,
     is_noncrossing,
     kernel,
@@ -337,14 +336,9 @@ def test_kernel_relabelling_invariance():
 # -- interval blocks ---------------------------------------------------------------
 
 def test_first_interval_block_examples():
-    assert first_interval_block(NC10_EXAMPLE) == (3, 4)
-    assert first_interval_block(Partition(3, [[1, 2, 3]])) == (1, 2, 3)
-    assert first_interval_block(Partition(4, [[1, 4], [2, 3]])) == (2, 3)
-
-
-def test_first_interval_block_rejects_crossing():
-    with pytest.raises(ValueError):
-        first_interval_block(Partition(4, [[1, 3], [2, 4]]))
+    assert interval_blocks(NC10_EXAMPLE)[0] == (3, 4)
+    assert interval_blocks(Partition(3, [[1, 2, 3]]))[0] == (1, 2, 3)
+    assert interval_blocks(Partition(4, [[1, 4], [2, 3]]))[0] == (2, 3)
 
 
 def test_interval_peeling_preserves_noncrossing():
@@ -352,7 +346,7 @@ def test_interval_peeling_preserves_noncrossing():
         for p in enumerate_noncrossing(n):
             if p.num_blocks < 2:
                 continue
-            block = first_interval_block(p)
+            block = interval_blocks(p)[0]
             assert block in interval_blocks(p)
             smaller = delete_block(p, block)
             assert smaller.n == p.n - len(block)
