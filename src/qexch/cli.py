@@ -45,8 +45,9 @@ def _parse_complex(value, field):
     return complex(*parts)
 
 
-def _parse_int(value, field, minimum=None):
-    """An integer of at least minimum; bool, non-integral float, string and list are rejected.
+def _parse_int(value, field, minimum=None, maximum=None):
+    """An integer of at least minimum (and at most maximum, given with one); bool,
+    non-integral float, string and list are rejected.
 
     A float counts only below 2**53, where floats still hold every integer.
     """
@@ -54,14 +55,18 @@ def _parse_int(value, field, minimum=None):
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(field, f"expected an integer, got {value!r}")
+    if maximum is not None and not minimum <= value <= maximum:
+        _fail(field, f"must be in {minimum}..{maximum}, got {value}")
     if minimum is not None and value < minimum:
         _fail(field, f"must be at least {minimum}, got {value}")
     return value
 
 
-def _parse_str(value, field):
+def _parse_str(value, field, choices=None):
     if not isinstance(value, str):
         _fail(field, f"expected a string, got {value!r}")
+    if choices is not None and value not in choices:
+        _fail(field, f"expected one of {', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -337,43 +342,54 @@ def _counterexample(c, p, u):
     return 0.0 if rep.passed else 1.0, rep.passed, ""
 
 
-# name -> (run, once per unitary, parameter defaults).  A parameter takes the
-# type of its default: a string, a list of positive integers, or (any other
-# default, None included) a positive integer.  run(context, params, u) returns
-# (residual, passed, note) and may add results to params for the report.
+_count = partial(_parse_int, minimum=1)
+_counts = partial(_parse_int_list, minimum=1)
+_at_least_two = partial(_parse_int, minimum=2)
+
+# name -> (run, once per unitary, {parameter: (parser, default)}).  A parser
+# rejects every value the parameter alone rules out; an absent parameter
+# takes its default, as it is.  run(context, params, u) returns (residual,
+# passed, note) and may add results to params for the report.
 CHECKS = {
     "relations": (_relations, True, {}),
-    "quantum_invariance": (_quantum_invariance, True, {"n_max": 4}),
+    "quantum_invariance": (_quantum_invariance, True, {"n_max": (_count, 4)}),
     # k = None: the largest k of the scenario's unitaries, else 2
-    "classical_invariance": (_classical_invariance, False, {"k": None, "n_max": 4}),
-    "e_invariance": (_e_invariance, True, {"n_max": 3}),
-    "factorization": (_factorization, False, {"vars": [1, 2, 3], "l": 1, "trials": 5}),
-    "freeness": (_freeness, False, {"vars": [1, 2], "n_max": 4}),
-    "collapse_lemma": (_collapse_lemma, True, {"n_max": 4}),
-    "crossing_sum": (_crossing_sum, False, {"d": 2, "s": 2, "variant": "plain", "pairs": 20}),
-    "counterexample": (_counterexample, False, {"n": 3}),
+    "classical_invariance": (_classical_invariance, False,
+                             {"k": (_count, None), "n_max": (_count, 4)}),
+    "e_invariance": (_e_invariance, True, {"n_max": (_count, 3)}),
+    "factorization": (_factorization, False,
+                      {"vars": (_counts, [1, 2, 3]), "l": (_count, 1), "trials": (_count, 5)}),
+    "freeness": (_freeness, False, {
+        "vars": (_counts, [1, 2]),
+        "n_max": (partial(_at_least_two, maximum=cumulants.MAX_TRANSFORM_ORDER), 4)}),
+    "collapse_lemma": (_collapse_lemma, True, {"n_max": (_count, 4)}),
+    "crossing_sum": (_crossing_sum, False, {
+        "d": (_at_least_two, 2), "s": (_at_least_two, 2), "pairs": (_count, 20),
+        "variant": (partial(_parse_str, choices=("plain", "capped")), "plain")}),
+    "counterexample": (_counterexample, False, {"n": (partial(_at_least_two, maximum=3), 3)}),
 }
 
 
-def _parse_param(default):
-    if isinstance(default, str):
-        return _parse_str
-    if isinstance(default, list):
-        return partial(_parse_int_list, minimum=1)
-    return partial(_parse_int, minimum=1)
-
-
 def _parse_check(value, field, unitaries):
-    """A check as (name, parameters), every parameter read against its default."""
+    """A check as (name, parameters), rejecting all that its parameters alone rule out.
+
+    What also depends on the functional or the unitaries (the byte budget,
+    the word-length cap, a commutative B) is checked when the check starts.
+    """
     obj = _Object(value, field)
     name = obj.get("name", _parse_str)
     if name not in CHECKS:
         _fail(f"{field}.name", f"unknown check {name!r}")
-    _, per_unitary, defaults = CHECKS[name]
+    _, per_unitary, table = CHECKS[name]
     if per_unitary and not unitaries:
         _fail(field, f"{name} runs once per unitary, and the scenario has none")
-    params = {key: obj.get(key, _parse_param(v), v) for key, v in defaults.items()}
+    params = {key: obj.get(key, parse, v) for key, (parse, v) in table.items()}
     obj.close()
+    if name == "factorization":  # E is pulled through the one variable at position l
+        variables, l = params["vars"], params["l"]
+        if l > len(variables) or variables.count(variables[l - 1]) > 1:
+            _fail(f"{field}.l", f"expected the position of a variable that occurs once "
+                                f"in vars {variables}, got {l}")
     return name, params
 
 
@@ -514,9 +530,7 @@ def cmd_check_magic(args):
 def cmd_cumulants(args):
     spec = _load_spec_argument(args.functional, "functional")
     mf = build_functional(spec, "functional")
-    n = args.n
-    if not 1 <= n <= cumulants.MAX_TRANSFORM_ORDER:
-        _fail("--n", f"must be in 1..{cumulants.MAX_TRANSFORM_ORDER}, got {n}")
+    n = _parse_int(args.n, "--n", minimum=1, maximum=cumulants.MAX_TRANSFORM_ORDER)
     # m_n and kappa_n are B-valued; one state reduces both to numbers
     table = cumulants.moments_to_cumulants(mf, (1,) * n)
     rows = [(o, mf.phi(mf.moment((1,) * o)), mf.phi(table[o])) for o in range(1, n + 1)]

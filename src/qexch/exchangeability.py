@@ -45,7 +45,6 @@ class TupleRecord:
 class InvarianceReport:
     """Worst residual per word length for one invariance check."""
 
-    check: str
     tolerance: float
     per_length: list = field(default_factory=list)
 
@@ -74,7 +73,7 @@ def _witness_index(residuals):
     return int(np.argmax(~np.isfinite(residuals) | (residuals >= peak * (1 - 1e-12))))
 
 
-def _scan_lengths(mf, k, n_max, tol, make_seed, act, check_name, d=1, r=1):
+def _scan_lengths(mf, k, n_max, tol, make_seed, act, d=1, r=1):
     """Shared driver: build the tensor w per length, act on it, compare.
 
     make_seed(n) gives w with one row per tuple, r entries wide, and
@@ -100,7 +99,7 @@ def _scan_lengths(mf, k, n_max, tol, make_seed, act, check_name, d=1, r=1):
         per_length.append(
             TupleRecord(n, tuple(int(x) + 1 for x in indices), float(residuals.max()))
         )
-    return InvarianceReport(check=check_name, tolerance=tol, per_length=per_length)
+    return InvarianceReport(tolerance=tol, per_length=per_length)
 
 
 def check_quantum_invariance(mf, u, n_max, tol=DEFAULT_TOL):
@@ -113,7 +112,7 @@ def check_quantum_invariance(mf, u, n_max, tol=DEFAULT_TOL):
     """
     return _scan_lengths(
         mf, u.k, n_max, tol, partial(mf.scalar_moment_tensor, u.k),
-        partial(_coaction_all, u.entries), "quantum_invariance", d=u.d,
+        partial(_coaction_all, u.entries), d=u.d,
     )
 
 
@@ -133,10 +132,7 @@ def check_classical_exchangeability(mf, k, n_max, tol=DEFAULT_TOL):
         reps = np.ravel_multi_index(tuple(zip(*patterns)), (k,) * n)
         return w[reps[ids]].T.reshape(-1, 1, k**n, 1).transpose(2, 1, 3, 0)
 
-    return _scan_lengths(
-        mf, k, n_max, tol, partial(mf.scalar_moment_tensor, k), orbit_gather,
-        "classical_invariance",
-    )
+    return _scan_lengths(mf, k, n_max, tol, partial(mf.scalar_moment_tensor, k), orbit_gather)
 
 
 def check_E_invariance(mf, u, decorations=None, n_max=3, tol=DEFAULT_TOL):
@@ -159,8 +155,7 @@ def check_E_invariance(mf, u, decorations=None, n_max=3, tol=DEFAULT_TOL):
         return mf.expectation_tensor(u.k, n, decs)
 
     return _scan_lengths(
-        mf, u.k, n_max, tol, make_seed, partial(_coaction_all, u.entries), "e_invariance",
-        d=u.d, r=mf.b_dim**2,
+        mf, u.k, n_max, tol, make_seed, partial(_coaction_all, u.entries), d=u.d, r=mf.b_dim**2
     )
 
 

@@ -75,24 +75,11 @@ _GEMM_MACS = 1 << 16
 @functools.lru_cache(maxsize=256)
 def _tile(length, unit):
     """Largest divisor t of length with t * unit < _GEMM_MACS, or length itself
-    when a single row of unit multiply-adds already reaches the cap.
-
-    The divisors are built from length's prime factors, which for the
-    kernel's lengths r * k**e * d**f are those of k, d and r: a few steps,
-    where scanning every candidate cost as much as a small contraction.
-    """
+    when a single row of unit multiply-adds already reaches the cap."""
     cap = (_GEMM_MACS - 1) // unit
     if length <= cap or cap == 0:
         return length
-    divisors, rest, p = {1}, length, 2
-    while p * p <= rest:
-        while rest % p == 0:
-            rest //= p
-            divisors |= {x * p for x in divisors if x * p <= cap}
-        p += 1
-    if rest > 1:
-        divisors |= {x * rest for x in divisors if x * rest <= cap}
-    return max(divisors)
+    return next(t for t in range(cap, 0, -1) if length % t == 0)
 
 
 def _coaction_all(entries, w, n):

@@ -264,6 +264,13 @@ def test_check_magic_oversized_d_exits_two_naming_field(capsys, spec):
     assert err.startswith("error: unitary.d: ") and len(err.splitlines()) == 1
 
 
+def test_check_magic_unread_key_exits_two_naming_it(capsys):
+    spec = {"kind": "permutation", "sigma": [2, 1, 3], "k": 3}
+    code, out, err = run_cli(["check-magic", json.dumps(spec)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unitary.k: ") and len(err.splitlines()) == 1
+
+
 def test_check_magic_nan_projection_exits_two_naming_field(capsys):
     spec = {"kind": "block_pair", "d": 2, "projections": [[[1, 0], [0, 0]], [[1e200, 1e200], [1e200, -1e200]]]}
     code, out, err = run_cli(["check-magic", json.dumps(spec)], capsys)
@@ -464,11 +471,11 @@ def _scenario(tmp_path, **changes):
         ({"checks": [{"name": "collapse_lemma", "n_max": [4]}]}, "checks[0].n_max"),
         ({"checks": [{"name": "classical_invariance", "k": True}]}, "checks[0].k"),
         ({"checks": [{"name": "freeness", "vars": "12"}]}, "checks[0].vars"),
-        ({"checks": [{"name": "freeness", "n_max": 1}]}, "checks[0]"),
+        ({"checks": [{"name": "freeness", "n_max": 1}]}, "checks[0].n_max"),
         ({"checks": [{"name": "factorization", "trials": 1.5}]}, "checks[0].trials"),
-        ({"checks": [{"name": "crossing_sum", "d": 1}]}, "checks[0]"),
+        ({"checks": [{"name": "crossing_sum", "d": 1}]}, "checks[0].d"),
         ({"checks": [{"name": "crossing_sum", "variant": 5}]}, "checks[0].variant"),
-        ({"checks": [{"name": "counterexample", "n": 4}]}, "checks[0]"),
+        ({"checks": [{"name": "counterexample", "n": 4}]}, "checks[0].n"),
         ({"functional": {"kind": "cumulant", "cumulants": {"2": True}}},
          "functional.cumulants[2]"),
         ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": "1"}},
@@ -500,7 +507,7 @@ def _scenario(tmp_path, **changes):
         ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": 1e300}},
          "functional.b_dim"),
         ({"checks": [{"name": "factorization", "trials": 1e300}]}, "checks[0].trials"),
-        ({"checks": [{"name": "freeness", "n_max": 9}]}, "checks[0]"),
+        ({"checks": [{"name": "freeness", "n_max": 9}]}, "checks[0].n_max"),
         ({"checks": [{"name": "quantum_invariance", "n_max": 11}]}, "checks[0]"),
         ({"functional": {"kind": "concrete", "dim": 2, "density": {"diag": 0.5},
                          "elements": [{"diag": [1, -1]}]}}, "functional.density.diag"),
@@ -577,9 +584,8 @@ def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, f
         ["verify", str(_scenario(tmp_path, **changes)), "--report", str(tmp_path / "r.json")],
         capsys,
     )
-    assert code == 2
-    assert err.startswith(f"error: {field}: ")
-    assert out == ""
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}: ") and len(err.splitlines()) == 1
 
 
 def test_misspelled_parameter_exits_two_before_any_check_runs(tmp_path, capsys, monkeypatch):
@@ -592,6 +598,33 @@ def test_misspelled_parameter_exits_two_before_any_check_runs(tmp_path, capsys, 
     )
     assert (code, out, calls) == (2, "", [])
     assert err.startswith("error: checks[1].nvars: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("check, field", [
+    ({"name": "crossing_sum", "s": 1}, "s"),
+    ({"name": "crossing_sum", "d": 1}, "d"),
+    ({"name": "crossing_sum", "variant": "cupped"}, "variant"),
+    ({"name": "counterexample", "n": 4}, "n"),
+    ({"name": "freeness", "n_max": 9}, "n_max"),
+    # one distinct variable at n_max 1 was a vacuous PASS
+    ({"name": "freeness", "vars": [1], "n_max": 1}, "n_max"),
+    ({"name": "factorization", "vars": [1, 2], "l": 3}, "l"),
+    ({"name": "factorization", "vars": [1, 2, 1], "l": 3}, "l"),
+], ids=["crossing_s", "crossing_d", "crossing_variant", "counterexample_n", "freeness_n_max_9",
+        "freeness_n_max_1", "factorization_l_past_vars", "factorization_l_repeated"])
+def test_out_of_range_parameter_exits_two_before_any_check_runs(tmp_path, capsys, monkeypatch,
+                                                                 check, field):
+    # a range that the parameter alone decides is read with the scenario, not
+    # when its check starts after every earlier check has run
+    calls = []
+    monkeypatch.setattr(magic, "collapse_lemma_residual", lambda *args: calls.append(args))
+    checks = [{"name": "collapse_lemma"}, check]
+    code, out, err = run_cli(
+        ["verify", str(_scenario(tmp_path, checks=checks)), "--report", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith(f"error: checks[1].{field}: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("changes", [
@@ -665,6 +698,8 @@ def test_e_invariance_draws_decorations_only_after_the_length_check(tmp_path, ca
             capsys,
         )
         assert (got, len(calls)) == (code, drawn), err
+        if code == 2:
+            assert err.startswith("error: checks[0]: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

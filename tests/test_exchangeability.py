@@ -173,7 +173,6 @@ def test_nan_residual_at_any_length_fails(bad):
 )
 def test_invariance_report_non_finite_is_worst(residuals):
     report = InvarianceReport(
-        check="quantum_invariance",
         tolerance=1e-8,
         per_length=[TupleRecord(n, (1,) * n, r) for n, r in enumerate(residuals, 1)],
     )
