@@ -155,19 +155,16 @@ def pinching_subalgebra(blocks):
     d = len(flat)
     if flat != list(range(d)):
         raise ValueError(f"blocks must partition 0..d-1, got {blocks}")
+    # E keeps entry (x, y) exactly when x and y share a block: a diagonal map
+    mask = np.zeros((d, d), dtype=complex)
     basis = []
-    e_map = np.zeros((d * d, d * d), dtype=complex)
     for block in blocks:
-        proj = np.zeros((d, d), dtype=complex)
-        for x in block:
-            proj[x, x] = 1.0
-        e_map += np.kron(proj, proj)
-        for x in block:
-            for y in block:
-                unit = np.zeros((d, d), dtype=complex)
-                unit[x, y] = 1.0
-                basis.append(unit)
-    return SubalgebraWithExpectation(basis, e_map)
+        mask[np.ix_(block, block)] = 1.0
+        for x, y in itertools.product(block, repeat=2):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[x, y] = 1.0
+            basis.append(unit)
+    return SubalgebraWithExpectation(basis, np.diag(mask.reshape(-1)))
 
 
 class AlgebraContext:

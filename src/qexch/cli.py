@@ -393,17 +393,25 @@ def _parse_check(value, field, unitaries):
     return name, params
 
 
+def _read_file(path, field):
+    """The text of the file at path; an unreadable file names the field."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        _fail(field, str(exc))
+
+
+def _read_json(text, field):
+    """The one JSON reader of every input; invalid JSON names the field."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        _fail(field, f"invalid JSON ({exc})")
+
+
 def load_scenario(path):
     """The scenario file with every field read; the functional and unitaries stay specs."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ScenarioError(f"scenario file: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file: invalid JSON ({exc})") from exc
-    top = _Object(doc, "")
+    top = _Object(_read_json(_read_file(path, "scenario file"), "scenario file"), "")
     scenario = {
         "name": top.get("name", _parse_str),
         "tolerance": top.get("tolerance", _check_tol, None),
@@ -487,15 +495,8 @@ def _emit(args, report, lines):
 
 def _load_spec_argument(value, field):
     """An inline JSON object, or a path to a JSON file."""
-    if not value.lstrip().startswith("{"):
-        try:
-            value = Path(value).read_text()
-        except OSError as exc:
-            raise ScenarioError(f"{field}: not an inline JSON object or a readable file ({exc})")
-    try:
-        return json.loads(value)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{field}: not valid JSON ({exc})")
+    text = value if value.lstrip().startswith("{") else _read_file(value, field)
+    return _read_json(text, field)
 
 
 def cmd_verify(args):
@@ -547,15 +548,6 @@ def cmd_cumulants(args):
     return 0
 
 
-def _parse_json_flag(value, flag, parse):
-    """parse(doc, flag) of a flag's JSON value; invalid JSON names the flag."""
-    try:
-        doc = json.loads(value)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{flag}: invalid JSON ({exc})") from exc
-    return parse(doc, flag)
-
-
 def cmd_collapse(args):
     from .partitions import Partition
 
@@ -563,10 +555,10 @@ def cmd_collapse(args):
     seed = _resolve_seed(args)
     u = build_unitary(spec, seed, "unitary")
     positive = partial(_parse_int_list, minimum=1)
-    i_tuple = tuple(_parse_json_flag(args.i, "--i", positive))
+    i_tuple = tuple(positive(_read_json(args.i, "--i"), "--i"))
     if not i_tuple or max(i_tuple) > u.k:
         _fail("--i", f"expected a nonempty list of indices in 1..{u.k}, got {args.i}")
-    blocks = _parse_json_flag(args.pi, "--pi", partial(_parse_list, item=positive))
+    blocks = _parse_list(_read_json(args.pi, "--pi"), "--pi", positive)
     try:
         pi = Partition(len(i_tuple), blocks)
         value = magic.collapse_sum_all(u, pi)[tuple(x - 1 for x in i_tuple)]
@@ -585,10 +577,8 @@ def cmd_collapse(args):
 
 
 def cmd_counterexample(args):
-    try:
-        rep = exchangeability.finite_counterexample(args.n)
-    except ValueError as exc:
-        raise ScenarioError(f"--n: {exc}")
+    parse_n, _ = CHECKS["counterexample"][2]["n"]  # the scenario key's rule and message
+    rep = exchangeability.finite_counterexample(parse_n(args.n, "--n"))
     print(rep.summary())
     return 0 if rep.passed else 1
 
@@ -631,7 +621,7 @@ def build_parser():
     p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("counterexample", help="run the column model")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=CHECKS["counterexample"][2]["n"][1])
     p.set_defaults(func=cmd_counterexample)
     return parser
 

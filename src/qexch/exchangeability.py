@@ -233,6 +233,7 @@ def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0):
         raise ValueError(f"n_max={n_max} exceeds the cumulant order cap {MAX_TRANSFORM_ORDER}")
     values = sorted(set(variables))
     if len(values) < 2:
+        mf._check_word(values, None)  # even a vacuous verdict names a variable that exists
         return FreenessReport(0.0, (), 0.0, (), tol, vacuous=True)
     rng = np.random.default_rng(seed)
     centered_max = 0.0

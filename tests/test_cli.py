@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qexch
 from qexch import cumulants, exchangeability, magic
 from qexch.cli import CHECKS, _json_text, main
 from qexch.exchangeability import FreenessReport
@@ -27,6 +31,20 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# -- the package ------------------------------------------------------------------
+
+def test_package_reexports_nothing_and_loads_no_module():
+    # each name is imported from its module; `import qexch` alone binds no public name
+    code = ("import json, sys, qexch; print(json.dumps([qexch.__file__, "
+            "[n for n in vars(qexch) if not n.startswith('_')], 'numpy' in sys.modules]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(qexch.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    file, public, numpy_loaded = json.loads(out)
+    assert Path(file).resolve() == Path(qexch.__file__).resolve()
+    assert (public, numpy_loaded) == ([], False)
 
 
 # -- verify -----------------------------------------------------------------------
@@ -377,9 +395,12 @@ def test_counterexample_subcommand(capsys):
     assert "CONTRADICTION ESTABLISHED" in out
 
 
-def test_counterexample_invalid_n(capsys):
-    code, _, err = run_cli(["counterexample", "--n", "4"], capsys)
-    assert code == 2
+@pytest.mark.parametrize("n", ["1", "4"])
+def test_counterexample_invalid_n(capsys, n):
+    # the flag is read by the counterexample check's own parser: one rule, one message
+    code, out, err = run_cli(["counterexample", "--n", n], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --n: must be in 2..3, got {n}\n"
 
 
 COLLAPSE_UNITARY = '{"kind": "block_pair", "d": 2, "seeds": [1, 2]}'  # k = 4
@@ -428,6 +449,48 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 # -- malformed input: exit 2, the field named, no traceback ---------------------------
+
+@pytest.mark.parametrize("command, field", [
+    (["verify", "SCENARIO"], "scenario file"),
+    (["check-magic", "{not json"], "unitary"),
+    (["check-magic", "SPEC"], "unitary"),
+    (["collapse", "{not json", "--i", "[1]", "--pi", "[[1]]"], "unitary"),
+    (["cumulants", "{not json"], "functional"),
+    (["collapse", COLLAPSE_UNITARY, "--i", "[1", "--pi", "[[1]]"], "--i"),
+    (["collapse", COLLAPSE_UNITARY, "--i", "[1]", "--pi", "[[1]"], "--pi"),
+], ids=["scenario", "check_magic_inline", "check_magic_file", "collapse_spec", "cumulants_spec",
+        "i", "pi"])
+def test_invalid_json_input_exits_two_naming_its_field(tmp_path, capsys, command, field):
+    # every JSON input goes through one reader, so one message covers them all
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    command = [str(bad) if arg in ("SCENARIO", "SPEC") else arg for arg in command]
+    code, out, err = run_cli(command, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}: invalid JSON (") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, field", [
+    (["verify", "ABSENT"], "scenario file"),
+    (["check-magic", "ABSENT"], "unitary"),
+    (["cumulants", "ABSENT"], "functional"),
+])
+def test_unreadable_input_file_exits_two_naming_its_field(tmp_path, capsys, command, field):
+    command = [str(tmp_path / "absent.json") if arg == "ABSENT" else arg for arg in command]
+    code, out, err = run_cli(command, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}: [Errno 2] ") and len(err.splitlines()) == 1
+
+
+def test_freeness_of_one_missing_variable_exits_two(tmp_path, capsys):
+    doc = json.loads(BERNOULLI.read_text())  # 4 variables
+    doc["checks"] = [{"name": "freeness", "vars": [5]}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", str(path), "--report", str(tmp_path / "r.json")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: checks[0]: variable index 5") and len(err.splitlines()) == 1
+
 
 def _pinched(blocks):
     """A 2x2 concrete functional whose B is the pinching given by `blocks`."""

@@ -770,6 +770,13 @@ def test_single_variable_is_vacuously_free():
     assert report.vacuous and report.passed
 
 
+@pytest.mark.parametrize("variables", [(5,), (5, 5)])
+def test_single_variable_freeness_names_a_variable_that_exists(variables):
+    mf = bernoulli_functional(count=4)
+    with pytest.raises(ValueError, match="variable index 5 outside 1..4"):
+        check_freeness(mf, variables)
+
+
 # -- crossing sum probe ------------------------------------------------------------------------
 
 def test_crossing_sum_commuting_projections_give_identity():
