@@ -8,6 +8,13 @@ any check runs, and a key that no field reads is malformed input.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
 input.  Tolerance resolution: --tol flag, then the scenario file, then 1e-8.
+
+Importing this module before numpy sets OPENBLAS_NUM_THREADS=1 unless the
+caller has set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, so
+a `qexch` process runs its BLAS calls on the calling thread: a scenario's
+products are small enough that OpenBLAS's pool shortens them little, while
+its idle threads spin.  Set any of the three to choose otherwise.  A program that
+imports numpy first, and every library module, keeps the default threading.
 """
 
 from __future__ import annotations
@@ -15,14 +22,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from functools import partial
 from pathlib import Path
 
-import numpy as np
+# The module docstring gives the reason; OpenBLAS reads these three at load.
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import algebra, cumulants, exchangeability, magic
+import numpy as np  # noqa: E402
+
+from . import algebra, cumulants, exchangeability, magic  # noqa: E402
 
 
 class ScenarioError(Exception):
@@ -494,8 +508,8 @@ def _emit(args, report, lines):
 
 
 def _load_spec_argument(value, field):
-    """An inline JSON object, or a path to a JSON file."""
-    text = value if value.lstrip().startswith("{") else _read_file(value, field)
+    """Inline JSON (text that starts with {, [ or "), or a path to a JSON file."""
+    text = value if value.lstrip()[:1] in ("{", "[", '"') else _read_file(value, field)
     return _read_json(text, field)
 
 

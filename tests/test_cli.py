@@ -35,16 +35,65 @@ def run_cli(args, capsys):
 
 # -- the package ------------------------------------------------------------------
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child_env(**preset):
+    """This environment without the BLAS thread variables, plus preset, importing this qexch.
+
+    Built explicitly: a process that imported qexch.cli before numpy has set one of them.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return {**env, "PYTHONPATH": str(Path(qexch.__file__).resolve().parents[1]), **preset}
+
+
 def test_package_reexports_nothing_and_loads_no_module():
     # each name is imported from its module; `import qexch` alone binds no public name
     code = ("import json, sys, qexch; print(json.dumps([qexch.__file__, "
             "[n for n in vars(qexch) if not n.startswith('_')], 'numpy' in sys.modules]))")
-    env = {**os.environ, "PYTHONPATH": str(Path(qexch.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                         text=True, check=True).stdout
     file, public, numpy_loaded = json.loads(out)
     assert Path(file).resolve() == Path(qexch.__file__).resolve()
     assert (public, numpy_loaded) == ([], False)
+
+
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("imports, preset, expected", [
+    ("qexch.cli", {}, ONE_THREAD),
+    ("qexch.cli", {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+    ("qexch.cli", {"GOTO_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"}),
+    ("qexch.cli", {"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+    ("numpy, qexch.cli", {}, {}),
+], ids=["default", "openblas_preset", "goto_preset", "omp_preset", "numpy_first"])
+def test_cli_gives_openblas_one_thread_unless_the_caller_chose(imports, preset, expected):
+    code = (f"import json, os, {imports}; task = '/proc/self/task'; print(json.dumps(["
+            f"{{n: os.environ[n] for n in {BLAS_THREAD_VARIABLES!r} if n in os.environ}}, "
+            "len(os.listdir(task)) if os.path.isdir(task) else 1]))")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(**preset),
+                         capture_output=True, text=True, check=True).stdout
+    variables, tasks = json.loads(out)
+    assert variables == expected
+    if expected == ONE_THREAD:
+        assert tasks == 1  # numpy loaded, and OpenBLAS started no pool thread
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the CLI's one-thread default against an explicit two-thread pool, each in fresh processes
+    runs = {}
+    for threads, preset in (("default", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        for scenario in (FREE, BERNOULLI, ALL_CHECKS):
+            report = tmp_path / f"{scenario.stem}-{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "qexch.cli", "verify", str(scenario), "--report", str(report)],
+                env=_child_env(**preset), capture_output=True, timeout=300,
+            )
+            runs[scenario, threads] = (proc.returncode, proc.stderr, report.read_bytes())
+    for scenario, code in ((FREE, 0), (BERNOULLI, 1), (ALL_CHECKS, 0)):
+        assert runs[scenario, "default"] == runs[scenario, "two"]
+        assert runs[scenario, "default"][:2] == (code, b"")
 
 
 # -- verify -----------------------------------------------------------------------
@@ -468,6 +517,17 @@ def test_invalid_json_input_exits_two_naming_its_field(tmp_path, capsys, command
     code, out, err = run_cli(command, capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {field}: invalid JSON (") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, line", [
+    (["check-magic", '[{"kind":"permutation","sigma":[2,1]}]'],
+     "error: unitary: expected an object, got list"),
+    (["cumulants", '"scalar"'], "error: functional: expected an object, got str"),
+], ids=["check_magic_list", "cumulants_string"])
+def test_inline_json_that_is_not_an_object_exits_two_naming_its_field(capsys, command, line):
+    # a spec argument that starts with {, [ or " is JSON, never a file name
+    code, out, err = run_cli(command, capsys)
+    assert (code, out, err) == (2, "", line + "\n")
 
 
 @pytest.mark.parametrize("command, field", [
