@@ -89,35 +89,44 @@ def rho_pi(rho, pi, args, peel="min"):
     return rho_pi(rho, delete_block(pi, block), rest, peel=peel)
 
 
+def _check_order(n):
+    if n > MAX_TRANSFORM_ORDER:
+        raise ValueError(f"cumulant extraction supports word length <= {MAX_TRANSFORM_ORDER}")
+
+
 class CumulantExtractor:
     """Cumulants of decorated words, extracted from a moment oracle.
 
     kappa_word inverts the partition-sum relation: the moment of a word
     equals the sum of kappa_pi over non-crossing pi, and every pi other
     than the one-block partition only involves cumulants of shorter words.
-    Results are cached per (variables, coefficients) signature.
+    Each public method checks its request once, at entry; the extraction
+    below it reads checked words only.  Results are cached per (variables,
+    coefficients) signature, and each partition's peeling steps once per
+    extractor.
     """
 
     def __init__(self, mf):
         self.mf = mf
         self._cache = {}
+        self._steps = {}
 
     def kappa_word(self, variables, coeffs=None):
         variables, coeffs = self.mf._check_word(variables, coeffs)
         n = len(variables)
-        coeffs = coeffs or (self.mf.identity_coeff(),) * (n + 1)
         if n == 0:
             raise ValueError("cumulants of the empty word are undefined")
-        if n > MAX_TRANSFORM_ORDER:
-            raise ValueError(
-                f"cumulant extraction supports word length <= {MAX_TRANSFORM_ORDER}"
-            )
+        _check_order(n)
+        return self._kappa_word(variables, coeffs or (self.mf.identity_coeff(),) * (n + 1))
+
+    def _kappa_word(self, variables, coeffs):
+        """kappa_word of a checked word with all its coefficients."""
         key = (variables, tuple(c.tobytes() for c in coeffs))
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         total = self.mf.moment(variables, coeffs)
-        for pi in _noncrossing(n):
+        for pi in _noncrossing(len(variables)):
             if pi.num_blocks > 1:
                 total = total - self.kappa_partition(pi, variables, coeffs)
         self._cache[key] = total
@@ -128,26 +137,43 @@ class CumulantExtractor:
 
         The inner block keeps the decorations between its own variables;
         its cumulant value is merged into the coefficient at the junction,
-        which realizes the B-module threading rules.
+        which realizes the B-module threading rules.  The block left when
+        no other remains gives the last factor.
         """
         variables, coeffs = self.mf._check_word(variables, coeffs)
-        coeffs = coeffs or (self.mf.identity_coeff(),) * (len(variables) + 1)
         if pi.n != len(variables):
             raise ValueError("partition size does not match word length")
-        if not is_noncrossing(pi):
-            raise ValueError("kappa_pi is indexed by non-crossing partitions only")
-        if pi.num_blocks == 1:
-            return self.kappa_word(variables, coeffs)
-        block = interval_blocks(pi)[0]
-        s, r = block[0], len(block)
+        steps = self._peeling(pi)
         eye = self.mf.identity_coeff()
-        inner_vars = variables[s - 1 : s - 1 + r]
-        inner_coeffs = (eye,) + coeffs[s : s + r - 1] + (eye,)
-        value = self.kappa_word(inner_vars, inner_coeffs)
-        merged = coeffs[s - 1] @ value @ coeffs[s + r - 1]
-        new_vars = variables[: s - 1] + variables[s - 1 + r :]
-        new_coeffs = coeffs[: s - 1] + (merged,) + coeffs[s + r :]
-        return self.kappa_partition(delete_block(pi, block), new_vars, new_coeffs)
+        coeffs = coeffs or (eye,) * (len(variables) + 1)
+        for s, r in steps:
+            value = self._kappa_word(
+                variables[s - 1 : s - 1 + r], (eye,) + coeffs[s : s + r - 1] + (eye,)
+            )
+            merged = coeffs[s - 1] @ value @ coeffs[s + r - 1]
+            variables = variables[: s - 1] + variables[s - 1 + r :]
+            coeffs = coeffs[: s - 1] + (merged,) + coeffs[s + r :]
+        return self._kappa_word(variables, coeffs)
+
+    def _peeling(self, pi):
+        """(start, length) of each block kappa_partition peels off pi, in order.
+
+        Each step removes the interval block of least minimum and relabels
+        what is left, until one block remains.  A crossing pi, or one with a
+        block longer than MAX_TRANSFORM_ORDER, is rejected.
+        """
+        steps = self._steps.get(pi)
+        if steps is None:
+            if not is_noncrossing(pi):
+                raise ValueError("kappa_pi is indexed by non-crossing partitions only")
+            _check_order(max(map(len, pi.blocks)))
+            steps, rest = [], pi
+            while rest.num_blocks > 1:
+                block = interval_blocks(rest)[0]
+                steps.append((block[0], len(block)))
+                rest = delete_block(rest, block)
+            steps = self._steps[pi] = tuple(steps)
+        return steps
 
 
 def moments_to_cumulants(mf, variables):
@@ -277,15 +303,22 @@ class CumulantMomentFunctional(MomentFunctional):
         self.b_dim = spec.b_dim
         self.variable_count = None
         self.max_word_length = MAX_WORD_LENGTH
+        self._scalar_tensors = {}  # (k, n) -> read-only tensor, see _keep
 
     def _diagonal_product(self, coeffs):
-        """Product of the diagonals of diagonal coefficients; all ones for none."""
-        diags = []
-        for c in coeffs or ():
-            if frobenius(c - np.diag(np.diag(c))) > 1e-12:
-                raise ValueError("cumulant-backed B is diagonal; coefficients must be diagonal")
-            diags.append(np.diag(c))
-        return np.prod(diags, axis=0) if diags else np.ones(self.b_dim, dtype=complex)
+        """Product of the diagonals of diagonal coefficients; all ones for none.
+
+        Every coefficient is checked in one pass over their stack.
+        """
+        if not coeffs:
+            return np.ones(self.b_dim, dtype=complex)
+        stack = np.array(coeffs)  # (m, b_dim, b_dim), a copy
+        diag_axis = np.arange(self.b_dim)
+        diags = stack[:, diag_axis, diag_axis]
+        stack[:, diag_axis, diag_axis] -= diags  # what remains is off the diagonal
+        if np.any(np.linalg.norm(stack.reshape(len(stack), -1), axis=1) > 1e-12):
+            raise ValueError("cumulant-backed B is diagonal; coefficients must be diagonal")
+        return np.prod(diags, axis=0)
 
     def moment(self, variables, coeffs=None):
         variables, coeffs = self._check_word(variables, coeffs)
@@ -336,10 +369,13 @@ class CumulantMomentFunctional(MomentFunctional):
         return decorations
 
     def scalar_moment_tensor(self, k, n):
+        kept = self._scalar_tensors.get((k, n))
+        if kept is not None:
+            return kept
         self._check_tensor(k, n)
         ids, patterns = _pattern_table(k, n)
         values = self.spec.kernel_sum(patterns) @ self.spec.weights
-        return values[ids].reshape((k,) * n)
+        return self._keep((k, n), values[ids].reshape((k,) * n))
 
     def expectation_tensor(self, k, n, decorations=None):
         deco = self._diagonal_product(self._check_tensor(k, n, decorations))

@@ -76,8 +76,9 @@ def _witness_index(residuals):
 def _scan_lengths(mf, k, n_max, tol, make_seed, act, d=1, r=1):
     """Shared driver: build the tensor w per length, act on it, compare.
 
-    make_seed(n) gives w with one row per tuple, r entries wide, and
-    act(w, n) a (k**n, d, d, r) transposed view of a C-ordered
+    make_seed(n) gives w with one row per tuple, r entries wide; w is only
+    read, so it may be a read-only tensor that the oracle keeps.
+    act(w, n) gives a (k**n, d, d, r) transposed view of a C-ordered
     (r, d, k**n, d) buffer, as _coaction_all returns it.  The driver may
     overwrite that buffer and is done with it before its next act call, so
     the view may live in _coaction_all's per-thread workspace.  The

@@ -140,6 +140,16 @@ def _coaction_charge(k, n, d, r=1):
     return 16 * k**n * d * d * r, f"coaction tensor with {k}^{n} {d}x{d} values of width {r}"
 
 
+def _collapse_charge(k, n, d):
+    """(bytes, description) of collapse_sum_all's working set over {1..k}^n.
+
+    Three coaction tensors (the two workspace buffers and the returned
+    copy) and the float seed of k**n entries.
+    """
+    what = f"coaction tensor with {k}^{n} {d}x{d} values in two workspace buffers and a copy"
+    return 48 * k**n * d * d + 8 * k**n, f"collapse working set: the {what}, and its seed"
+
+
 def ensure_projection(q):
     """Re-symmetrize and validate an orthogonal projection.
 
@@ -333,11 +343,12 @@ def collapse_sum_all(u, pi):
     Returns a new array of shape (k,)*n + (d, d); entry [i1-1, ..., in-1]
     is interval_collapse_sum(u, (i1..in), pi).  Same block sum as the
     scalar entry point, evaluated as the coaction on the tensor
-    1[ker j >= pi] and copied out of the coaction workspace.
+    1[ker j >= pi] and copied out of the coaction workspace.  The whole
+    working set is charged before any work (_collapse_charge).
     """
     if not is_noncrossing(pi):
         raise ValueError("crossing partition rejected")
-    check_bytes(*_coaction_charge(u.k, pi.n, u.d))
+    check_bytes(*_collapse_charge(u.k, pi.n, u.d))
     w = kernel_indicator(pi, u.k).reshape(-1, 1).astype(float)
     return _coaction_all(u.entries, w, pi.n).reshape((u.k,) * pi.n + (u.d, u.d)).copy()
 
@@ -361,11 +372,11 @@ def collapse_lemma_residual(u, n_max):
     target is the identity where ker i >= pi and zero elsewhere.  The
     target is subtracted on the d x d diagonal of collapse_sum_all's copy
     in place, which gives the difference bitwise without building it.
-    The partitions and the coaction of the longest length are charged
+    The partitions and the collapse sums of the longest length are charged
     before the first contraction.
     """
     check_bytes(*_noncrossing_charge(n_max))  # first: it is cheap for any n_max
-    check_bytes(*_coaction_charge(u.k, n_max, u.d))
+    check_bytes(*_collapse_charge(u.k, n_max, u.d))
     devs = []
     for n in range(1, n_max + 1):
         for pi in enumerate_noncrossing(n):

@@ -418,17 +418,19 @@ def test_collapse_rejects_crossing(capsys):
     assert "crossing" in err
 
 
-def test_collapse_oversized_partition_exits_two_naming_pi(capsys):
-    # 4^13 collapse sums: the literal block sum would run for about half an hour
+@pytest.mark.parametrize("points", [12, 13])
+def test_collapse_oversized_partition_exits_two_naming_pi(capsys, points):
+    # 4^12 collapse sums need about 1 GiB (two workspace buffers, a copy and the seed);
+    # at 4^13 the literal block sum would run for about half an hour
     start = time.monotonic()
     code, out, err = run_cli(
         [
             "collapse",
             '{"kind": "permutation", "sigma": [2, 1, 4, 3]}',
             "--pi",
-            json.dumps([[x] for x in range(1, 14)]),
+            json.dumps([[x] for x in range(1, points + 1)]),
             "--i",
-            json.dumps([1] * 13),
+            json.dumps([1] * points),
         ],
         capsys,
     )

@@ -35,7 +35,10 @@ from qexch.partitions import (
     _pattern_table,
     _pattern_table_charge,
     canonical_pattern,
+    delete_block,
     enumerate_noncrossing,
+    interval_blocks,
+    is_noncrossing,
 )
 
 NC10 = Partition(10, [[1, 10], [2, 5, 9], [3, 4], [6], [7, 8]])
@@ -230,6 +233,98 @@ def test_transform_order_guard():
     mf = CumulantMomentFunctional(semicircular_spec())
     with pytest.raises(ValueError):
         moments_to_cumulants(mf, (1,) * 9)
+
+
+class _RecursiveExtractor:
+    """The recursive extraction that CumulantExtractor replaced, kept as its reference.
+
+    Every call checks its request again, and kappa_pi peels one interval
+    block per recursive call; the arithmetic is CumulantExtractor's, in the
+    same order.
+    """
+
+    def __init__(self, mf):
+        self.mf = mf
+        self._cache = {}
+
+    def kappa_word(self, variables, coeffs=None):
+        variables, coeffs = self.mf._check_word(variables, coeffs)
+        n = len(variables)
+        coeffs = coeffs or (self.mf.identity_coeff(),) * (n + 1)
+        key = (variables, tuple(c.tobytes() for c in coeffs))
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        total = self.mf.moment(variables, coeffs)
+        for pi in enumerate_noncrossing(n):
+            if pi.num_blocks > 1:
+                total = total - self.kappa_partition(pi, variables, coeffs)
+        self._cache[key] = total
+        return total
+
+    def kappa_partition(self, pi, variables, coeffs=None):
+        variables, coeffs = self.mf._check_word(variables, coeffs)
+        coeffs = coeffs or (self.mf.identity_coeff(),) * (len(variables) + 1)
+        assert pi.n == len(variables) and is_noncrossing(pi)
+        if pi.num_blocks == 1:
+            return self.kappa_word(variables, coeffs)
+        block = interval_blocks(pi)[0]
+        s, r = block[0], len(block)
+        eye = self.mf.identity_coeff()
+        inner_vars = variables[s - 1 : s - 1 + r]
+        inner_coeffs = (eye,) + coeffs[s : s + r - 1] + (eye,)
+        value = self.kappa_word(inner_vars, inner_coeffs)
+        merged = coeffs[s - 1] @ value @ coeffs[s + r - 1]
+        new_vars = variables[: s - 1] + variables[s - 1 + r :]
+        new_coeffs = coeffs[: s - 1] + (merged,) + coeffs[s + r :]
+        return self.kappa_partition(delete_block(pi, block), new_vars, new_coeffs)
+
+
+def _reference_oracles():
+    rng = np.random.default_rng(41)
+    # B = M_2 (+) C inside M_3: a non-central, non-commutative amalgamation base
+    pinched = ConcreteMomentFunctional(
+        pinching_context([[0, 1], [2]]), [random_matrix(rng, 3) for _ in range(3)]
+    )
+    diagonal = ConcreteMomentFunctional(
+        pinching_context([[0], [1], [2]]), [random_matrix(rng, 3) for _ in range(2)]
+    )
+    spec = CumulantMomentFunctional(random_spec(rng, 5, b_dim=2))
+    return {"pinched M_2+C": pinched, "pinched C^3": diagonal, "cumulant b_dim 2": spec}
+
+
+@pytest.mark.parametrize("name", ["pinched M_2+C", "pinched C^3", "cumulant b_dim 2"])
+def test_extractor_matches_the_recursive_reference_bitwise(name):
+    mf = _reference_oracles()[name]
+    rng = np.random.default_rng(42)
+    extractor, reference = CumulantExtractor(mf), _RecursiveExtractor(mf)
+    compared = 0
+    for n in range(1, 6):
+        for _ in range(3):
+            word = tuple(int(v) for v in rng.integers(1, mf.variable_count or 2, size=n, endpoint=True))
+            decorated = tuple(mf.random_coeff(rng) for _ in range(n + 1))
+            for coeffs in (None, decorated):
+                assert np.array_equal(extractor.kappa_word(word, coeffs),
+                                      reference.kappa_word(word, coeffs))
+                for pi in enumerate_noncrossing(n):
+                    assert np.array_equal(extractor.kappa_partition(pi, word, coeffs),
+                                          reference.kappa_partition(pi, word, coeffs))
+                    compared += 1
+    assert compared == 2 * 3 * (1 + 2 + 5 + 14 + 42)  # two decorations of three words per n
+
+
+def test_extractor_checks_each_request():
+    mf = CumulantMomentFunctional(semicircular_spec())
+    extractor = CumulantExtractor(mf)
+    crossing = Partition(4, [[1, 3], [2, 4]])
+    with pytest.raises(ValueError, match="non-crossing partitions only"):
+        extractor.kappa_partition(crossing, (1, 1, 1, 1))
+    with pytest.raises(ValueError, match="partition size does not match"):
+        extractor.kappa_partition(Partition(2, [[1], [2]]), (1, 1, 1))
+    with pytest.raises(ValueError, match="word length <= 8"):
+        extractor.kappa_partition(Partition(10, [[1], list(range(2, 11))]), (1,) * 10)
+    with pytest.raises(ValueError, match="word length <= 8"):
+        extractor.kappa_word((1,) * 9)
 
 
 # -- cumulants -> moments ------------------------------------------------------------

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qexch import exchangeability, magic
+from qexch import algebra, exchangeability, magic
 from qexch.algebra import (
     BPolynomial,
     ConcreteMomentFunctional,
+    MomentFunctional,
     pinching_context,
     scalar_context,
 )
@@ -491,6 +492,81 @@ def test_coaction_workspace_is_reused_and_bounded():
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         pool.submit(scans).result()
+
+
+# -- kept moment tensors -------------------------------------------------------------
+
+def _sweep_unitaries():
+    # three 4x4 and two 6x6 non-commuting magic unitaries: k = 4, 4, 4, 6, 6
+    pairs = [noncommuting_projection_pair(2, seed=(31, t)) for t in range(5)]
+    return [block_pair(*pairs[t]) for t in range(3)] + [
+        block_chain([*pairs[t], pairs[t - 1][0]]) for t in (3, 4)
+    ]
+
+
+def _kept_tensor_oracle(kind):
+    """A fresh oracle of `kind`, and the name of the method that builds its tensors."""
+    rng = np.random.default_rng(32)
+    if kind == "cumulant":
+        return CumulantMomentFunctional(random_spec(rng, 4)), "kernel_sum"
+    ctx = pinching_context([[0], [1]])
+    elements = [(x + x.conj().T) / 2 for x in rng.standard_normal((6, 2, 2)) + 0j]
+    return ConcreteMomentFunctional(ctx, elements), "_product_stack"
+
+
+def _count_builds(monkeypatch, mf, method):
+    owner = mf.spec if method == "kernel_sum" else mf
+    builds = []
+    original = getattr(owner, method)
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, method, counting)
+    return builds
+
+
+@pytest.mark.parametrize("kind", ["cumulant", "concrete"])
+def test_scans_against_several_unitaries_build_each_tensor_once(monkeypatch, kind):
+    mf, method = _kept_tensor_oracle(kind)
+    builds = _count_builds(monkeypatch, mf, method)
+    unitaries = _sweep_unitaries()
+    shared = [check_quantum_invariance(mf, u, n_max=6) for u in unitaries]
+    assert [u.k for u in unitaries] == [4, 4, 4, 6, 6]
+    assert len(builds) == 12  # one per (k, n): k in {4, 6}, n in 1..6
+    assert sorted(mf._scalar_tensors) == [(k, n) for k in (4, 6) for n in range(1, 7)]
+    for u, report in zip(unitaries, shared):
+        fresh, _ = _kept_tensor_oracle(kind)
+        assert check_quantum_invariance(fresh, u, n_max=6) == report
+
+
+@pytest.mark.parametrize("kind", ["cumulant", "concrete"])
+def test_kept_tensors_are_read_only_and_returned_again(kind):
+    mf, _ = _kept_tensor_oracle(kind)
+    tensor = mf.scalar_moment_tensor(4, 3)
+    assert mf.scalar_moment_tensor(4, 3) is tensor
+    assert not tensor.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tensor[0, 0, 0] = 1.0
+    np.testing.assert_allclose(tensor, MomentFunctional.scalar_moment_tensor(mf, 4, 3), atol=1e-13)
+
+
+def test_tensor_over_the_kept_budget_is_returned_but_not_kept(monkeypatch):
+    # scalar B on C^1: a tensor request is charged exactly the 16 * 4^n bytes it keeps
+    mf = ConcreteMomentFunctional(scalar_context(np.eye(1)), [[[0.5]], [[-1.0]], [[2.0]], [[0.25]]])
+    builds = _count_builds(monkeypatch, mf, "_product_stack")
+    monkeypatch.setattr(algebra, "MAX_BYTES", 16 * 4**6)
+    small = mf.scalar_moment_tensor(4, 5)
+    assert (4, 5) in mf._scalar_tensors and not small.flags.writeable
+    # 4^6 values fit the budget alone, but not next to the 4^5 already kept
+    first = mf.scalar_moment_tensor(4, 6)
+    second = mf.scalar_moment_tensor(4, 6)
+    assert len(builds) == 3
+    assert sorted(mf._scalar_tensors) == [(4, 5)]
+    assert first.flags.writeable and first is not second
+    assert np.array_equal(first, second)
+    np.testing.assert_allclose(first, MomentFunctional.scalar_moment_tensor(mf, 4, 6), atol=1e-13)
 
 
 # -- classical exchangeability ------------------------------------------------------
