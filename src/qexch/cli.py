@@ -7,7 +7,10 @@ human-readable summary on stdout.  Every field of a scenario is read before
 any check runs, and a key that no field reads is malformed input.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
-input.  Tolerance resolution: --tol flag, then the scenario file, then 1e-8.
+input.  A flag value (--tol, --seed, --n) is JSON read by its scenario key's
+parser before any work: `--seed 1.0` reads as `"seed": 1.0`, and a malformed
+value gives one `error: --flag: ...` line.  The tolerance is the --tol flag,
+then the scenario file's, then 1e-8.
 
 Importing this module before numpy sets OPENBLAS_NUM_THREADS=1 unless the
 caller has set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, so
@@ -48,8 +51,8 @@ def _fail(field, message):
 
 
 def _finite(x):
-    """Whether x is a finite int or float (a bool is not a number here)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """Whether x is an int or float that a finite float holds (a bool is not a number here)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _parse_complex(value, field):
@@ -357,6 +360,7 @@ def _counterexample(c, p, u):
 
 
 _count = partial(_parse_int, minimum=1)
+_seed = partial(_parse_int, minimum=0)
 _counts = partial(_parse_int_list, minimum=1)
 _at_least_two = partial(_parse_int, minimum=2)
 
@@ -416,10 +420,11 @@ def _read_file(path, field):
 
 
 def _read_json(text, field):
-    """The one JSON reader of every input; invalid JSON names the field."""
+    """The one JSON reader of every input; invalid JSON names the field (json raises
+    a ValueError past 4300 digits of an integer, a RecursionError on deep nesting)."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         _fail(field, f"invalid JSON ({exc})")
 
 
@@ -428,8 +433,8 @@ def load_scenario(path):
     top = _Object(_read_json(_read_file(path, "scenario file"), "scenario file"), "")
     scenario = {
         "name": top.get("name", _parse_str),
-        "tolerance": top.get("tolerance", _check_tol, None),
-        "seed": top.get("seed", partial(_parse_int, minimum=0), 0),
+        "tolerance": top.get("tolerance", _check_tol, algebra.DEFAULT_TOL),
+        "seed": top.get("seed", _seed, 0),
         "functional": top.get("functional"),
         "unitaries": top.get("unitaries", _parse_list, []),
     }
@@ -471,15 +476,13 @@ def run_scenario(doc, tol, seed):
     return report, lines
 
 
-def _resolve_tolerance(args, scenario_tol=None):
-    """The --tol flag, then the scenario, then 1e-8."""
-    if args.tol is not None:
-        return _check_tol(args.tol, "--tol")
-    return algebra.DEFAULT_TOL if scenario_tol is None else scenario_tol
-
-
-def _resolve_seed(args, default=0):
-    return default if args.seed is None else _parse_int(args.seed, "--seed", minimum=0)
+def _flag(args, name, parse, default):
+    """The --name flag's JSON text read by parse, the parser of the key the flag
+    stands for; an absent flag gives default, as it is."""
+    text = getattr(args, name)
+    if text is None:
+        return default
+    return parse(_read_json(text, f"--{name}"), f"--{name}")
 
 
 def _json_text(doc):
@@ -515,8 +518,8 @@ def _load_spec_argument(value, field):
 
 def cmd_verify(args):
     doc = load_scenario(args.scenario)
-    tol = _resolve_tolerance(args, doc["tolerance"])
-    seed = _resolve_seed(args, doc["seed"])
+    tol = _flag(args, "tol", _check_tol, doc["tolerance"])
+    seed = _flag(args, "seed", _seed, doc["seed"])
     if args.report is None:
         args.report = Path(args.scenario).stem + ".report.json"
     report, lines = run_scenario(doc, tol, seed)
@@ -526,8 +529,8 @@ def cmd_verify(args):
 
 def cmd_check_magic(args):
     spec = _load_spec_argument(args.unitary, "unitary")
-    tol = _resolve_tolerance(args)
-    seed = _resolve_seed(args)
+    tol = _flag(args, "tol", _check_tol, algebra.DEFAULT_TOL)
+    seed = _flag(args, "seed", _seed, 0)
     u = build_unitary(spec, seed, "unitary")
     rep = magic.verify_relations(u, tol=tol)
     report = {
@@ -544,8 +547,8 @@ def cmd_check_magic(args):
 
 def cmd_cumulants(args):
     spec = _load_spec_argument(args.functional, "functional")
+    n = _flag(args, "n", partial(_parse_int, minimum=1, maximum=cumulants.MAX_TRANSFORM_ORDER), 4)
     mf = build_functional(spec, "functional")
-    n = _parse_int(args.n, "--n", minimum=1, maximum=cumulants.MAX_TRANSFORM_ORDER)
     # m_n and kappa_n are B-valued; one state reduces both to numbers
     table = cumulants.moments_to_cumulants(mf, (1,) * n)
     rows = [(o, mf.phi(mf.moment((1,) * o)), mf.phi(table[o])) for o in range(1, n + 1)]
@@ -566,7 +569,8 @@ def cmd_collapse(args):
     from .partitions import Partition
 
     spec = _load_spec_argument(args.unitary, "unitary")
-    seed = _resolve_seed(args)
+    tol = _flag(args, "tol", _check_tol, algebra.DEFAULT_TOL)
+    seed = _flag(args, "seed", _seed, 0)
     u = build_unitary(spec, seed, "unitary")
     positive = partial(_parse_int_list, minimum=1)
     i_tuple = tuple(positive(_read_json(args.i, "--i"), "--i"))
@@ -581,7 +585,6 @@ def cmd_collapse(args):
     expected = magic.collapse_expected(i_tuple, pi)
     target = np.eye(u.d) if expected else np.zeros((u.d, u.d))
     residual = float(np.linalg.norm(value - target))
-    tol = _resolve_tolerance(args)
     print(f"collapse sum for i={i_tuple}, pi={[list(b) for b in pi.blocks]}:")
     with np.printoptions(precision=6, suppress=True):
         print(value)
@@ -591,8 +594,7 @@ def cmd_collapse(args):
 
 
 def cmd_counterexample(args):
-    parse_n, _ = CHECKS["counterexample"][2]["n"]  # the scenario key's rule and message
-    rep = exchangeability.finite_counterexample(parse_n(args.n, "--n"))
+    rep = exchangeability.finite_counterexample(_flag(args, "n", *CHECKS["counterexample"][2]["n"]))
     print(rep.summary())
     return 0 if rep.passed else 1
 
@@ -603,8 +605,9 @@ def build_parser():
         parent.add_argument(*args, **kwargs)
         return parent
 
-    tol = flag("--tol", type=float, default=None, help="residual tolerance")
-    seed = flag("--seed", type=int, default=None, help="sampling seed")
+    # argparse keeps only the structure: _flag reads the values of --tol, --seed and --n
+    tol = flag("--tol", help="residual tolerance")
+    seed = flag("--seed", help="sampling seed")
     report = flag("--report", default=None, help="path for the JSON report")
     fmt = flag("--format", choices=("json", "text"), default="text", help="stdout format")
     parser = argparse.ArgumentParser(
@@ -625,7 +628,7 @@ def build_parser():
 
     p = sub.add_parser("cumulants", parents=[fmt], help="print a moment/cumulant table")
     p.add_argument("functional", help="functional spec: inline JSON or a file path")
-    p.add_argument("--n", type=int, default=4, help="highest order to print")
+    p.add_argument("--n", help="highest order to print")
     p.set_defaults(func=cmd_cumulants)
 
     p = sub.add_parser("collapse", parents=[tol, seed], help="print one collapse sum")
@@ -635,7 +638,7 @@ def build_parser():
     p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("counterexample", help="run the column model")
-    p.add_argument("--n", type=int, default=CHECKS["counterexample"][2]["n"][1])
+    p.add_argument("--n")
     p.set_defaults(func=cmd_counterexample)
     return parser
 

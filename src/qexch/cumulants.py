@@ -10,7 +10,6 @@ family whose mixed cumulants vanish by construction.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,24 +22,17 @@ from .algebra import (
     frobenius,
 )
 from .partitions import (
+    _noncrossing,
     _pattern_table,
     _pattern_table_charge,
+    _peeling_steps,
     _profile_counts,
     _profile_counts_charge,
     canonical_pattern,
-    delete_block,
-    enumerate_noncrossing,
-    interval_blocks,
-    is_noncrossing,
 )
 
 MAX_TRANSFORM_ORDER = 8
 MAX_WORD_LENGTH = 12
-
-
-@lru_cache(maxsize=16)
-def _noncrossing(n):
-    return tuple(enumerate_noncrossing(n))
 
 
 def moment_family(ctx):
@@ -66,27 +58,19 @@ def rho_pi(rho, pi, args, peel="min"):
     result is independent of which interval block is peeled whenever rho
     respects the B-module structure; `peel` selects the interval block with
     the smallest ("min") or largest ("max") minimum, the former being the
-    deterministic default.
+    deterministic default (partitions._peeling_steps).
     """
     args = [np.asarray(a, dtype=complex) for a in args]
     if len(args) != pi.n:
         raise ValueError(f"got {len(args)} arguments for a partition of {pi.n}")
-    if peel not in ("min", "max"):
-        raise ValueError(f"unknown peel rule {peel!r}")
-    if not is_noncrossing(pi):
-        raise ValueError("rho_pi is defined for non-crossing partitions only")
-    if pi.num_blocks == 1:
-        return rho(args)
-    candidates = interval_blocks(pi)
-    block = candidates[0] if peel == "min" else candidates[-1]
-    start, r = block[0], len(block)
-    value = rho(args[start - 1 : start - 1 + r])
-    rest = args[: start - 1] + args[start - 1 + r :]
-    if start == 1:
-        rest[0] = value @ rest[0]
-    else:
-        rest[start - 2] = rest[start - 2] @ value
-    return rho_pi(rho, delete_block(pi, block), rest, peel=peel)
+    for start, r in _peeling_steps(pi, peel):
+        value = rho(args[start - 1 : start - 1 + r])
+        args = args[: start - 1] + args[start - 1 + r :]
+        if start == 1:
+            args[0] = value @ args[0]
+        else:
+            args[start - 2] = args[start - 2] @ value
+    return rho(args)
 
 
 def _check_order(n):
@@ -156,23 +140,16 @@ class CumulantExtractor:
         return self._kappa_word(variables, coeffs)
 
     def _peeling(self, pi):
-        """(start, length) of each block kappa_partition peels off pi, in order.
-
-        Each step removes the interval block of least minimum and relabels
-        what is left, until one block remains.  A crossing pi, or one with a
-        block longer than MAX_TRANSFORM_ORDER, is rejected.
+        """(start, length) of each block kappa_partition peels off pi, in order:
+        partitions._peeling_steps, the interval block of least minimum first.
+        A crossing pi, or one with a block longer than MAX_TRANSFORM_ORDER, is
+        rejected.
         """
         steps = self._steps.get(pi)
         if steps is None:
-            if not is_noncrossing(pi):
-                raise ValueError("kappa_pi is indexed by non-crossing partitions only")
+            steps = _peeling_steps(pi)
             _check_order(max(map(len, pi.blocks)))
-            steps, rest = [], pi
-            while rest.num_blocks > 1:
-                block = interval_blocks(rest)[0]
-                steps.append((block[0], len(block)))
-                rest = delete_block(rest, block)
-            steps = self._steps[pi] = tuple(steps)
+            self._steps[pi] = steps
         return steps
 
 
@@ -189,23 +166,20 @@ def moments_to_cumulants(mf, variables):
     return {m: extractor.kappa_word(variables[:m]) for m in range(1, len(variables) + 1)}
 
 
-def check_mixed_cumulants(mf, variables, tol=DEFAULT_TOL):
-    """Scan every mixed tuple over the distinct values of `variables`.
+def check_mixed_cumulants(mf, values, n_max, tol=DEFAULT_TOL):
+    """Scan every mixed tuple of length 2..n_max over the distinct `values`.
 
-    Tuples of each length from 2 up to len(variables) are formed from the
-    distinct variable indices.  A free family passes, any dependence shows
-    up as a nonzero mixed cumulant; the largest is reported with its tuple
-    as witness.
+    A free family passes, any dependence shows up as a nonzero mixed
+    cumulant; the largest is reported with its tuple as witness.
     """
-    variables = tuple(variables)
-    values = sorted(set(variables))
+    values = sorted(set(values))
     if len(values) < 2:
         raise ValueError("need at least two distinct variables")
     extractor = CumulantExtractor(mf)
     worst = 0.0
     worst_tuple = ()
     checked = 0
-    for m in range(2, len(variables) + 1):
+    for m in range(2, n_max + 1):
         for tup in itertools.product(values, repeat=m):
             if len(set(tup)) < 2:
                 continue

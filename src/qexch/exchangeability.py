@@ -250,8 +250,7 @@ def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0):
                 val = frobenius(product_expectation(mf, polys, tup))
                 if _severity(val) > _severity(centered_max):
                     centered_max, centered_worst = val, tup
-    cyclic = tuple(values[t % len(values)] for t in range(n_max))
-    mixed = check_mixed_cumulants(mf, cyclic, tol=tol)
+    mixed = check_mixed_cumulants(mf, values, n_max, tol=tol)
     return FreenessReport(
         centered_max=centered_max,
         centered_worst=centered_worst,

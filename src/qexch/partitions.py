@@ -226,12 +226,18 @@ def _blocks(leaders):
     return blocks.values()
 
 
+@lru_cache(maxsize=16)
+def _noncrossing(n):
+    return tuple(Partition(n, _blocks(row)) for row in _noncrossing_local(n).tolist())
+
+
 def enumerate_noncrossing(n):
-    """All non-crossing partitions of {1..n}; the count is the n-th Catalan number."""
+    """All non-crossing partitions of {1..n}, one tuple built once per n; the count is
+    the n-th Catalan number."""
     if n < 1:
         raise ValueError(f"non-crossing enumeration needs n >= 1, got {n}")
     check_bytes(*_noncrossing_charge(n))
-    return [Partition(n, _blocks(row)) for row in _noncrossing_local(n).tolist()]
+    return _noncrossing(n)
 
 
 def leq(p, q):
@@ -332,3 +338,19 @@ def delete_block(p, block):
     remaining = sorted(x for b in rest for x in b)
     rank = {x: i + 1 for i, x in enumerate(remaining)}
     return Partition(len(remaining), [tuple(rank[x] for x in b) for b in rest])
+
+
+def _peeling_steps(pi, peel="min"):
+    """(start, length) of each block that interval peeling removes from a non-crossing
+    pi: the interval block of least ("min") or greatest ("max") minimum, then
+    the same in what is left, relabelled, until one block remains."""
+    if peel not in ("min", "max"):
+        raise ValueError(f"unknown peel rule {peel!r}")
+    if not is_noncrossing(pi):
+        raise ValueError("interval peeling is defined for non-crossing partitions only")
+    steps = []
+    while pi.num_blocks > 1:
+        block = interval_blocks(pi)[0 if peel == "min" else -1]
+        steps.append((block[0], len(block)))
+        pi = delete_block(pi, block)
+    return tuple(steps)

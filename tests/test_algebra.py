@@ -46,7 +46,7 @@ def _public_functions(module):
             yield name, obj
 
 
-def test_every_tol_default_is_the_one_default():
+def test_every_tol_default_is_the_one_default(tmp_path):
     defaults = {
         f"{module.__name__}.{name}": inspect.signature(fn).parameters["tol"].default
         for module in (algebra, cumulants, exchangeability, magic)
@@ -57,8 +57,12 @@ def test_every_tol_default_is_the_one_default():
     assert "qexch.magic.verify_relations" in defaults and len(defaults) >= 7
     assert defaults == dict.fromkeys(defaults, algebra.DEFAULT_TOL)
     assert algebra.DEFAULT_TOL == 1e-8
-    args = cli.build_parser().parse_args(["check-magic", "{}"])
-    assert cli._resolve_tolerance(args, None) == algebra.DEFAULT_TOL
+    # a scenario without a tolerance, run without --tol
+    scenario = tmp_path / "s.json"
+    scenario.write_text('{"name": "s", "functional": null, "checks": []}')
+    args = cli.build_parser().parse_args(["verify", str(scenario)])
+    default = cli.load_scenario(scenario)["tolerance"]
+    assert cli._flag(args, "tol", cli._check_tol, default) == algebra.DEFAULT_TOL
 
 
 class _NaNOffHermitian(SubalgebraWithExpectation):
@@ -80,7 +84,7 @@ _OVERFLOWING = np.array([[1e200, 1e200], [1e200, -1e200]])
         State(np.eye(2) / 2), _NaNOffHermitian([np.eye(2)], scalar_subalgebra(np.eye(2) / 2).e_map)
     )),
     lambda: cumulants.check_mixed_cumulants(
-        ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [_OVERFLOWING] * 2), (1, 2)
+        ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [_OVERFLOWING] * 2), (1, 2), 2
     ),
 ], ids=["verify_relations", "verify_context", "check_mixed_cumulants"])
 def test_nan_residual_fails_closed(produce):

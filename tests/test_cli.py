@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qexch
-from qexch import cumulants, exchangeability, magic
+from qexch import cli, cumulants, exchangeability, magic
 from qexch.cli import CHECKS, _json_text, main
 from qexch.exchangeability import FreenessReport
 
@@ -899,6 +899,119 @@ def test_non_finite_cumulant_exits_two(tmp_path, capsys):
     assert code == 2
     assert "functional.cumulants[2]" in err
     assert not report_path.exists()
+
+
+# -- flag values: one reader each, before any work --------------------------------------
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before every flag was read")
+
+
+def test_collapse_reads_tol_before_any_collapse_sum(capsys, monkeypatch):
+    # a 10-point singleton pi asks for all 4^10 collapse sums
+    monkeypatch.setattr(magic, "collapse_sum_all", _no_work)
+    code, out, err = run_cli(
+        ["collapse", '{"kind": "permutation", "sigma": [2, 1, 4, 3], "d": 2}',
+         "--pi", json.dumps([[x] for x in range(1, 11)]), "--i", json.dumps([1] * 10),
+         "--tol", "NaN"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --tol: expected a finite non-negative number, got nan\n"
+
+
+def test_cumulants_reads_n_before_building_the_functional(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_functional", _no_work)
+    code, out, err = run_cli(
+        ["cumulants", '{"kind": "cumulant", "cumulants": {"2": 1}}', "--n", "9"], capsys
+    )
+    assert (code, out, err) == (2, "", "error: --n: must be in 1..8, got 9\n")
+
+
+FLAG_COMMANDS = [
+    ["verify", str(FREE), "--report", "r.json"],
+    ["check-magic", COLLAPSE_UNITARY, "--report", "r.json"],
+    ["collapse", COLLAPSE_UNITARY, "--i", "[1, 1]", "--pi", "[[1, 2]]"],
+]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param(command, flag, value, id=f"{command[0]} {flag} {value}")
+    for command, flag, value in [
+        *[(command, flag, value) for command in FLAG_COMMANDS for flag, value in [
+            ("--tol", "abc"), ("--tol", "NaN"), ("--seed", "-1"), ("--seed", "x"),
+            ("--seed", "2.5"),
+        ]],
+        (["cumulants", '{"kind": "cumulant", "cumulants": {"2": 1}}'], "--n", "2.5"),
+        (["counterexample"], "--n", "4"),
+    ]
+])
+def test_malformed_flag_value_exits_two_in_one_line(tmp_path, monkeypatch, capsys,
+                                                     command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([*command, flag, value], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag}: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_integral_float_seed_reads_as_the_integer(tmp_path, capsys):
+    # like "seed": 1.0 in a scenario
+    runs = []
+    for seed in ("1", "1.0"):
+        report = tmp_path / f"{seed}.json"
+        code, out, err = run_cli(["verify", str(FREE), "--seed", seed, "--report", str(report)],
+                                 capsys)
+        runs.append((code, out, err, report.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and json.loads(runs[0][3])["seed"] == 1
+
+
+# two identical +-1 variables: the freeness residual is 11.5 and its mixed part 1,
+# so the verdict and the criteria's agreement both turn on the tolerance
+COPIES = {
+    "name": "copies",
+    "functional": {"kind": "concrete", "dim": 2, "density": {"diag": [0.5, 0.5]},
+                   "elements": [{"diag": [1, -1]}, {"diag": [1, -1]}]},
+    "checks": [{"name": "freeness", "n_max": 2}],
+}
+
+
+def _verify_quietly(folder, doc, *flags):
+    scenario, report = folder / "s.json", folder / "r.json"
+    scenario.write_text(json.dumps(doc))
+    report.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(scenario), "--report", str(report), *flags])
+    written = report.read_bytes() if report.exists() else None
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.text(max_size=8),
+    st.floats().map(json.dumps),
+    st.integers().map(str),
+    st.sampled_from(["0.5", "5", "1e2", " 1e-8 ", "-0.0", "1e400", "true", "null", '"1e-8"',
+                     "[1e-8]", "{}", "1" * 5000, "[" * 5000, "10" + "0" * 400]),
+))
+def test_tol_flag_reads_as_the_scenario_tolerance(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("tol")
+    code, out, err, report = _verify_quietly(folder, COPIES, f"--tol={text}")
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError):
+        assert (code, out, report) == (2, "", None)
+        assert err.startswith("error: --tol: invalid JSON (") and len(err.splitlines()) == 1
+        return
+    scenario = _verify_quietly(folder, {**COPIES, "tolerance": value})
+    if code == 2:
+        assert (out, report) == ("", None)
+        assert err.startswith("error: --tol: ") and len(err.splitlines()) == 1
+        assert scenario[0] == 2 and scenario[2] == err.replace("--tol", "tolerance", 1)
+    else:
+        assert (code, out, err, report) == scenario
 
 
 # -- fuzz: mutated copies of the shipped fixtures ----------------------------------------

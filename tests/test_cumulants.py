@@ -742,7 +742,7 @@ def test_tensor_entry_cap_counts_the_values_of_each_tuple(kind):
 
 def test_mixed_cumulants_vanish_for_cumulant_backing():
     mf = CumulantMomentFunctional(random_spec(np.random.default_rng(13), 4))
-    report = check_mixed_cumulants(mf, (1, 2, 1, 2), tol=1e-12)
+    report = check_mixed_cumulants(mf, (1, 2), 4, tol=1e-12)
     assert report.passed
     assert report.max_residual <= 1e-12
 
@@ -752,7 +752,7 @@ def test_mixed_cumulants_detect_identical_variables():
     ctx = scalar_context(np.diag([0.5, 0.5]))
     x = random_matrix(rng, 2)
     mf = ConcreteMomentFunctional(ctx, [x, x.copy()])
-    report = check_mixed_cumulants(mf, (1, 2), tol=1e-9)
+    report = check_mixed_cumulants(mf, (1, 2), 2, tol=1e-9)
     assert not report.passed
     # kappa_2(x1, x2) = E[x^2] - E[x]^2 for identical copies
     expected = ctx.expect(x @ x) - ctx.expect(x) @ ctx.expect(x)
@@ -765,7 +765,7 @@ def test_mixed_cumulants_detect_tensor_independent_bernoulli_pair():
     diag2 = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
     ctx = scalar_context(np.eye(4) / 4)
     mf = ConcreteMomentFunctional(ctx, [diag1, diag2])
-    report = check_mixed_cumulants(mf, (1, 2, 1, 2), tol=1e-9)
+    report = check_mixed_cumulants(mf, (1, 2), 4, tol=1e-9)
     assert not report.passed
     extractor = CumulantExtractor(mf)
     k4 = extractor.kappa_word((1, 2, 1, 2))
@@ -776,4 +776,4 @@ def test_mixed_cumulants_detect_tensor_independent_bernoulli_pair():
 def test_mixed_cumulants_requires_two_variables():
     mf = CumulantMomentFunctional(semicircular_spec())
     with pytest.raises(ValueError):
-        check_mixed_cumulants(mf, (1, 1))
+        check_mixed_cumulants(mf, (1, 1), 2)

@@ -206,7 +206,7 @@ def test_nan_mixed_moment_fails_freeness():
 
 
 def test_nan_mixed_moment_fails_mixed_cumulants():
-    report = check_mixed_cumulants(CumulantMomentFunctional(_NaNMixedAtLength4()), (1, 2, 1, 2))
+    report = check_mixed_cumulants(CumulantMomentFunctional(_NaNMixedAtLength4()), (1, 2), 4)
     assert np.isnan(report.max_residual)
     # the first mixed tuple of length 4
     assert report.witnesses == {"mixed_cumulant": (1, 1, 1, 2)}
@@ -838,6 +838,16 @@ def test_bernoulli_pair_fails_both_criteria_together():
     assert not report.centered_pass
     assert not report.mixed_pass
     assert report.consistent
+
+
+def test_mixed_criterion_scans_every_variable_however_short_n_max():
+    # x3 is a copy of x1, and x1, x2 are independent +-1 variables; with n_max 2 the
+    # pair (1, 3) is the only dependent one, and both criteria must see it
+    x1, x2 = np.diag([1.0, 1.0, -1.0, -1.0]), np.diag([1.0, -1.0, 1.0, -1.0])
+    mf = ConcreteMomentFunctional(scalar_context(np.eye(4) / 4), [x1, x2, x1])
+    report = check_freeness(mf, (1, 2, 3), n_max=2)
+    assert not report.mixed_pass and report.consistent
+    assert report.mixed_worst == (1, 3)
 
 
 def test_single_variable_is_vacuously_free():

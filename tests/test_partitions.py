@@ -14,11 +14,13 @@ from qexch.partitions import (
     Partition,
     _all_partitions_charge,
     _nc_profile_groups,
+    _noncrossing,
     _noncrossing_charge,
     _noncrossing_local,
     _pattern_count,
     _pattern_table,
     _pattern_table_charge,
+    _peeling_steps,
     _profile_counts,
     _profile_counts_charge,
     canonical_pattern,
@@ -239,7 +241,9 @@ def test_pattern_table_charge_bounds_its_traced_peak(k):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_enumeration_charges_bound_their_traced_peaks(n):
-    _noncrossing_local.cache_clear()  # the charge covers the cached table too
+    # built cold: the charge covers the kept partitions and the cached table too
+    _noncrossing.cache_clear()
+    _noncrossing_local.cache_clear()
     assert _traced_peak(lambda: enumerate_noncrossing(n)) <= _noncrossing_charge(n)[0]
     assert _traced_peak(lambda: enumerate_all(n)) <= _all_partitions_charge(n)[0]
 
@@ -353,6 +357,22 @@ def test_interval_peeling_preserves_noncrossing():
             assert is_noncrossing(smaller)
 
 
+@pytest.mark.parametrize("peel", ["min", "max"])
+def test_peeling_steps_remove_an_extreme_interval_block_down_to_one(peel):
+    for n in range(1, 8):
+        for pi in enumerate_noncrossing(n):
+            rest = pi
+            for start, length in _peeling_steps(pi, peel):
+                intervals = [b for b in rest.blocks if b == tuple(range(b[0], b[-1] + 1))]
+                block = tuple(range(start, start + length))
+                assert block in intervals
+                assert start == (min if peel == "min" else max)(b[0] for b in intervals)
+                rest = delete_block(rest, block)
+            assert rest.num_blocks == 1
+    with pytest.raises(ValueError, match="non-crossing partitions only"):
+        _peeling_steps(Partition(4, [[1, 3], [2, 4]]), peel)
+
+
 def test_every_lru_cache_in_the_package_is_bounded():
     import importlib
     import inspect
@@ -370,6 +390,6 @@ def test_every_lru_cache_in_the_package_is_bounded():
                 if params is not None and getattr(member, "__module__", None) == module.__name__:
                     caches[f"{module.__name__}.{name}{'.' + attr if attr else ''}"] = params()
     assert "qexch.partitions._nc_profile_groups" in caches
-    assert "qexch.cumulants._noncrossing" in caches
+    assert "qexch.partitions._noncrossing" in caches
     unbounded = [name for name, params in caches.items() if params["maxsize"] is None]
     assert not unbounded
