@@ -7,10 +7,11 @@ human-readable summary on stdout.  Every field of a scenario is read before
 any check runs, and a key that no field reads is malformed input.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
-input.  A flag value (--tol, --seed, --n) is JSON read by its scenario key's
-parser before any work: `--seed 1.0` reads as `"seed": 1.0`, and a malformed
-value gives one `error: --flag: ...` line.  The tolerance is the --tol flag,
-then the scenario file's, then 1e-8.
+input.  A flag value (--tol, --seed, --n), after a space or "=" and of any
+sign, is JSON read by its scenario key's parser before any work: `--seed 1.0`
+reads as `"seed": 1.0`, and a malformed value such as `--tol -1e-8` gives one
+`error: --flag: ...` line.  The tolerance is the --tol flag, then the scenario
+file's, then 1e-8.
 
 Importing this module before numpy sets OPENBLAS_NUM_THREADS=1 unless the
 caller has set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, so
@@ -39,7 +40,7 @@ if "numpy" not in sys.modules and not any(
 
 import numpy as np  # noqa: E402
 
-from . import algebra, cumulants, exchangeability, magic  # noqa: E402
+from . import algebra, cumulants, exchangeability, magic, partitions  # noqa: E402
 
 
 class ScenarioError(Exception):
@@ -566,8 +567,6 @@ def cmd_cumulants(args):
 
 
 def cmd_collapse(args):
-    from .partitions import Partition
-
     spec = _load_spec_argument(args.unitary, "unitary")
     tol = _flag(args, "tol", _check_tol, algebra.DEFAULT_TOL)
     seed = _flag(args, "seed", _seed, 0)
@@ -578,7 +577,7 @@ def cmd_collapse(args):
         _fail("--i", f"expected a nonempty list of indices in 1..{u.k}, got {args.i}")
     blocks = _parse_list(_read_json(args.pi, "--pi"), "--pi", positive)
     try:
-        pi = Partition(len(i_tuple), blocks)
+        pi = partitions.Partition(len(i_tuple), blocks)
         value = magic.collapse_sum_all(u, pi)[tuple(x - 1 for x in i_tuple)]
     except ValueError as exc:
         _fail("--pi", str(exc))
@@ -643,10 +642,22 @@ def build_parser():
     return parser
 
 
+def _attach_values(argv):
+    """argv with each --tol, --seed and --n joined to the word after it by "=", so
+    that a value argparse would take for an option, such as -1e-8, reaches _flag."""
+    out = []
+    for word in argv:
+        if out and out[-1] in ("--tol", "--seed", "--n"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, which matches the contract
         return int(exc.code) if exc.code else 0

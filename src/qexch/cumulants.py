@@ -2,9 +2,9 @@
 
 Three pieces live here: the partitioned functional rho_pi obtained by
 collapsing interval blocks of a non-crossing partition, the recursive
-moment -> cumulant extraction for arbitrary moment oracles, and
-cumulant-backed moment oracles that realize an identically distributed
-family whose mixed cumulants vanish by construction.
+moment -> cumulant extraction for arbitrary moment oracles, each extractor
+keeping the NC(n) it iterates, and cumulant-backed moment oracles that
+realize an identically distributed family with vanishing mixed cumulants.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from .algebra import (
     frobenius,
 )
 from .partitions import (
-    _noncrossing,
     _pattern_table,
     _pattern_table_charge,
     _peeling_steps,
     _profile_counts,
     _profile_counts_charge,
     canonical_pattern,
+    enumerate_noncrossing,
 )
 
 MAX_TRANSFORM_ORDER = 8
@@ -86,13 +86,14 @@ class CumulantExtractor:
     than the one-block partition only involves cumulants of shorter words.
     Each public method checks its request once, at entry; the extraction
     below it reads checked words only.  Results are cached per (variables,
-    coefficients) signature, and each partition's peeling steps once per
-    extractor.
+    coefficients) signature; NC(n) and each partition's peeling steps are
+    kept once per extractor.
     """
 
     def __init__(self, mf):
         self.mf = mf
         self._cache = {}
+        self._nc = {}
         self._steps = {}
 
     def kappa_word(self, variables, coeffs=None):
@@ -110,7 +111,10 @@ class CumulantExtractor:
         if hit is not None:
             return hit
         total = self.mf.moment(variables, coeffs)
-        for pi in _noncrossing(len(variables)):
+        n = len(variables)
+        if n not in self._nc:
+            self._nc[n] = enumerate_noncrossing(n)
+        for pi in self._nc[n]:
             if pi.num_blocks > 1:
                 total = total - self.kappa_partition(pi, variables, coeffs)
         self._cache[key] = total

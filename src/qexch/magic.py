@@ -22,7 +22,9 @@ from .algebra import (
     check_bytes,
     frobenius,
 )
-from .partitions import _noncrossing_charge, enumerate_noncrossing, is_noncrossing, kernel, leq
+from .partitions import (
+    _leaders, _noncrossing_charge, enumerate_noncrossing, is_noncrossing, kernel, leq,
+)
 
 
 class MagicUnitary:
@@ -321,14 +323,10 @@ def unsafe_bruteforce_sum(u, i, pi):
     i = tuple(i)
     if len(i) != pi.n:
         raise ValueError(f"index tuple length {len(i)} != partition size {pi.n}")
-    blocks = pi.blocks
+    which = {x: t for t, b in enumerate(pi.blocks) for x in b}  # the block of each position
     total = np.zeros((u.d, u.d), dtype=complex)
-    j = [0] * pi.n
-    for values in itertools.product(range(1, u.k + 1), repeat=len(blocks)):
-        for block, v in zip(blocks, values):
-            for pos in block:
-                j[pos - 1] = v
-        total += word_product(u, i, j)
+    for values in itertools.product(range(1, u.k + 1), repeat=pi.num_blocks):
+        total += word_product(u, i, [values[which[x]] for x in range(1, pi.n + 1)])
     return total
 
 
@@ -355,13 +353,11 @@ def collapse_sum_all(u, pi):
 
 def kernel_indicator(pi, k):
     """Boolean array over {1..k}^n: True where the tuple is constant on each block."""
-    n = pi.n
-    grids = np.indices((k,) * n, sparse=True)
-    mask = np.ones((k,) * n, dtype=bool)
-    for block in pi.blocks:
-        first = block[0] - 1
-        for pos in block[1:]:
-            mask &= grids[first] == grids[pos - 1]
+    grids = np.indices((k,) * pi.n, sparse=True)
+    mask = np.ones((k,) * pi.n, dtype=bool)
+    for x, lead in enumerate(_leaders(pi)):
+        if lead != x:  # every element agrees with its block's leader
+            mask &= grids[x] == grids[lead]
     return mask
 
 

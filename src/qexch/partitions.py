@@ -1,8 +1,9 @@
 """Set partitions of {1..n}: enumeration, the non-crossing family, kernels.
 
-Blocks are kept in a canonical form (elements ascending inside a block,
-blocks ordered by their minimum) so that partitions compare and hash
-structurally.
+The one format underneath is the row of block leaders (entry x is the least
+element of x's block): enumeration grows or reads such rows, and kernels and
+the refinement order test them.  A Partition holds canonical blocks (ascending,
+ordered by their minimum) to compare and hash; no list of them is cached.
 """
 
 from __future__ import annotations
@@ -70,25 +71,15 @@ def _all_partitions_charge(n):
 
 
 def enumerate_all(n):
-    """All partitions of {1..n} in canonical form.
-
-    Grows partitions element by element: each new element either joins an
-    existing block or opens a new one, so every partition appears once.
-    """
+    """All partitions of {1..n}, grown as rows of block leaders: each new element
+    joins an existing block or opens a new one, so every partition appears once."""
     if n < 1:
         raise ValueError(f"full partition enumeration needs n >= 1, got {n}")
     check_bytes(*_all_partitions_charge(n))
-    partial = [[[1]]]
-    for x in range(2, n + 1):
-        grown = []
-        for blocks in partial:
-            for idx in range(len(blocks)):
-                copy = [list(b) for b in blocks]
-                copy[idx].append(x)
-                grown.append(copy)
-            grown.append([list(b) for b in blocks] + [[x]])
-        partial = grown
-    return [Partition(n, blocks) for blocks in partial]
+    rows = [(0,)]
+    for x in range(1, n):
+        rows = [row + (lead,) for row in rows for lead in (*dict.fromkeys(row), x)]
+    return [_partition(row) for row in rows]
 
 
 def is_noncrossing(p):
@@ -218,37 +209,37 @@ def _noncrossing_charge(n):
     return 4096 + _catalan(m) * (512 + 48 * n), f"non-crossing partitions of {n} points"
 
 
-def _blocks(leaders):
-    """The blocks of {1..n} that a row of block leaders describes."""
+def _partition(row):
+    """The partition of {1..len(row)} into the positions of equal entries, so a row of
+    block leaders reads as its partition; the blocks come out canonical, unchecked."""
     blocks = {}
-    for x, lead in enumerate(leaders, start=1):
+    for x, lead in enumerate(row, start=1):
         blocks.setdefault(lead, []).append(x)
-    return blocks.values()
+    p = object.__new__(Partition)
+    p.n, p.blocks = len(row), tuple(map(tuple, blocks.values()))
+    return p
 
 
-@lru_cache(maxsize=16)
-def _noncrossing(n):
-    return tuple(Partition(n, _blocks(row)) for row in _noncrossing_local(n).tolist())
+def _leaders(p):
+    """p's row of block leaders: entry x - 1 is the least element of x's block, less one."""
+    lead = {x: b[0] - 1 for b in p.blocks for x in b}
+    return [lead[x] for x in range(1, p.n + 1)]
 
 
 def enumerate_noncrossing(n):
-    """All non-crossing partitions of {1..n}, one tuple built once per n; the count is
-    the n-th Catalan number."""
+    """All Catalan(n) non-crossing partitions of {1..n}: a new tuple read off the int8 table."""
     if n < 1:
         raise ValueError(f"non-crossing enumeration needs n >= 1, got {n}")
     check_bytes(*_noncrossing_charge(n))
-    return _noncrossing(n)
+    return tuple(map(_partition, _noncrossing_local(n).tolist()))
 
 
 def leq(p, q):
-    """Refinement order: p <= q iff each block of p lies inside a block of q."""
+    """Refinement order: p <= q iff each element shares a q-block with its p-block's leader."""
     if p.n != q.n:
         raise ValueError(f"cannot compare partitions of sizes {p.n} and {q.n}")
-    owner = {}
-    for bi, b in enumerate(q.blocks):
-        for x in b:
-            owner[x] = bi
-    return all(len({owner[x] for x in b}) == 1 for b in p.blocks)
+    q_row = _leaders(q)
+    return all(q_row[x] == q_row[lead] for x, lead in enumerate(_leaders(p)))
 
 
 def kernel(indices):
@@ -256,10 +247,7 @@ def kernel(indices):
     indices = tuple(indices)
     if not indices:
         raise ValueError("kernel of an empty tuple is undefined")
-    groups = {}
-    for pos, v in enumerate(indices, start=1):
-        groups.setdefault(v, []).append(pos)
-    return Partition(len(indices), groups.values())
+    return _partition(indices)
 
 
 def canonical_pattern(indices):

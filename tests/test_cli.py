@@ -955,6 +955,22 @@ def test_malformed_flag_value_exits_two_in_one_line(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (["check-magic", COLLAPSE_UNITARY], "--tol", "-1e-8"),
+    (["check-magic", COLLAPSE_UNITARY], "--tol", "-Infinity"),
+    (["check-magic", COLLAPSE_UNITARY], "--seed", "-1e3"),
+    (["check-magic", COLLAPSE_UNITARY], "--seed", "-1"),
+    (["cumulants", '{"kind": "cumulant", "cumulants": {"2": 1}}'], "--n", "-1e0"),
+])
+@pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
+def test_negative_flag_value_reaches_its_parser(capsys, command, flag, value, joined):
+    # argparse alone takes a word such as -1e-8 for an option, not for the flag's value
+    words = [f"{flag}={value}"] if joined else [flag, value]
+    code, out, err = run_cli([*command, *words], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag}: ") and len(err.splitlines()) == 1
+
+
 def test_integral_float_seed_reads_as_the_integer(tmp_path, capsys):
     # like "seed": 1.0 in a scenario
     runs = []

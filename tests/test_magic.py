@@ -25,7 +25,7 @@ from qexch.magic import (
     verify_relations,
     word_product,
 )
-from qexch.partitions import Partition, enumerate_noncrossing, kernel, leq
+from qexch.partitions import Partition, enumerate_all, enumerate_noncrossing, kernel, leq
 
 
 def collapse_oracle(u, i, pi):
@@ -316,6 +316,41 @@ def test_kernel_indicator_matches_leq():
     ind = kernel_indicator(pi, 3)
     for i in itertools.product(range(1, 4), repeat=4):
         assert ind[tuple(x - 1 for x in i)] == collapse_expected(i, pi)
+
+
+def test_kernel_indicator_is_constancy_on_every_block():
+    for n, k in itertools.product(range(1, 5), range(1, 4)):
+        for pi in enumerate_noncrossing(n):
+            ind = kernel_indicator(pi, k)
+            for i in itertools.product(range(1, k + 1), repeat=n):
+                constant = all(len({i[x - 1] for x in b}) == 1 for b in pi.blocks)
+                assert ind[tuple(x - 1 for x in i)] == leq(pi, kernel(i)) == constant
+
+
+def _join_size(p, q):
+    """How many blocks the join of p and q has: a union-find over their blocks."""
+    parent = list(range(p.n + 1))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for b in p.blocks + q.blocks:
+        for x in b[1:]:
+            parent[root(x)] = root(b[0])
+    return len({root(x) for x in range(1, p.n + 1)})
+
+
+def test_kernel_indicators_meet_in_the_join():
+    # the tuples constant on the blocks of pi and of sigma are those constant on pi v sigma
+    cases = 0
+    for n, k in itertools.product(range(1, 5), range(1, 4)):
+        for pi, sigma in itertools.product(enumerate_noncrossing(n), enumerate_all(n)):
+            both = kernel_indicator(pi, k) & kernel_indicator(sigma, k)
+            assert both.sum() == k ** _join_size(pi, sigma), (pi, sigma, k)
+            cases += 1
+    assert cases == 720
 
 
 def test_commuting_entries_satisfy_crossing_collapse_too():

@@ -14,7 +14,6 @@ from qexch.partitions import (
     Partition,
     _all_partitions_charge,
     _nc_profile_groups,
-    _noncrossing,
     _noncrossing_charge,
     _noncrossing_local,
     _pattern_count,
@@ -105,6 +104,17 @@ def test_enumerate_all_explicit_counts(n, count):
     assert len(set(result)) == count
 
 
+def test_enumerate_all_order_is_element_growth():
+    # each new element joins the blocks in order of their minimum, then opens its own
+    assert [[list(b) for b in p.blocks] for p in enumerate_all(3)] == [
+        [[1, 2, 3]],
+        [[1, 2], [3]],
+        [[1, 3], [2]],
+        [[1], [2, 3]],
+        [[1], [2], [3]],
+    ]
+
+
 def test_enumerate_all_matches_bell():
     for n in range(1, 9):
         assert len(enumerate_all(n)) == bell(n)
@@ -190,6 +200,21 @@ def test_mixed_length_profile_counts_match_filtered_enumeration(lists):
     assert _profile_rows(patterns) == expected
 
 
+def test_enumerate_noncrossing_keeps_no_list_it_returns():
+    # only the int8 tables stay cached: NC(12)'s 208012 partitions are not held
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for n in (10, 11, 12):
+            assert len(enumerate_noncrossing(n)) == catalan(n)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert held < 8 * 2**20, held
+
+
 def test_enumerate_noncrossing_bounds():
     with pytest.raises(ValueError):
         enumerate_noncrossing(0)
@@ -241,8 +266,7 @@ def test_pattern_table_charge_bounds_its_traced_peak(k):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_enumeration_charges_bound_their_traced_peaks(n):
-    # built cold: the charge covers the kept partitions and the cached table too
-    _noncrossing.cache_clear()
+    # built cold: the charge covers the returned partitions and the cached table too
     _noncrossing_local.cache_clear()
     assert _traced_peak(lambda: enumerate_noncrossing(n)) <= _noncrossing_charge(n)[0]
     assert _traced_peak(lambda: enumerate_all(n)) <= _all_partitions_charge(n)[0]
@@ -288,6 +312,14 @@ def test_leq_examples():
     assert leq(Partition(4, [[1, 3], [2], [4]]), Partition(4, [[1, 3], [2, 4]]))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.sampled_from(enumerate_all(n)), st.sampled_from(enumerate_all(n)))))
+def test_leq_is_block_containment(pair):
+    p, q = pair
+    assert leq(p, q) == all(any(set(b) <= set(c) for c in q.blocks) for b in p.blocks)
+
+
 def test_leq_size_mismatch():
     with pytest.raises(ValueError):
         leq(Partition(2, [[1, 2]]), Partition(3, [[1, 2, 3]]))
@@ -316,6 +348,13 @@ def test_kernel_examples():
     assert kernel((1, 2, 1, 2)) == Partition(4, [[1, 3], [2, 4]])
     assert kernel((7, 7, 7)) == Partition(3, [[1, 2, 3]])
     assert kernel((1, 2, 3, 2, 1)) == Partition(5, [[1, 5], [2, 4], [3]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2, 3), min_size=1, max_size=8))
+def test_kernel_blocks_are_the_positions_grouped_by_value(values):
+    groups = {tuple(x for x, w in enumerate(values, 1) if w == v) for v in values}
+    assert set(kernel(values).blocks) == groups
 
 
 def test_kernel_empty_rejected():
@@ -390,6 +429,6 @@ def test_every_lru_cache_in_the_package_is_bounded():
                 if params is not None and getattr(member, "__module__", None) == module.__name__:
                     caches[f"{module.__name__}.{name}{'.' + attr if attr else ''}"] = params()
     assert "qexch.partitions._nc_profile_groups" in caches
-    assert "qexch.partitions._noncrossing" in caches
+    assert "qexch.partitions._noncrossing_local" in caches
     unbounded = [name for name, params in caches.items() if params["maxsize"] is None]
     assert not unbounded
