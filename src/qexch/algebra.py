@@ -1,9 +1,11 @@
 """Finite-dimensional models of operator-valued probability spaces.
 
 The ambient algebra is M_d(C).  A context bundles a state (density matrix),
-a distinguished *-subalgebra B with an explicit basis, and a conditional
-expectation onto B supplied as a linear map acting on row-major vectorized
-matrices.  Expectations are verified against the axioms, never derived.
+a distinguished *-subalgebra B and a conditional expectation onto B, of one
+of two kinds: the scalar B = C*1 with E[a] = tr(rho a) * 1, held as the
+density rho, or a block-diagonal B with the pinching E[a] = sum_t P_t a P_t,
+held as the d x d mask of the entries it keeps.  Expectations are verified
+against the axioms, never derived.
 """
 
 from __future__ import annotations
@@ -90,85 +92,76 @@ class State:
 
 
 class SubalgebraWithExpectation:
-    """A subalgebra B of M_d with basis plus a conditional expectation onto B.
+    """A subalgebra B of M_d with a conditional expectation E onto it, of one of two kinds.
 
-    The expectation is given as a (d^2 x d^2) matrix acting on vec(a) in
-    row-major order.  The basis must span the identity.
+    Built only by scalar_subalgebra (B = C*1 and E[a] = tr(rho a) * 1, held as
+    the density rho) or pinching_subalgebra (a block-diagonal B and
+    E[a] = mask * a, held as the 0/1 mask of the entries whose coordinates
+    share a block, with B's matrix units as two index arrays).
     """
 
-    __slots__ = ("dim", "b_basis", "e_map", "_span")
+    __slots__ = ("dim", "density", "mask", "_units")
 
-    def __init__(self, b_basis, e_map):
-        basis = [as_matrix(b, name="basis element") for b in b_basis]
-        if not basis:
-            raise ValueError("b_basis must be nonempty")
-        dim = basis[0].shape[0]
-        basis = [as_matrix(b, dim, "basis element") for b in basis]
-        self.dim = dim
-        self.b_basis = basis
-        self.e_map = as_matrix(e_map, dim * dim, "e_map")
-        self._span = np.stack([b.reshape(-1) for b in basis], axis=1)
-        if not self.distance_to_span(np.eye(dim)) <= DEFAULT_TOL:
-            raise ValueError("the identity must lie in the span of b_basis")
+    def __init__(self, dim, density=None, mask=None, units=None):
+        self.dim, self.density, self.mask, self._units = dim, density, mask, units
 
     def expect(self, a):
-        a = as_matrix(a, self.dim, finite=False)
-        return (self.e_map @ a.reshape(-1)).reshape(self.dim, self.dim)
+        return self.expect_all(as_matrix(a, self.dim, finite=False))
 
     def expect_all(self, stack):
         """Apply E to a stacked array of matrices with shape (..., d, d)."""
         arr = np.asarray(stack, dtype=complex)
-        lead = arr.shape[:-2]
-        flat = arr.reshape(-1, self.dim * self.dim)
-        out = flat @ self.e_map.T
-        return out.reshape(lead + (self.dim, self.dim))
+        if self.mask is not None:
+            return arr * self.mask
+        return np.einsum("ab,...ba->...", self.density, arr)[..., None, None] * np.eye(self.dim)
 
-    def distance_to_span(self, a):
-        v = np.asarray(a, dtype=complex).reshape(-1)
-        coef, *_ = np.linalg.lstsq(self._span, v, rcond=None)
-        return frobenius(v - self._span @ coef)
+    def _onto_b(self, a):
+        """The orthogonal projection of a onto B: (tr a / d) * 1, or mask * a."""
+        return a * self.mask if self.mask is not None else np.trace(a) / self.dim * np.eye(self.dim)
 
     def random_element(self, rng):
-        coef = rng.standard_normal(len(self.b_basis)) + 1j * rng.standard_normal(
-            len(self.b_basis)
-        )
-        return sum(c * b for c, b in zip(coef, self.b_basis))
+        """One complex normal coefficient per matrix unit of B, every real part
+        drawn first; the scalar kind's one unit is the identity."""
+        count = 1 if self.mask is None else len(self._units[0])
+        coef = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        if self.mask is None:
+            return coef[0] * np.eye(self.dim)
+        b = np.zeros((self.dim, self.dim), dtype=complex)
+        b[self._units] = coef
+        return b
 
     def is_commutative(self):
-        return all(
-            frobenius(a @ b - b @ a) <= DEFAULT_TOL
-            for a, b in itertools.combinations_with_replacement(self.b_basis, 2)
-        )
+        """B is C*1, or a pinching whose every block is a singleton."""
+        return self.mask is None or len(self._units[0]) == self.dim
 
 
 def scalar_subalgebra(density):
     """B = C*1 with E[a] = tr(rho a) * 1."""
     rho = as_matrix(density, name="density")
-    d = rho.shape[0]
-    e_map = np.outer(np.eye(d).reshape(-1), rho.T.reshape(-1))
-    return SubalgebraWithExpectation([np.eye(d)], e_map)
+    return SubalgebraWithExpectation(rho.shape[0], density=rho)
 
 
 def pinching_subalgebra(blocks):
     """Block-diagonal subalgebra with E[a] = sum_t P_t a P_t.
 
     blocks partition the coordinate set {0..d-1}; P_t projects onto the
-    coordinates of block t.
+    coordinates of block t, so E keeps entry (x, y) exactly when x and y
+    share a block.
     """
     flat = sorted(x for b in blocks for x in b)
     d = len(flat)
-    if flat != list(range(d)):
+    if not flat or flat != list(range(d)):
         raise ValueError(f"blocks must partition 0..d-1, got {blocks}")
-    # E keeps entry (x, y) exactly when x and y share a block: a diagonal map
-    mask = np.zeros((d, d), dtype=complex)
-    basis = []
-    for block in blocks:
-        mask[np.ix_(block, block)] = 1.0
-        for x, y in itertools.product(block, repeat=2):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[x, y] = 1.0
-            basis.append(unit)
-    return SubalgebraWithExpectation(basis, np.diag(mask.reshape(-1)))
+    count = sum(len(b) ** 2 for b in blocks)
+    # the float mask, and B's matrix units as two index arrays: blocks in order,
+    # each in itertools.product(block, repeat=2) order
+    check_bytes(8 * d * d + 16 * count, f"pinching of dimension {d} with {count} matrix units")
+    blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
+    units = (np.concatenate([np.repeat(b, len(b)) for b in blocks]),
+             np.concatenate([np.tile(b, len(b)) for b in blocks]))
+    mask = np.zeros((d, d))
+    mask[units] = 1.0
+    return SubalgebraWithExpectation(d, mask=mask, units=units)
 
 
 class AlgebraContext:
@@ -233,19 +226,13 @@ class ResidualReport:
         return "\n".join(lines)
 
 
-def _matrix_units(dim):
-    for x in range(dim):
-        for y in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[x, y] = 1.0
-            yield unit
-
-
 def verify_context(ctx, samples=20, tol=DEFAULT_TOL):
     """Check the conditional-expectation axioms and state compatibility.
 
     Failures show up as report entries, never exceptions; positivity is
     only spot-checked on sampled elements of the form a*a, drawn from seed 0.
+    B is spanned by the projections of the matrix units onto it, so E fixes
+    B when it fixes each of them.
     """
     rng = np.random.default_rng(0)
     sub = ctx.subalgebra
@@ -253,13 +240,17 @@ def verify_context(ctx, samples=20, tol=DEFAULT_TOL):
     res = dict(ctx.state.residuals())
 
     res["expectation_unital"] = frobenius(sub.expect(np.eye(d)) - np.eye(d))
+    fixes_b, in_range, compatible = [0.0], [0.0], [0.0]
+    for x, y in itertools.product(range(d), repeat=2):
+        unit = np.zeros((d, d), dtype=complex)
+        unit[x, y] = 1.0
+        image, b = sub.expect(unit), sub._onto_b(unit)
+        fixes_b.append(frobenius(sub.expect(b) - b))
+        in_range.append(frobenius(image - sub._onto_b(image)))
+        compatible.append(abs(ctx.phi(image) - ctx.phi(unit)))
     # every max is taken by _severity, so that a NaN is never dropped
-    res["expectation_fixes_b"] = max(
-        (frobenius(sub.expect(b) - b) for b in sub.b_basis), key=_severity
-    )
-    res["expectation_range"] = max(
-        (sub.distance_to_span(sub.expect(unit)) for unit in _matrix_units(d)), key=_severity
-    )
+    res["expectation_fixes_b"] = max(fixes_b, key=_severity)
+    res["expectation_range"] = max(in_range, key=_severity)
 
     bimodule, positivity = [0.0], [0.0]
     for _ in range(samples):
@@ -273,11 +264,7 @@ def verify_context(ctx, samples=20, tol=DEFAULT_TOL):
         positivity += [herm, -float(eigs.min())]
     res["bimodule"] = max(bimodule, key=_severity)
     res["positivity_spot"] = max(positivity, key=_severity)
-
-    res["state_compatibility"] = max(
-        (abs(ctx.phi(sub.expect(unit)) - ctx.phi(unit)) for unit in _matrix_units(d)),
-        key=_severity,
-    )
+    res["state_compatibility"] = max(compatible, key=_severity)
     return ResidualReport(f"context axioms over {samples} samples", res, tol)
 
 

@@ -194,7 +194,7 @@ def _parse_b(value, field, dim):
     obj = _Object(value, field)
     blocks = obj.get("blocks", partial(_parse_list, item=partial(_parse_int_list, minimum=0)))
     obj.close()
-    # checked against dim before pinching_subalgebra sizes its map from the blocks
+    # checked against dim before pinching_subalgebra sizes its mask from the blocks
     if sorted(x for b in blocks for x in b) != list(range(dim)):
         _fail(field, f"blocks must partition 0..{dim - 1}, got {blocks}")
     return blocks
@@ -213,7 +213,7 @@ def build_functional(spec, field="functional"):
             _fail(field, str(exc))
         return cumulants.CumulantMomentFunctional(spec_obj)
     if kind == "concrete":
-        dim = obj.get("dim", partial(_parse_dim, power=4))  # the expectation map has dim**4 entries
+        dim = obj.get("dim", _parse_dim)  # the density, each element and E are d x d arrays
         density = obj.get("density", partial(_parse_matrix, dim=dim))
         blocks = obj.get("b", partial(_parse_b, dim=dim), None)  # None: scalar B
         mats = obj.get("elements", partial(_parse_list, item=partial(_parse_matrix, dim=dim)))
@@ -222,11 +222,14 @@ def build_functional(spec, field="functional"):
         for name, residual in state.residuals().items():
             if not residual <= algebra.DEFAULT_TOL:
                 _fail(f"{field}.density", f"not a state: {name} residual {residual:.2e}")
-        sub = (algebra.scalar_subalgebra(density) if blocks is None
-               else algebra.pinching_subalgebra(blocks))
-        # phi(a) = vec(rho^T) . vec(a), so phi o E = phi is one product with e_map
-        phi = state.density.T.reshape(-1)
-        residual = algebra.frobenius(phi @ sub.e_map - phi)
+        try:
+            sub = (algebra.scalar_subalgebra(density) if blocks is None
+                   else algebra.pinching_subalgebra(blocks))
+        except ValueError as exc:
+            _fail(f"{field}.b", str(exc))
+        # phi o E - phi: (tr rho - 1) phi for a scalar B, rho off the mask for a pinching
+        residual = (abs(np.trace(density) - 1) * algebra.frobenius(density) if sub.mask is None
+                    else algebra.frobenius(sub.mask * density - density))
         if not residual <= algebra.DEFAULT_TOL:
             _fail(f"{field}.density", f"phi o E != phi: residual {residual:.2e}")
         ctx = algebra.AlgebraContext(state, sub)
@@ -609,34 +612,37 @@ def build_parser():
     seed = flag("--seed", help="sampling seed")
     report = flag("--report", default=None, help="path for the JSON report")
     fmt = flag("--format", choices=("json", "text"), default="text", help="stdout format")
+    # no flag is read by a prefix: _attach_values joins only the exact names to their values
     parser = argparse.ArgumentParser(
         prog="qexch",
         description="numerical checks for quantum-permutation symmetry and freeness",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    command = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                      allow_abbrev=False)
 
     # each subcommand takes only the flags its command reads
     every = [tol, seed, report, fmt]
-    p = sub.add_parser("verify", parents=every, help="run a scenario file")
+    p = command("verify", parents=every, help="run a scenario file")
     p.add_argument("scenario")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("check-magic", parents=every, help="verify the defining relations")
+    p = command("check-magic", parents=every, help="verify the defining relations")
     p.add_argument("unitary", help="unitary spec: inline JSON or a file path")
     p.set_defaults(func=cmd_check_magic)
 
-    p = sub.add_parser("cumulants", parents=[fmt], help="print a moment/cumulant table")
+    p = command("cumulants", parents=[fmt], help="print a moment/cumulant table")
     p.add_argument("functional", help="functional spec: inline JSON or a file path")
     p.add_argument("--n", help="highest order to print")
     p.set_defaults(func=cmd_cumulants)
 
-    p = sub.add_parser("collapse", parents=[tol, seed], help="print one collapse sum")
+    p = command("collapse", parents=[tol, seed], help="print one collapse sum")
     p.add_argument("unitary", help="unitary spec: inline JSON or a file path")
     p.add_argument("--pi", required=True, help='blocks as JSON, e.g. "[[1,2],[3,4]]"')
     p.add_argument("--i", required=True, help='index tuple as JSON, e.g. "[1,1,2,2]"')
     p.set_defaults(func=cmd_collapse)
 
-    p = sub.add_parser("counterexample", help="run the column model")
+    p = command("counterexample", help="run the column model")
     p.add_argument("--n")
     p.set_defaults(func=cmd_counterexample)
     return parser

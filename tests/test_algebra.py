@@ -1,12 +1,18 @@
 """Contexts, conditional expectations, polynomials, and moment oracles."""
 
 import inspect
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qexch import algebra, cli, cumulants, exchangeability, magic
 from qexch.algebra import (
+    MAX_BYTES,
     AlgebraContext,
     BPolynomial,
     ConcreteMomentFunctional,
@@ -17,6 +23,7 @@ from qexch.algebra import (
     eval_polynomial,
     expand_product,
     pinching_context,
+    pinching_subalgebra,
     product_expectation,
     scalar_context,
     scalar_subalgebra,
@@ -65,12 +72,24 @@ def test_every_tol_default_is_the_one_default(tmp_path):
     assert cli._flag(args, "tol", cli._check_tol, default) == algebra.DEFAULT_TOL
 
 
-class _NaNOffHermitian(SubalgebraWithExpectation):
-    """E = phi(.) 1 on Hermitian matrices and NaN on every other matrix."""
+class _Overridden(SubalgebraWithExpectation):
+    """B of an honest kind, with E replaced by change(E, a): no kind builds a faulty E."""
+
+    __slots__ = ("change",)
+
+    def __init__(self, honest, change):
+        for name in SubalgebraWithExpectation.__slots__:
+            setattr(self, name, getattr(honest, name))
+        self.change = change
 
     def expect(self, a):
-        out = super().expect(a)
-        return out if np.allclose(a, a.conj().T) else np.full_like(out, np.nan)
+        return self.change(super().expect, np.asarray(a, dtype=complex))
+
+
+def _nan_off_hermitian(expect, a):
+    """E on Hermitian matrices and NaN on every other matrix."""
+    out = expect(a)
+    return out if np.allclose(a, a.conj().T) else np.full_like(out, np.nan)
 
 
 # finite, but its square is inf - inf off the diagonal
@@ -81,7 +100,7 @@ _OVERFLOWING = np.array([[1e200, 1e200], [1e200, -1e200]])
     lambda: magic.verify_relations(magic.MagicUnitary(_OVERFLOWING[None, None])),
     # the first matrix unit is Hermitian, so a max that let NaN lose would pass this
     lambda: verify_context(AlgebraContext(
-        State(np.eye(2) / 2), _NaNOffHermitian([np.eye(2)], scalar_subalgebra(np.eye(2) / 2).e_map)
+        State(np.eye(2) / 2), _Overridden(scalar_subalgebra(np.eye(2) / 2), _nan_off_hermitian)
     )),
     lambda: cumulants.check_mixed_cumulants(
         ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [_OVERFLOWING] * 2), (1, 2), 2
@@ -119,20 +138,90 @@ def test_block_pinching_passes():
 def test_transpose_map_fails_bimodule():
     # transpose fixes the diagonal subalgebra but reverses left/right actions
     d = 2
-    tmap = np.zeros((d * d, d * d), dtype=complex)
-    for x in range(d):
-        for y in range(d):
-            tmap[y * d + x, x * d + y] = 1.0
-    basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    sub = SubalgebraWithExpectation(basis, tmap)
+    sub = _Overridden(pinching_subalgebra([[0], [1]]), lambda expect, a: a.T)
     report = verify_context(AlgebraContext(State(np.eye(d) / d), sub))
     assert not report.passed
     assert report.residuals["bimodule"] > 1e-3
+    assert report.residuals["expectation_fixes_b"] == 0.0
 
 
-def test_identity_must_be_in_span():
-    with pytest.raises(ValueError):
-        SubalgebraWithExpectation([np.diag([1.0, 0.0])], np.eye(4))
+@st.composite
+def _density_and_blocks(draw):
+    """A seed for a random density, and blocks that partition 0..d-1 in a random order."""
+    d = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(d)))
+    cuts = draw(st.lists(st.booleans(), min_size=d - 1, max_size=d - 1))
+    blocks = [[order[0]]]
+    for x, cut in zip(order[1:], cuts):
+        if cut:
+            blocks.append([])
+        blocks[-1].append(x)
+    return draw(st.integers(0, 2**32 - 1)), blocks
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_density_and_blocks())
+def test_kinds_match_their_dense_expectation_maps(case):
+    seed, blocks = case
+    rng = np.random.default_rng(seed)
+    d = sum(map(len, blocks))
+    g = random_matrix(rng, d)
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T)
+    mask = np.zeros((d, d))
+    for block in blocks:
+        mask[np.ix_(block, block)] = 1.0
+    units = []
+    for block in blocks:
+        for x, y in itertools.product(block, repeat=2):
+            units.append(np.zeros((d, d), dtype=complex))
+            units[-1][x, y] = 1.0
+    # each kind, the d^2 x d^2 map of E on row-major vectors, and a basis of B
+    kinds = [
+        (scalar_subalgebra(rho), np.outer(np.eye(d).reshape(-1), rho.T.reshape(-1)), [np.eye(d)]),
+        (pinching_subalgebra(blocks), np.diag(mask.reshape(-1)), units),
+    ]
+    for sub, e_map, basis in kinds:
+        a = random_matrix(rng, d)
+        stack = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+        dense = (stack.reshape(-1, d * d) @ e_map.T).reshape(stack.shape)
+        np.testing.assert_allclose(sub.expect(a), (e_map @ a.reshape(-1)).reshape(d, d),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sub.expect_all(stack), dense, rtol=0, atol=1e-13)
+        # one coefficient per basis element, every real part drawn before the imaginary ones
+        draws = np.random.default_rng(seed)
+        coef = draws.standard_normal(len(basis)) + 1j * draws.standard_normal(len(basis))
+        expected = sum(c * b for c, b in zip(coef, basis))
+        assert np.array_equal(sub.random_element(np.random.default_rng(seed)), expected)
+    pinched = ConcreteMomentFunctional(AlgebraContext(State(np.eye(d) / d), kinds[1][0]), [mask])
+    if max(map(len, blocks)) >= 2:
+        with pytest.raises(ValueError, match="requires a commutative subalgebra B"):
+            exchangeability.check_E_invariance(pinched, magic.from_permutation([2, 1]))
+    else:
+        assert pinched.context.subalgebra.is_commutative()
+
+
+def test_pinching_charges_its_mask_before_building_it():
+    itemsize = pinching_subalgebra([[0]]).mask.itemsize
+    d = math.isqrt(MAX_BYTES // itemsize) + 1  # the first dim whose mask exceeds MAX_BYTES
+    assert itemsize * (d - 1) ** 2 <= MAX_BYTES < itemsize * d * d
+    with pytest.raises(ValueError, match=f"over the budget of {MAX_BYTES}"):
+        pinching_subalgebra([[x] for x in range(d)])
+
+
+def test_scalar_context_holds_no_dense_map():
+    # a dim**4-entry complex map of E would alone be 256 MiB at dim 64
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ctx = scalar_context(np.eye(64) / 64)
+        ctx.expect(np.ones((64, 64)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_state_residuals_detect_bad_density():
@@ -172,11 +261,11 @@ def test_eval_polynomial_is_linear(rng):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_expectation_map_rejected(bad):
-    e_map = scalar_subalgebra(np.eye(2) / 2).e_map.copy()
-    e_map[0, 3] = bad
-    with pytest.raises(ValueError, match="e_map contains non-finite entries"):
-        SubalgebraWithExpectation([np.eye(2)], e_map)
+def test_non_finite_density_rejected(bad):
+    density = np.eye(2) / 2
+    density[0, 1] = bad
+    with pytest.raises(ValueError, match="density contains non-finite entries"):
+        scalar_subalgebra(density)
 
 
 def test_dimension_mismatch_rejected(rng):

@@ -25,6 +25,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "src" / "qexch" / "fixtures"
 FREE = FIXTURES / "free_semicircular.json"
 BERNOULLI = FIXTURES / "classical_bernoulli.json"
 ALL_CHECKS = Path(__file__).resolve().parent / "scenarios" / "all_checks.json"
+CONCRETE_DIM128 = ALL_CHECKS.with_name("concrete_dim128.json")
 
 
 def run_cli(args, capsys):
@@ -174,6 +175,18 @@ def test_all_checks_scenario_pinned(tmp_path, capsys):
         assert abs(c["residual"] - residual) <= 1e-12, c
     assert out.splitlines()[-1] == "overall: PASS"
     assert len(out.splitlines()) == len(ALL_CHECKS_EXPECTED) + 1
+
+
+def test_concrete_scenario_past_the_old_dimension_cap(tmp_path, capsys):
+    # dim 128 was refused while E was held as a dim**4-entry map; freeness first
+    # fails at order 4, where classical and free independence differ
+    report_path = tmp_path / "dim128.json"
+    code, out, err = run_cli(["verify", str(CONCRETE_DIM128), "--report", str(report_path)],
+                             capsys)
+    assert (code, err) == (1, "")
+    verdicts = [(c["name"], c["pass"]) for c in json.loads(report_path.read_text())["checks"]]
+    assert verdicts == [("classical_invariance", True), ("freeness", False)]
+    assert out.splitlines()[-1] == "overall: FAIL"
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
@@ -485,6 +498,10 @@ def test_collapse_malformed_flag_exits_two_naming_it(capsys, flags, flag):
     ["cumulants", '{"kind": "cumulant", "cumulants": {"2": 1.0}}', "--report", "x.json"],
     ["collapse", COLLAPSE_UNITARY, "--i", "[1]", "--pi", "[[1]]", "--report", "x.json"],
     ["collapse", COLLAPSE_UNITARY, "--i", "[1]", "--pi", "[[1]]", "--format", "json"],
+    # a prefix names no flag: argparse would read --to as --tol, which _attach_values
+    # does not join to its value
+    ["check-magic", COLLAPSE_UNITARY, "--to", "-1e-8"],
+    ["check-magic", COLLAPSE_UNITARY, "--rep", "x.json"],
 ])
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
@@ -645,8 +662,9 @@ def _scenario(tmp_path, **changes):
          "functional.b_dim"),
         ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": 0}},
          "functional.b_dim"),
-        ({"functional": {"kind": "concrete", "dim": 100, "density": {"diag": [0.01] * 100},
-                         "elements": [{"diag": [1] * 100}]}}, "functional.dim"),
+        # the first dim whose d x d complex array exceeds MAX_BYTES
+        ({"functional": {"kind": "concrete", "dim": 4097, "density": {"diag": [1 / 4097] * 4097},
+                         "elements": [{"diag": [1] * 4097}]}}, "functional.dim"),
         ({"unitaries": [{"kind": "permutation", "sigma": [2, 1], "d": 1000000}]},
          "unitaries[0].d"),
         ({"unitaries": [{"kind": "block_chain", "d": 1000000, "seeds": [1]}]},

@@ -1,7 +1,9 @@
 """Partition enumeration, the non-crossing family, kernels, and the order."""
 
+import gc
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
@@ -201,18 +203,15 @@ def test_mixed_length_profile_counts_match_filtered_enumeration(lists):
 
 
 def test_enumerate_noncrossing_keeps_no_list_it_returns():
-    # only the int8 tables stay cached: NC(12)'s 208012 partitions are not held
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        for n in (10, 11, 12):
-            assert len(enumerate_noncrossing(n)) == catalan(n)
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-    assert held < 8 * 2**20, held
+    # only the int8 tables stay cached: each kept partition would hold at least
+    # one allocated block, and NC(10) alone has 16796 of them
+    gc.collect()
+    base = sys.getallocatedblocks()
+    for n in (10, 11, 12):
+        assert len(enumerate_noncrossing(n)) == catalan(n)
+    gc.collect()
+    held = sys.getallocatedblocks() - base
+    assert held < catalan(10), held
 
 
 def test_enumerate_noncrossing_bounds():
