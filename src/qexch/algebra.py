@@ -1,10 +1,11 @@
 """Finite-dimensional models of operator-valued probability spaces.
 
-The ambient algebra is M_d(C).  A context bundles a state (density matrix),
-a distinguished *-subalgebra B and a conditional expectation onto B, of one
-of two kinds: the scalar B = C*1 with E[a] = tr(rho a) * 1, held as the
-density rho, or a block-diagonal B with the pinching E[a] = sum_t P_t a P_t,
-held as the d x d mask of the entries it keeps.  Expectations are verified
+The ambient algebra is M_d(C).  One object, SubalgebraWithExpectation, holds
+a concrete model: a state (density matrix), a distinguished *-subalgebra B
+and a conditional expectation onto B, of one of two kinds: the scalar
+B = C*1 with E[a] = tr(rho a) * 1, read off the state's density rho, or a
+block-diagonal B with the pinching E[a] = sum_t P_t a P_t, held as the d x d
+mask of the entries it keeps.  Expectations are verified
 against the axioms, never derived.
 """
 
@@ -65,20 +66,27 @@ def frobenius(a):
     return float(np.linalg.norm(a))
 
 
-class State:
-    """State on M_d given by a density matrix: phi(a) = tr(rho a)."""
+class SubalgebraWithExpectation:
+    """An operator-valued probability space (M_d, phi, B, E), one object per concrete model.
 
-    __slots__ = ("dim", "density")
+    phi(a) = tr(rho a) is the state of the density rho, and E is a conditional
+    expectation onto B of one of two kinds.  Built only by scalar_context
+    (B = C*1 and E[a] = tr(rho a) * 1, read off the same rho) or
+    pinching_context (a block-diagonal B and E[a] = mask * a, held as the 0/1
+    mask of the entries whose coordinates share a block, with B's matrix
+    units as two index arrays).
+    """
 
-    def __init__(self, density):
-        rho = as_matrix(density, name="density")
-        self.dim = rho.shape[0]
-        self.density = rho
+    __slots__ = ("dim", "density", "mask", "_units")
 
-    def value(self, a):
+    def __init__(self, density, mask=None, units=None):
+        self.dim, self.density, self.mask, self._units = density.shape[0], density, mask, units
+
+    def phi(self, a):
         return complex(np.trace(self.density @ a))
 
     def residuals(self):
+        """How far the density is from a state: Hermitian, of trace one, positive."""
         # an overflow must reach the residuals as inf or NaN and fail them
         with np.errstate(over="ignore", invalid="ignore"):
             herm = frobenius(self.density - self.density.conj().T)
@@ -89,21 +97,6 @@ class State:
             "state_trace": float(trace),
             "state_negativity": float(max(0.0, -eigs.min(), key=_severity)),
         }
-
-
-class SubalgebraWithExpectation:
-    """A subalgebra B of M_d with a conditional expectation E onto it, of one of two kinds.
-
-    Built only by scalar_subalgebra (B = C*1 and E[a] = tr(rho a) * 1, held as
-    the density rho) or pinching_subalgebra (a block-diagonal B and
-    E[a] = mask * a, held as the 0/1 mask of the entries whose coordinates
-    share a block, with B's matrix units as two index arrays).
-    """
-
-    __slots__ = ("dim", "density", "mask", "_units")
-
-    def __init__(self, dim, density=None, mask=None, units=None):
-        self.dim, self.density, self.mask, self._units = dim, density, mask, units
 
     def expect(self, a):
         return self.expect_all(as_matrix(a, self.dim, finite=False))
@@ -135,14 +128,14 @@ class SubalgebraWithExpectation:
         return self.mask is None or len(self._units[0]) == self.dim
 
 
-def scalar_subalgebra(density):
-    """B = C*1 with E[a] = tr(rho a) * 1."""
-    rho = as_matrix(density, name="density")
-    return SubalgebraWithExpectation(rho.shape[0], density=rho)
+def scalar_context(density):
+    """Scalar amalgamation: B = C*1, E[a] = tr(rho a) * 1 = phi(a) * 1."""
+    return SubalgebraWithExpectation(as_matrix(density, name="density"))
 
 
-def pinching_subalgebra(blocks):
-    """Block-diagonal subalgebra with E[a] = sum_t P_t a P_t.
+def pinching_context(blocks, density=None):
+    """Block-diagonal B with E[a] = sum_t P_t a P_t, in the normalized trace state
+    unless a density is given.
 
     blocks partition the coordinate set {0..d-1}; P_t projects onto the
     coordinates of block t, so E keeps entry (x, y) exactly when x and y
@@ -156,44 +149,13 @@ def pinching_subalgebra(blocks):
     # the float mask, and B's matrix units as two index arrays: blocks in order,
     # each in itertools.product(block, repeat=2) order
     check_bytes(8 * d * d + 16 * count, f"pinching of dimension {d} with {count} matrix units")
+    rho = as_matrix(np.eye(d) / d if density is None else density, d, "density")
     blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
     units = (np.concatenate([np.repeat(b, len(b)) for b in blocks]),
              np.concatenate([np.tile(b, len(b)) for b in blocks]))
     mask = np.zeros((d, d))
     mask[units] = 1.0
-    return SubalgebraWithExpectation(d, mask=mask, units=units)
-
-
-class AlgebraContext:
-    """Operator-valued probability space: ambient M_d, state phi, and (B, E)."""
-
-    __slots__ = ("dim", "state", "subalgebra")
-
-    def __init__(self, state, subalgebra):
-        if state.dim != subalgebra.dim:
-            raise ValueError(
-                f"state dimension {state.dim} != subalgebra dimension {subalgebra.dim}"
-            )
-        self.dim = state.dim
-        self.state = state
-        self.subalgebra = subalgebra
-
-    def phi(self, a):
-        return self.state.value(a)
-
-    def expect(self, a):
-        return self.subalgebra.expect(a)
-
-
-def scalar_context(density):
-    """Scalar amalgamation: B = C*1, E = phi(.) * 1."""
-    return AlgebraContext(State(density), scalar_subalgebra(density))
-
-
-def pinching_context(blocks):
-    """Pinching onto a block-diagonal subalgebra, in the normalized trace state."""
-    sub = pinching_subalgebra(blocks)
-    return AlgebraContext(State(np.eye(sub.dim) / sub.dim), sub)
+    return SubalgebraWithExpectation(rho, mask, units)
 
 
 @dataclass
@@ -235,18 +197,17 @@ def verify_context(ctx, samples=20, tol=DEFAULT_TOL):
     B when it fixes each of them.
     """
     rng = np.random.default_rng(0)
-    sub = ctx.subalgebra
     d = ctx.dim
-    res = dict(ctx.state.residuals())
+    res = dict(ctx.residuals())
 
-    res["expectation_unital"] = frobenius(sub.expect(np.eye(d)) - np.eye(d))
+    res["expectation_unital"] = frobenius(ctx.expect(np.eye(d)) - np.eye(d))
     fixes_b, in_range, compatible = [0.0], [0.0], [0.0]
     for x, y in itertools.product(range(d), repeat=2):
         unit = np.zeros((d, d), dtype=complex)
         unit[x, y] = 1.0
-        image, b = sub.expect(unit), sub._onto_b(unit)
-        fixes_b.append(frobenius(sub.expect(b) - b))
-        in_range.append(frobenius(image - sub._onto_b(image)))
+        image, b = ctx.expect(unit), ctx._onto_b(unit)
+        fixes_b.append(frobenius(ctx.expect(b) - b))
+        in_range.append(frobenius(image - ctx._onto_b(image)))
         compatible.append(abs(ctx.phi(image) - ctx.phi(unit)))
     # every max is taken by _severity, so that a NaN is never dropped
     res["expectation_fixes_b"] = max(fixes_b, key=_severity)
@@ -255,10 +216,10 @@ def verify_context(ctx, samples=20, tol=DEFAULT_TOL):
     bimodule, positivity = [0.0], [0.0]
     for _ in range(samples):
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        b1 = sub.random_element(rng)
-        b2 = sub.random_element(rng)
-        bimodule.append(frobenius(sub.expect(b1 @ a @ b2) - b1 @ sub.expect(a) @ b2))
-        pos = sub.expect(a.conj().T @ a)
+        b1 = ctx.random_element(rng)
+        b2 = ctx.random_element(rng)
+        bimodule.append(frobenius(ctx.expect(b1 @ a @ b2) - b1 @ ctx.expect(a) @ b2))
+        pos = ctx.expect(a.conj().T @ a)
         herm = frobenius(pos - pos.conj().T)
         eigs = np.linalg.eigvalsh((pos + pos.conj().T) / 2)
         positivity += [herm, -float(eigs.min())]
@@ -476,7 +437,7 @@ class MomentFunctional:
 
 
 class ConcreteMomentFunctional(MomentFunctional):
-    """Moments of explicit matrices inside an AlgebraContext."""
+    """Moments of explicit matrices inside a SubalgebraWithExpectation."""
 
     def __init__(self, context, elements):
         self.context = context
@@ -511,7 +472,7 @@ class ConcreteMomentFunctional(MomentFunctional):
         return self.context.phi(b)
 
     def random_coeff(self, rng):
-        return self.context.subalgebra.random_element(rng)
+        return self.context.random_element(rng)
 
     def product_expectation(self, polys, variables):
         """E[p_1(x_{v1}) ... p_m(x_{vm})] by linearity: the product of the
@@ -541,12 +502,12 @@ class ConcreteMomentFunctional(MomentFunctional):
             return kept
         stack = self._product_stack(k, n)
         flat = stack.reshape(-1, self.context.dim, self.context.dim)
-        vals = np.einsum("ab,Xba->X", self.context.state.density, flat)
+        vals = np.einsum("ab,Xba->X", self.context.density, flat)
         return self._keep((k, n), vals.reshape((k,) * n))
 
     def expectation_tensor(self, k, n, decorations=None):
         stack = self._product_stack(k, n, decorations)
-        return self.context.subalgebra.expect_all(stack)
+        return self.context.expect_all(stack)
 
 
 def center(p, i, mf):

@@ -194,7 +194,7 @@ def _parse_b(value, field, dim):
     obj = _Object(value, field)
     blocks = obj.get("blocks", partial(_parse_list, item=partial(_parse_int_list, minimum=0)))
     obj.close()
-    # checked against dim before pinching_subalgebra sizes its mask from the blocks
+    # checked against dim before pinching_context sizes its mask from the blocks
     if sorted(x for b in blocks for x in b) != list(range(dim)):
         _fail(field, f"blocks must partition 0..{dim - 1}, got {blocks}")
     return blocks
@@ -218,21 +218,19 @@ def build_functional(spec, field="functional"):
         blocks = obj.get("b", partial(_parse_b, dim=dim), None)  # None: scalar B
         mats = obj.get("elements", partial(_parse_list, item=partial(_parse_matrix, dim=dim)))
         obj.close()
-        state = algebra.State(density)
-        for name, residual in state.residuals().items():
-            if not residual <= algebra.DEFAULT_TOL:
-                _fail(f"{field}.density", f"not a state: {name} residual {residual:.2e}")
-        try:
-            sub = (algebra.scalar_subalgebra(density) if blocks is None
-                   else algebra.pinching_subalgebra(blocks))
+        try:  # the density's entries are finite, so only a pinching over budget fails here
+            ctx = (algebra.scalar_context(density) if blocks is None
+                   else algebra.pinching_context(blocks, density))
         except ValueError as exc:
             _fail(f"{field}.b", str(exc))
+        for name, residual in ctx.residuals().items():
+            if not residual <= algebra.DEFAULT_TOL:
+                _fail(f"{field}.density", f"not a state: {name} residual {residual:.2e}")
         # phi o E - phi: (tr rho - 1) phi for a scalar B, rho off the mask for a pinching
-        residual = (abs(np.trace(density) - 1) * algebra.frobenius(density) if sub.mask is None
-                    else algebra.frobenius(sub.mask * density - density))
+        residual = (abs(np.trace(density) - 1) * algebra.frobenius(density) if ctx.mask is None
+                    else algebra.frobenius(ctx.mask * density - density))
         if not residual <= algebra.DEFAULT_TOL:
             _fail(f"{field}.density", f"phi o E != phi: residual {residual:.2e}")
-        ctx = algebra.AlgebraContext(state, sub)
         try:
             return algebra.ConcreteMomentFunctional(ctx, mats)
         except ValueError as exc:

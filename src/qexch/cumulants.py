@@ -86,13 +86,14 @@ class CumulantExtractor:
     than the one-block partition only involves cumulants of shorter words.
     Each public method checks its request once, at entry; the extraction
     below it reads checked words only.  Results are cached per (variables,
-    coefficients) signature; NC(n) and each partition's peeling steps are
-    kept once per extractor.
+    coefficients) signature, each distinct coefficient held once as a small
+    int; NC(n) and each partition's peeling steps are kept once per extractor.
     """
 
     def __init__(self, mf):
         self.mf = mf
         self._cache = {}
+        self._coeff_ids = {}  # the bytes of each distinct coefficient -> its int in keys
         self._nc = {}
         self._steps = {}
 
@@ -106,7 +107,8 @@ class CumulantExtractor:
 
     def _kappa_word(self, variables, coeffs):
         """kappa_word of a checked word with all its coefficients."""
-        key = (variables, tuple(c.tobytes() for c in coeffs))
+        ids = self._coeff_ids
+        key = (variables, tuple(ids.setdefault(c.tobytes(), len(ids)) for c in coeffs))
         hit = self._cache.get(key)
         if hit is not None:
             return hit

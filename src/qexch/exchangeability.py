@@ -146,7 +146,7 @@ def check_E_invariance(mf, u, decorations=None, n_max=3, tol=DEFAULT_TOL):
     length.
     """
     if isinstance(mf, ConcreteMomentFunctional):
-        if not mf.context.subalgebra.is_commutative():
+        if not mf.context.is_commutative():
             raise ValueError("E-invariance check requires a commutative subalgebra B")
     if decorations is not None and len(decorations) < n_max - 1:
         raise ValueError(f"need at least {n_max - 1} decorations for n_max={n_max}")
@@ -233,9 +233,12 @@ def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0):
     if n_max > MAX_TRANSFORM_ORDER:
         raise ValueError(f"n_max={n_max} exceeds the cumulant order cap {MAX_TRANSFORM_ORDER}")
     values = sorted(set(variables))
+    for v in values:  # even a vacuous verdict names only variables that exist
+        mf._check_word((v,), None)
     if len(values) < 2:
-        mf._check_word(values, None)  # even a vacuous verdict names a variable that exists
         return FreenessReport(0.0, (), 0.0, (), tol, vacuous=True)
+    # the longest product word, n_max factors of degree at most 2, before the first draw
+    mf._check_word(values[:1] * (2 * n_max), None)
     rng = np.random.default_rng(seed)
     centered_max = 0.0
     centered_worst = ()

@@ -13,20 +13,16 @@ from hypothesis import strategies as st
 from qexch import algebra, cli, cumulants, exchangeability, magic
 from qexch.algebra import (
     MAX_BYTES,
-    AlgebraContext,
     BPolynomial,
     ConcreteMomentFunctional,
     MomentFunctional,
-    State,
     SubalgebraWithExpectation,
     center,
     eval_polynomial,
     expand_product,
     pinching_context,
-    pinching_subalgebra,
     product_expectation,
     scalar_context,
-    scalar_subalgebra,
     verify_context,
 )
 
@@ -99,9 +95,7 @@ _OVERFLOWING = np.array([[1e200, 1e200], [1e200, -1e200]])
 @pytest.mark.parametrize("produce", [
     lambda: magic.verify_relations(magic.MagicUnitary(_OVERFLOWING[None, None])),
     # the first matrix unit is Hermitian, so a max that let NaN lose would pass this
-    lambda: verify_context(AlgebraContext(
-        State(np.eye(2) / 2), _Overridden(scalar_subalgebra(np.eye(2) / 2), _nan_off_hermitian)
-    )),
+    lambda: verify_context(_Overridden(scalar_context(np.eye(2) / 2), _nan_off_hermitian)),
     lambda: cumulants.check_mixed_cumulants(
         ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [_OVERFLOWING] * 2), (1, 2), 2
     ),
@@ -137,9 +131,7 @@ def test_block_pinching_passes():
 
 def test_transpose_map_fails_bimodule():
     # transpose fixes the diagonal subalgebra but reverses left/right actions
-    d = 2
-    sub = _Overridden(pinching_subalgebra([[0], [1]]), lambda expect, a: a.T)
-    report = verify_context(AlgebraContext(State(np.eye(d) / d), sub))
+    report = verify_context(_Overridden(pinching_context([[0], [1]]), lambda expect, a: a.T))
     assert not report.passed
     assert report.residuals["bimodule"] > 1e-3
     assert report.residuals["expectation_fixes_b"] == 0.0
@@ -177,35 +169,58 @@ def test_kinds_match_their_dense_expectation_maps(case):
             units[-1][x, y] = 1.0
     # each kind, the d^2 x d^2 map of E on row-major vectors, and a basis of B
     kinds = [
-        (scalar_subalgebra(rho), np.outer(np.eye(d).reshape(-1), rho.T.reshape(-1)), [np.eye(d)]),
-        (pinching_subalgebra(blocks), np.diag(mask.reshape(-1)), units),
+        (scalar_context(rho), np.outer(np.eye(d).reshape(-1), rho.T.reshape(-1)), [np.eye(d)]),
+        (pinching_context(blocks), np.diag(mask.reshape(-1)), units),
     ]
-    for sub, e_map, basis in kinds:
+    for ctx, e_map, basis in kinds:
         a = random_matrix(rng, d)
         stack = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
         dense = (stack.reshape(-1, d * d) @ e_map.T).reshape(stack.shape)
-        np.testing.assert_allclose(sub.expect(a), (e_map @ a.reshape(-1)).reshape(d, d),
+        np.testing.assert_allclose(ctx.expect(a), (e_map @ a.reshape(-1)).reshape(d, d),
                                    rtol=0, atol=1e-13)
-        np.testing.assert_allclose(sub.expect_all(stack), dense, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ctx.expect_all(stack), dense, rtol=0, atol=1e-13)
         # one coefficient per basis element, every real part drawn before the imaginary ones
         draws = np.random.default_rng(seed)
         coef = draws.standard_normal(len(basis)) + 1j * draws.standard_normal(len(basis))
         expected = sum(c * b for c, b in zip(coef, basis))
-        assert np.array_equal(sub.random_element(np.random.default_rng(seed)), expected)
-    pinched = ConcreteMomentFunctional(AlgebraContext(State(np.eye(d) / d), kinds[1][0]), [mask])
+        assert np.array_equal(ctx.random_element(np.random.default_rng(seed)), expected)
+    pinched = ConcreteMomentFunctional(kinds[1][0], [mask])
     if max(map(len, blocks)) >= 2:
         with pytest.raises(ValueError, match="requires a commutative subalgebra B"):
             exchangeability.check_E_invariance(pinched, magic.from_permutation([2, 1]))
     else:
-        assert pinched.context.subalgebra.is_commutative()
+        assert pinched.context.is_commutative()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_density_and_blocks())
+def test_one_object_holds_the_state_its_expectation_preserves(case):
+    seed, blocks = case
+    rng = np.random.default_rng(seed)
+    d = sum(map(len, blocks))
+    g = random_matrix(rng, d)
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T)
+    # scalar kind: E is read off the state's own density, so phi o E = phi
+    ctx = scalar_context(rho)
+    a = random_matrix(rng, d)
+    assert abs(ctx.phi(ctx.expect(a)) - ctx.phi(a)) <= 1e-12
+    assert verify_context(ctx).passed
+    # pinching kind: a block-diagonal density is preserved, mass off the blocks is not
+    pinched = pinching_context(blocks)
+    on_blocks = pinched.expect(rho)  # the pinching of a state is a state
+    assert verify_context(pinching_context(blocks, on_blocks)).passed
+    report = verify_context(pinching_context(blocks, rho))
+    off = np.abs(rho - on_blocks).max()
+    assert report.residuals["state_compatibility"] == pytest.approx(off, rel=0, abs=1e-12)
+    assert report.passed == (len(blocks) == 1)
 
 
 def test_pinching_charges_its_mask_before_building_it():
-    itemsize = pinching_subalgebra([[0]]).mask.itemsize
+    itemsize = pinching_context([[0]]).mask.itemsize
     d = math.isqrt(MAX_BYTES // itemsize) + 1  # the first dim whose mask exceeds MAX_BYTES
     assert itemsize * (d - 1) ** 2 <= MAX_BYTES < itemsize * d * d
     with pytest.raises(ValueError, match=f"over the budget of {MAX_BYTES}"):
-        pinching_subalgebra([[x] for x in range(d)])
+        pinching_context([[x] for x in range(d)])
 
 
 def test_scalar_context_holds_no_dense_map():
@@ -225,7 +240,7 @@ def test_scalar_context_holds_no_dense_map():
 
 
 def test_state_residuals_detect_bad_density():
-    bad = State(np.diag([0.9, 0.3]))
+    bad = scalar_context(np.diag([0.9, 0.3]))
     assert bad.residuals()["state_trace"] > 0.1
 
 
@@ -265,7 +280,14 @@ def test_non_finite_density_rejected(bad):
     density = np.eye(2) / 2
     density[0, 1] = bad
     with pytest.raises(ValueError, match="density contains non-finite entries"):
-        scalar_subalgebra(density)
+        scalar_context(density)
+    with pytest.raises(ValueError, match="density contains non-finite entries"):
+        pinching_context([[0], [1]], density)
+
+
+def test_pinching_density_must_match_the_blocks():
+    with pytest.raises(ValueError, match="density must be 2x2, got 3x3"):
+        pinching_context([[0], [1]], np.eye(3) / 3)
 
 
 def test_dimension_mismatch_rejected(rng):
@@ -341,7 +363,7 @@ def test_tensor_helpers_match_entrywise_loops(rng):
     fast = mf.scalar_moment_tensor(3, 3)
     slow = MomentFunctional.scalar_moment_tensor(mf, 3, 3)
     np.testing.assert_allclose(fast, slow, atol=1e-13)
-    decs = [ctx.subalgebra.random_element(rng) for _ in range(2)]
+    decs = [ctx.random_element(rng) for _ in range(2)]
     fast_e = mf.expectation_tensor(3, 3, decs)
     slow_e = MomentFunctional.expectation_tensor(mf, 3, 3, decs)
     np.testing.assert_allclose(fast_e, slow_e, atol=1e-13)

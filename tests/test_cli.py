@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qexch
-from qexch import cli, cumulants, exchangeability, magic
+from qexch import algebra, cli, cumulants, exchangeability, magic
 from qexch.cli import CHECKS, _json_text, main
 from qexch.exchangeability import FreenessReport
 
@@ -561,9 +561,16 @@ def test_unreadable_input_file_exits_two_naming_its_field(tmp_path, capsys, comm
     assert err.startswith(f"error: {field}: [Errno 2] ") and len(err.splitlines()) == 1
 
 
-def test_freeness_of_one_missing_variable_exits_two(tmp_path, capsys):
+def _no_product(*args):
+    raise AssertionError("a product expectation ran before the request was checked")
+
+
+@pytest.mark.parametrize("variables", [[5], [1, 5]])
+def test_freeness_of_one_missing_variable_exits_two(tmp_path, capsys, monkeypatch, variables):
+    # the variables are checked before any product expectation
+    monkeypatch.setattr(algebra.ConcreteMomentFunctional, "product_expectation", _no_product)
     doc = json.loads(BERNOULLI.read_text())  # 4 variables
-    doc["checks"] = [{"name": "freeness", "vars": [5]}]
+    doc["checks"] = [{"name": "freeness", "vars": variables}]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(["verify", str(path), "--report", str(tmp_path / "r.json")], capsys)
@@ -843,6 +850,17 @@ def test_e_invariance_draws_decorations_only_after_the_length_check(tmp_path, ca
         assert (got, len(calls)) == (code, drawn), err
         if code == 2:
             assert err.startswith("error: checks[0]: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n_max", [7, 8])
+def test_freeness_refuses_its_longest_product_before_any_expectation(tmp_path, capsys,
+                                                                    monkeypatch, n_max):
+    # n_max factors of degree up to 2 make a word of 2 * n_max letters, over the cap of 12
+    monkeypatch.setattr(cumulants.CumulantMomentFunctional, "product_expectation", _no_product)
+    path = _scenario(tmp_path, checks=[{"name": "freeness", "vars": [1, 2], "n_max": n_max}])
+    code, out, err = run_cli(["verify", str(path), "--report", str(tmp_path / "r.json")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: checks[0]: word length {2 * n_max} exceeds the cap 12\n"
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,16 @@
 """rho_pi evaluation, moment/cumulant transforms, and cumulant-backed oracles."""
 
 import itertools
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qexch import cli
 from qexch.algebra import (
     MAX_BYTES,
     BPolynomial,
@@ -325,6 +329,24 @@ def test_extractor_checks_each_request():
         extractor.kappa_partition(Partition(10, [[1], list(range(2, 11))]), (1,) * 10)
     with pytest.raises(ValueError, match="word length <= 8"):
         extractor.kappa_word((1,) * 9)
+
+
+def test_extractor_keys_hold_each_distinct_coefficient_once():
+    # 128x128 coefficients: keyed by their bytes, the keys of this scan alone held 63.5 MiB
+    scenario = Path(__file__).resolve().parent / "scenarios" / "concrete_dim128.json"
+    mf = cli.build_functional(json.loads(scenario.read_text())["functional"])
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = check_mixed_cumulants(mf, (1, 2), 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert report.max_residual > 1.0  # the two variables are not free
+    assert peak < 32 * 2**20, peak
 
 
 # -- cumulants -> moments ------------------------------------------------------------
