@@ -86,16 +86,22 @@ class SubalgebraWithExpectation:
         return complex(np.trace(self.density @ a))
 
     def residuals(self):
-        """How far the density is from a state: Hermitian, of trace one, positive."""
+        """How far the density is from a state that E preserves: Hermitian, of
+        trace one, positive, and phi o E = phi, whose difference is tr(m a)
+        for m = (tr rho - 1) rho (scalar kind) or mask * rho - rho (pinching)."""
+        rho = self.density
         # an overflow must reach the residuals as inf or NaN and fail them
         with np.errstate(over="ignore", invalid="ignore"):
-            herm = frobenius(self.density - self.density.conj().T)
-            trace = abs(complex(np.trace(self.density)) - 1.0)
-            eigs = np.linalg.eigvalsh((self.density + self.density.conj().T) / 2)
+            herm = frobenius(rho - rho.conj().T)
+            trace = abs(complex(np.trace(rho)) - 1.0)
+            eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+            preserved = (trace * frobenius(rho) if self.mask is None
+                         else frobenius(self.mask * rho - rho))
         return {
             "state_hermitian": herm,
             "state_trace": float(trace),
             "state_negativity": float(max(0.0, -eigs.min(), key=_severity)),
+            "state_preserved": preserved,
         }
 
     def expect(self, a):
@@ -198,7 +204,8 @@ def verify_context(ctx, samples=20, tol=DEFAULT_TOL):
     """
     rng = np.random.default_rng(0)
     d = ctx.dim
-    res = dict(ctx.residuals())
+    # phi o E = phi is sampled below as state_compatibility, the axiom's reference
+    res = {name: v for name, v in ctx.residuals().items() if name != "state_preserved"}
 
     res["expectation_unital"] = frobenius(ctx.expect(np.eye(d)) - np.eye(d))
     fixes_b, in_range, compatible = [0.0], [0.0], [0.0]
@@ -263,15 +270,6 @@ class BPolynomial:
     def degree(self):
         return max(len(w) - 1 for w in self.words)
 
-    @staticmethod
-    def variable(dim):
-        """The polynomial 1*X*1."""
-        return BPolynomial([(np.eye(dim), np.eye(dim))])
-
-    @staticmethod
-    def constant(b):
-        return BPolynomial([(b,)])
-
 
 def eval_polynomial(p, a):
     """Substitute the matrix a for X and sum the words."""
@@ -310,8 +308,8 @@ class MomentFunctional:
         """The state on B at one B-value b.
 
         The scalar moment of a word is phi(moment(word)), which assumes that
-        E preserves the state (phi o E = phi); cli.build_functional enforces
-        that for command-line input.
+        E preserves the state (phi o E = phi), as a concrete model's residuals()
+        measure and cli.build_functional enforces for command-line input.
         """
         raise NotImplementedError
 
@@ -382,8 +380,8 @@ class MomentFunctional:
 
         Every word of the tensor passes _check_word exactly when the corner
         word (k, ..., k) with the decorations inside does.  The tensor must
-        also stay within MAX_TENSOR_LENGTH positions, and its complex
-        b_dim x b_dim values within MAX_BYTES.  Returns the decorations
+        also stay within MAX_TENSOR_LENGTH positions, and each array of
+        _tensor_charges within MAX_BYTES.  Returns the decorations
         validated, or None.
         """
         if n > MAX_TENSOR_LENGTH:
@@ -394,9 +392,14 @@ class MomentFunctional:
         eye = self.identity_coeff()
         coeffs = None if decorations is None else (eye, *decorations, eye)
         coeffs = self._check_word((k,) * n, coeffs)[1]
-        b = self.b_dim
-        check_bytes(16 * k**n * b * b, f"moment tensor with {k}^{n} {b}x{b} values")
+        for charge in self._tensor_charges(k, n):
+            check_bytes(*charge)
         return None if coeffs is None else list(coeffs[1:-1])
+
+    def _tensor_charges(self, k, n):
+        """(bytes, description) of each array a moment tensor over {1..k}^n builds."""
+        b = self.b_dim
+        return [(16 * k**n * b * b, f"moment tensor with {k}^{n} {b}x{b} values")]
 
     def _keep(self, key, tensor):
         """Keep a scalar moment tensor, read-only, for the next request of key.
@@ -424,14 +427,11 @@ class MomentFunctional:
         values = [self.phi(self.moment(t)) for t in itertools.product(range(1, k + 1), repeat=n)]
         return np.array(values, dtype=complex).reshape((k,) * n)
 
-    def expectation_tensor(self, k, n, decorations=None):
-        """E[x_{j1} d1 x_{j2} ... d_{n-1} x_{jn}] for every tuple, C-ordered.
-
-        decorations are the n-1 inner coefficients; identity by default.
-        """
+    def expectation_tensor(self, k, n, decorations):
+        """E[x_{j1} d1 x_{j2} ... d_{n-1} x_{jn}] for every tuple, C-ordered, d the decorations."""
         decorations = self._check_tensor(k, n, decorations)
         eye = self.identity_coeff()
-        coeffs = (eye, *(decorations or [eye] * (n - 1)), eye)
+        coeffs = (eye, *decorations, eye)
         values = [self.moment(t, coeffs) for t in itertools.product(range(1, k + 1), repeat=n)]
         return np.array(values, dtype=complex).reshape((k,) * n + (self.b_dim, self.b_dim))
 
@@ -505,9 +505,8 @@ class ConcreteMomentFunctional(MomentFunctional):
         vals = np.einsum("ab,Xba->X", self.context.density, flat)
         return self._keep((k, n), vals.reshape((k,) * n))
 
-    def expectation_tensor(self, k, n, decorations=None):
-        stack = self._product_stack(k, n, decorations)
-        return self.context.expect_all(stack)
+    def expectation_tensor(self, k, n, decorations):
+        return self.context.expect_all(self._product_stack(k, n, decorations))
 
 
 def center(p, i, mf):

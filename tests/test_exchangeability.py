@@ -24,7 +24,6 @@ from qexch.cumulants import (
     CumulantSpec,
     check_mixed_cumulants,
     random_spec,
-    semicircular_spec,
 )
 from qexch.exchangeability import (
     InvarianceReport,
@@ -50,6 +49,11 @@ from qexch.magic import (
     verify_relations,
     word_product,
 )
+
+
+def semicircular_spec(b_dim=1):
+    """Unit variance, all other cumulants zero."""
+    return CumulantSpec({2: np.ones(b_dim)}, b_dim=b_dim)
 
 
 def bernoulli_functional(count=4):
@@ -383,7 +387,7 @@ class _RandomTensors(CumulantMomentFunctional):
     def scalar_moment_tensor(self, k, n):
         return _random_w(np.random.default_rng((self.seed, n)), k**n, 1).reshape((k,) * n)
 
-    def expectation_tensor(self, k, n, decorations=None):
+    def expectation_tensor(self, k, n, decorations):
         b = self.b_dim
         w = _random_w(np.random.default_rng((self.seed, n)), k**n, b * b)
         return w.reshape((k,) * n + (b, b))
@@ -409,7 +413,7 @@ def test_scan_residuals_and_witnesses_match_literal_norms(check, k, d, n_max, se
     if check == "quantum":
         report = check_quantum_invariance(mf, u, n_max)
     elif check == "e":
-        report = check_E_invariance(mf, u, n_max=n_max)
+        report = check_E_invariance(mf, u, [np.eye(2)] * (n_max - 1), n_max=n_max)
     else:
         report = check_classical_exchangeability(mf, k, n_max)
     assert [rec.n for rec in report.per_length] == list(range(1, n_max + 1))
@@ -419,7 +423,8 @@ def test_scan_residuals_and_witnesses_match_literal_norms(check, k, d, n_max, se
             w = mf.scalar_moment_tensor(k, n)
             diff = np.array([w[i] - w[_first_occurrence(i)] for i in np.ndindex(shape)])
         else:
-            seed_tensor = mf.expectation_tensor(k, n) if check == "e" else mf.scalar_moment_tensor(k, n)
+            seed_tensor = (mf.expectation_tensor(k, n, [np.eye(2)] * (n - 1)) if check == "e"
+                           else mf.scalar_moment_tensor(k, n))
             w = seed_tensor.reshape(k**n, -1)
             diff = _literal_coaction(u, w, n) - np.einsum("ac,ib->iacb", np.eye(d), w)
         norms = np.linalg.norm(diff.reshape(k**n, -1), axis=1)
@@ -688,7 +693,7 @@ def test_classical_k_above_variable_count_rejected():
 def test_scalar_b_e_invariance_coincides_with_quantum():
     mf = CumulantMomentFunctional(random_spec(np.random.default_rng(2), 4))
     u = block_pair(*noncommuting_projection_pair(2, seed=4))
-    rep_e = check_E_invariance(mf, u, n_max=4)
+    rep_e = check_E_invariance(mf, u, [np.eye(1)] * 3, n_max=4)
     rep_q = check_quantum_invariance(mf, u, n_max=4)
     assert rep_e.passed and rep_q.passed
     for a, b in zip(rep_e.per_length, rep_q.per_length):
@@ -721,8 +726,8 @@ def test_noncommutative_b_rejected():
     xs = [rng.standard_normal((2, 2)) for _ in range(2)]
     mf = ConcreteMomentFunctional(ctx, xs)
     u = from_permutation([2, 1], d=1)
-    with pytest.raises(ValueError):
-        check_E_invariance(mf, u, n_max=2)
+    with pytest.raises(ValueError, match="requires a commutative subalgebra B"):
+        check_E_invariance(mf, u, [np.eye(2)], n_max=2)
 
 
 def test_concrete_scalar_b_e_invariance_for_iid_family():
@@ -809,7 +814,7 @@ def test_factorization_fails_for_dependent_family():
     ctx = scalar_context(np.diag([0.7, 0.3]))
     x = np.diag([2.0, 1.0]).astype(complex)
     mf = ConcreteMomentFunctional(ctx, [x, x.copy()])
-    polys = [BPolynomial.variable(2) for _ in range(3)]
+    polys = [BPolynomial([(np.eye(2), np.eye(2))]) for _ in range(3)]
     residual = check_factorization(mf, (1, 2, 1), polys, l=2)
     assert residual > 1e-3
 
@@ -853,7 +858,8 @@ def test_mixed_criterion_scans_every_variable_however_short_n_max():
 def test_single_variable_is_vacuously_free():
     mf = CumulantMomentFunctional(semicircular_spec())
     report = check_freeness(mf, (1,))
-    assert report.vacuous and report.passed
+    assert report.passed
+    assert (report.centered_max, report.mixed_max) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("variables", [(5,), (5, 5)])

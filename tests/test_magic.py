@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qexch import magic
-from qexch.cumulants import CumulantMomentFunctional, semicircular_spec
+from qexch.cumulants import CumulantMomentFunctional, CumulantSpec
 from qexch.exchangeability import check_quantum_invariance
 from qexch.magic import (
     MagicUnitary,
@@ -296,7 +296,7 @@ def test_collapse_sum_all_result_outlives_later_contractions():
     kept = first.copy()
     assert not any(np.shares_memory(first, b) for b in magic._buffers.pair)
     collapse_sum_all(u, Partition(3, [[1], [2], [3]]))
-    check_quantum_invariance(CumulantMomentFunctional(semicircular_spec()), u, n_max=3)
+    check_quantum_invariance(CumulantMomentFunctional(CumulantSpec({2: 1.0})), u, n_max=3)
     assert np.array_equal(first, kept)
 
 
