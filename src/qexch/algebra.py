@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +25,6 @@ DEFAULT_TOL = 1e-8
 MAX_BYTES = 2**28  # 256 MiB: 2**24 complex128 entries of 16 bytes
 # the longest tensor numpy can index: its 64 axes less two for a b_dim x b_dim value
 MAX_TENSOR_LENGTH = 62
-
-# guards every oracle's kept tensors, so that threads sharing an oracle keep at most MAX_BYTES
-_keep_lock = threading.Lock()
 
 
 def check_bytes(nbytes, what):
@@ -292,9 +288,8 @@ class MomentFunctional:
     an oracle declares its variables (variable_count) and its longest word
     (max_word_length), None meaning no bound.
 
-    An oracle must not change once built: the cumulant-backed and concrete
-    oracles keep the scalar moment tensors they build (see _keep) and
-    answer a repeated request from them.
+    An oracle must not change once built: exchangeability._scan_lengths keeps
+    the scalar moment tensors a scan reads for the oracle's next scan.
     """
 
     b_dim = None
@@ -401,27 +396,11 @@ class MomentFunctional:
         b = self.b_dim
         return [(16 * k**n * b * b, f"moment tensor with {k}^{n} {b}x{b} values")]
 
-    def _keep(self, key, tensor):
-        """Keep a scalar moment tensor, read-only, for the next request of key.
-
-        The oracle's own scalar_moment_tensor looks key up in
-        _scalar_tensors first and returns a kept tensor as it is, neither
-        rebuilt nor checked again: its request passed _check_tensor when it
-        was built.  A tensor is kept only while the oracle's kept tensors
-        stay within MAX_BYTES together; a larger one is returned, not kept.
-        """
-        kept = self._scalar_tensors
-        with _keep_lock:
-            if key not in kept and sum(t.nbytes for t in kept.values()) + tensor.nbytes <= MAX_BYTES:
-                tensor.flags.writeable = False
-                kept[key] = tensor
-        return tensor
-
     def scalar_moment_tensor(self, k, n):
         """phi(x_{j1}...x_{jn}) for every tuple j in {1..k}^n, C-ordered.
 
-        The generic route, one moment per tuple, keeps nothing: it is the
-        reference the oracles' own routes are compared against.
+        The generic route, one moment per tuple: it is the reference the
+        oracles' own routes are compared against.
         """
         self._check_tensor(k, n)
         values = [self.phi(self.moment(t)) for t in itertools.product(range(1, k + 1), repeat=n)]
@@ -448,7 +427,6 @@ class ConcreteMomentFunctional(MomentFunctional):
             raise ValueError("need at least one element")
         self.b_dim = context.dim
         self.variable_count = len(self.elements)
-        self._scalar_tensors = {}  # (k, n) -> read-only tensor, see _keep
 
     def _x(self, v):
         return self.elements[v - 1]
@@ -497,13 +475,7 @@ class ConcreteMomentFunctional(MomentFunctional):
         return stack.reshape((k,) * n + (d, d))
 
     def scalar_moment_tensor(self, k, n):
-        kept = self._scalar_tensors.get((k, n))
-        if kept is not None:
-            return kept
-        stack = self._product_stack(k, n)
-        flat = stack.reshape(-1, self.context.dim, self.context.dim)
-        vals = np.einsum("ab,Xba->X", self.context.density, flat)
-        return self._keep((k, n), vals.reshape((k,) * n))
+        return np.einsum("ab,...ba->...", self.context.density, self._product_stack(k, n))
 
     def expectation_tensor(self, k, n, decorations):
         return self.context.expect_all(self._product_stack(k, n, decorations))

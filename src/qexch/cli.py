@@ -299,7 +299,7 @@ def _quantum_invariance(c, p, u):
 
 def _e_invariance(c, p, u):
     # the scan with its n_max - 1 decorations, before the first is drawn
-    exchangeability._check_scan(c.mf, u.k, p["n_max"], u.d, c.mf.b_dim**2, p["n_max"] - 1)
+    exchangeability._check_scan(c.mf, u.k, p["n_max"], u, c.mf.b_dim**2, p["n_max"] - 1)
     rng = np.random.default_rng(c.seed)
     decorations = [c.mf.random_coeff(rng) for _ in range(p["n_max"] - 1)]
     return _verdict(exchangeability.check_E_invariance(c.mf, u, decorations, p["n_max"], c.tol))

@@ -22,6 +22,7 @@ from .algebra import (
     frobenius,
 )
 from .partitions import (
+    _pattern_rows,
     _pattern_table,
     _pattern_table_charge,
     _peeling_steps,
@@ -245,13 +246,15 @@ class CumulantSpec:
     def kernel_sum(self, patterns):
         """Sums over non-crossing partitions below the kernels of the patterns.
 
-        One row per canonical pattern.  Each admissible partition contributes
-        the product of its block cumulants; the restriction to partitions
-        refining the kernel is exactly the vanishing of mixed cumulants.  That
-        product depends on the block sizes alone, so the sums are the count
-        matrix of the patterns times one product per block-size profile.
+        One row per canonical pattern, a tuple or an int8 row (_pattern_rows).
+        Each admissible partition contributes the product of its block
+        cumulants; the restriction to partitions refining the kernel is
+        exactly the vanishing of mixed cumulants.  That product depends on the
+        block sizes alone, so the sums are the count matrix of the patterns
+        times one product per block-size profile.
         """
-        counts, sizes = _profile_counts(tuple(patterns))
+        rows = _pattern_rows(patterns)
+        counts, sizes = _profile_counts(rows.shape, rows.tobytes())
         table = np.stack(
             [np.ones(self.b_dim, dtype=complex)]
             + [self.value(s) for s in range(1, sizes.shape[1] + 1)]
@@ -280,7 +283,6 @@ class CumulantMomentFunctional(MomentFunctional):
         self.b_dim = spec.b_dim
         self.variable_count = None
         self.max_word_length = MAX_WORD_LENGTH
-        self._scalar_tensors = {}  # (k, n) -> read-only tensor, see _keep
 
     def _diagonal_product(self, coeffs):
         """Product of the diagonals of diagonal coefficients; all ones for none.
@@ -343,18 +345,15 @@ class CumulantMomentFunctional(MomentFunctional):
                                                 _profile_counts_charge(k, n)]
 
     def scalar_moment_tensor(self, k, n):
-        kept = self._scalar_tensors.get((k, n))
-        if kept is not None:
-            return kept
         self._check_tensor(k, n)
-        ids, patterns = _pattern_table(k, n)
-        values = self.spec.kernel_sum(patterns) @ self.spec.weights
-        return self._keep((k, n), values[ids].reshape((k,) * n))
+        ids, rows = _pattern_table(k, n)
+        values = self.spec.kernel_sum(rows) @ self.spec.weights
+        return values[ids].reshape((k,) * n)
 
     def expectation_tensor(self, k, n, decorations):
         deco = self._diagonal_product(self._check_tensor(k, n, decorations))
-        ids, patterns = _pattern_table(k, n)
-        vals = self.spec.kernel_sum(patterns) * deco
+        ids, rows = _pattern_table(k, n)
+        vals = self.spec.kernel_sum(rows) * deco
         diag_axis = np.arange(self.b_dim)
         out = np.zeros((k**n, self.b_dim, self.b_dim), dtype=complex)
         out[:, diag_axis, diag_axis] = vals[ids]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -32,6 +33,9 @@ from .magic import (
     MagicUnitary, _coaction_all, _coaction_charge, ensure_projection, verify_relations,
 )
 from .partitions import _pattern_table, _pattern_table_charge, canonical_pattern
+
+# oracle -> {(k, n): read-only scalar moment tensor}, kept by its last scan (_scan_lengths)
+_kept = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -73,38 +77,59 @@ def _witness_index(residuals):
     return int(np.argmax(~np.isfinite(residuals) | (residuals >= peak * (1 - 1e-12))))
 
 
-def _check_scan(mf, k, n, d, r, decorations=0):
-    """Check a scan of lengths 1..n before any work: the oracle's request, then one
-    charge of all it holds at length n.  That is the request's arrays; r complex
-    entries per tuple of every length's seed, the copy of the longest that
-    _coaction_all reads, and the decorations; the two coaction workspace buffers;
-    and per tuple two float64 residuals and the witness masks."""
-    mf._check_tensor(k, n)  # the length first: the charge computes k**n
+def _check_scan(mf, k, n, u, r, decorations=0):
+    """Check a scan of lengths 1..n before any work: the oracle's request, then one charge at
+    length n of every length's seed (r complex entries per tuple) and the decorations, 20
+    bytes per tuple of residuals and witness masks, and the request's arrays with u's two
+    workspace buffers and the seed's copy that _coaction_all reads, or for u = None the
+    larger of the request and the kernel-pattern table with the orbit gather's index and
+    value per tuple: the gather and its table come after the request's arrays are freed."""
+    mf._check_tensor(k, n)  # the length first: the charges compute k**n
     request = sum(nbytes for nbytes, _ in mf._tensor_charges(k, n))
-    seeds = 16 * r * (k**n + sum(k**m for m in range(1, n + 1)) + decorations)
-    buffer, what = _coaction_charge(k, n, d, r)
-    check_bytes(request + seeds + 2 * buffer + 20 * k**n,
-                f"scan working set: the {what} in two workspace buffers, "
-                f"the moment tensors of lengths 1..{n} and their residuals")
+    if u is None:
+        table, what = _pattern_table_charge(k, n)
+        acting = max(request, table + 24 * k**n)
+    else:
+        buffer, what = _coaction_charge(k, n, u.d, r)
+        acting, what = request + 2 * buffer + 16 * r * k**n, f"{what} in two workspace buffers"
+    seeds = 16 * r * (sum(k**m for m in range(1, n + 1)) + decorations)
+    check_bytes(seeds + acting + 20 * k**n, f"scan working set: the {what}, the moment "
+                f"tensors of lengths 1..{n} and their residuals")
 
 
-def _scan_lengths(mf, k, n_max, tol, make_seed, act, d=1, r=1):
-    """Shared driver: build the tensor w per length, act on it, compare.
+def _orbit_gather(k, w, n):
+    """w read at each tuple's kernel pattern, in the layout of _coaction_all's result."""
+    ids, rows = _pattern_table(k, n)
+    reps = np.ravel_multi_index(rows.T, (k,) * n)
+    return w[reps[ids]].T.reshape(-1, 1, k**n, 1).transpose(2, 1, 3, 0)
 
-    make_seed(n) gives w with one row per tuple, r entries wide; w is only
-    read, so it may be a read-only tensor that the oracle keeps.
-    act(w, n) gives a (k**n, d, d, r) transposed view of a C-ordered
-    (r, d, k**n, d) buffer, as _coaction_all returns it.  The driver may
-    overwrite that buffer and is done with it before its next act call, so
-    the view may live in _coaction_all's per-thread workspace.  The
-    invariance identity holds exactly when act(w, n) equals I_d (x) w at
-    every tuple, so w is subtracted in place on the d x d diagonal of that
-    buffer and each tuple's residual is reduced from it in one pass.
+
+def _scan_lengths(mf, k, n_max, tol, u=None, decorations=None):
+    """Shared driver: build the tensor w per length, act on it with u's coaction
+    (S_k's for u = None: _orbit_gather), compare.
+
+    w is mf's scalar moment tensor, kept for mf read-only (_kept), or given
+    decorations its expectation tensor decorated by the first n - 1.  Every kept
+    tensor the scan will not read is dropped before the charge; each scan fills
+    its own dict, so threads scanning one oracle may rebuild a tensor, never read
+    a wrong one.  The action gives a (k**n, d, d, r) transposed view of a
+    C-ordered (r, d, k**n, d) buffer, maybe in _coaction_all's per-thread
+    workspace.  The identity holds exactly when it equals I_d (x) w at every
+    tuple, so w is subtracted in place on its d x d diagonal and each tuple's
+    residual is reduced from it in one pass, before the next action.
     """
-    _check_scan(mf, k, n_max, d, r)
+    kept = _kept[mf] = {key: t for key, t in _kept.get(mf, {}).copy().items()
+                        if decorations is None and key[0] == k and key[1] <= n_max}
+    _check_scan(mf, k, n_max, u, 1 if decorations is None else mf.b_dim**2)
+    act = partial(_orbit_gather, k) if u is None else partial(_coaction_all, u.entries)
     per_length = []
     for n in range(1, n_max + 1):
-        w = make_seed(n).reshape(k**n, -1)
+        if decorations is not None:
+            w = mf.expectation_tensor(k, n, list(decorations[: n - 1]))
+        elif (w := kept.get((k, n))) is None:
+            w = kept[k, n] = mf.scalar_moment_tensor(k, n)
+            w.flags.writeable = False
+        w = w.reshape(k**n, -1)
         diffs = act(w, n).transpose(3, 1, 0, 2)
         for a in range(diffs.shape[1]):
             diffs[:, a, :, a] -= w.T
@@ -123,10 +148,7 @@ def check_quantum_invariance(mf, u, n_max, tol=DEFAULT_TOL):
     phi(x_{i1}...x_{in}) times the identity matrix.  Every tuple i of every
     length 1..n_max is checked.
     """
-    return _scan_lengths(
-        mf, u.k, n_max, tol, partial(mf.scalar_moment_tensor, u.k),
-        partial(_coaction_all, u.entries), d=u.d,
-    )
+    return _scan_lengths(mf, u.k, n_max, tol, u)
 
 
 def check_classical_exchangeability(mf, k, n_max, tol=DEFAULT_TOL):
@@ -135,17 +157,10 @@ def check_classical_exchangeability(mf, k, n_max, tol=DEFAULT_TOL):
     The orbits of S_k on {1..k}^n are the kernel classes, so the moments
     are invariant exactly when phi(x_i...) equals phi(x_p(i)...) for every
     tuple i, where p(i) is the canonical pattern of i.  Every tuple of
-    every length 1..n_max is checked against its pattern.  The pattern
-    table of the longest length is charged before any work.
+    every length 1..n_max is checked against its pattern, whose table the
+    scan charges with its working set.
     """
-    check_bytes(*_pattern_table_charge(k, n_max))
-
-    def orbit_gather(w, n):
-        ids, patterns = _pattern_table(k, n)
-        reps = np.ravel_multi_index(tuple(zip(*patterns)), (k,) * n)
-        return w[reps[ids]].T.reshape(-1, 1, k**n, 1).transpose(2, 1, 3, 0)
-
-    return _scan_lengths(mf, k, n_max, tol, partial(mf.scalar_moment_tensor, k), orbit_gather)
+    return _scan_lengths(mf, k, n_max, tol)
 
 
 def check_E_invariance(mf, u, decorations, n_max=3, tol=DEFAULT_TOL):
@@ -161,10 +176,7 @@ def check_E_invariance(mf, u, decorations, n_max=3, tol=DEFAULT_TOL):
         raise ValueError("E-invariance check requires a commutative subalgebra B")
     if len(decorations) < n_max - 1:
         raise ValueError(f"need at least {n_max - 1} decorations for n_max={n_max}")
-    return _scan_lengths(
-        mf, u.k, n_max, tol, lambda n: mf.expectation_tensor(u.k, n, list(decorations[: n - 1])),
-        partial(_coaction_all, u.entries), d=u.d, r=mf.b_dim**2,
-    )
+    return _scan_lengths(mf, u.k, n_max, tol, u, decorations)
 
 
 def check_factorization(mf, variables, polys, l):

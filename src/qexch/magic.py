@@ -36,6 +36,8 @@ class MagicUnitary:
         arr = np.asarray(entries, dtype=complex)
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
             raise ValueError(f"entries must have shape (k, k, d, d), got {arr.shape}")
+        if 0 in arr.shape:
+            raise ValueError(f"a magic unitary needs k >= 1 and d >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("entries contain non-finite values")
         self.k = arr.shape[0]

@@ -144,25 +144,37 @@ def _nc_profile_groups(n):
     return tuple(groups)
 
 
+def _pattern_rows(patterns):
+    """Patterns as one int8 row each, padded with -1 after the last position; an
+    array of patterns of one length, such as _pattern_table's, is read as it is."""
+    if isinstance(patterns, np.ndarray):
+        return patterns.astype(np.int8, copy=False)
+    width = max(map(len, patterns))
+    return np.array([[*p] + [-1] * (width - len(p)) for p in patterns], dtype=np.int8)
+
+
 @lru_cache(maxsize=256)
-def _profile_counts(patterns):
-    """The count matrix of a sequence of patterns, and its block-size profiles.
+def _profile_counts(shape, data):
+    """The count matrix of the patterns in data, an int8 array of `shape` made by
+    _pattern_rows, and its block-size profiles.
 
     counts[r, c] is how many non-crossing partitions refining the kernel of
-    patterns[r] (the pattern agrees at each position with its block leader)
+    pattern r (the pattern agrees at each position with its block leader)
     have the block sizes of row c of `sizes`, padded with zeros.  A sum of
     terms that depend only on block sizes is counts @ (one term per row).
     """
+    table = np.frombuffer(data, dtype=np.int8).reshape(shape)
+    lengths = (table >= 0).sum(axis=1)
     columns = {}
-    for n in {len(p) for p in patterns}:
-        rows = np.array([r for r, p in enumerate(patterns) if len(p) == n])
-        values = np.array([patterns[r] for r in rows], dtype=np.int8).reshape(len(rows), n).T
+    for n in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == n)
+        values = table[rows, :n].T
         agree = [values == values[x] for x in range(n)]  # [x][l, r]: r equal at x and l
         for profile, leaders in _nc_profile_groups(n):
             below = np.ones((len(leaders), len(rows)), dtype=bool)
             for x in range(1, n):  # position 0 leads its own block
                 below &= agree[x][leaders[:, x]]
-            columns.setdefault(profile, np.zeros(len(patterns)))[rows] += below.sum(axis=0)
+            columns.setdefault(profile, np.zeros(len(table)))[rows] += below.sum(axis=0)
     profiles = sorted(prof for prof, column in columns.items() if column.any())
     counts = np.column_stack([columns[prof] for prof in profiles])
     width = max(map(len, profiles))
@@ -270,7 +282,7 @@ def _pattern_table_charge(k, n):
 
     Per tuple: the index and label arrays (n entries each), the
     relabelling scratch and the int64 and int32 id arrays.  Per pattern:
-    its tuple of n ints and the list it is built from.  Per position:
+    its labels, gathered and then copied as one int8 row.  Per position:
     ravel_multi_index's int64 casting buffer of up to 8192 entries.  The
     rates were measured with tracemalloc; the tests hold the charge above
     the peak.
@@ -278,8 +290,7 @@ def _pattern_table_charge(k, n):
     m = min(n, _COUNT_LENGTH)
     itemsize = np.min_scalar_type(k).itemsize
     per_tuple = (2 * n + 2) * itemsize + 32
-    per_pattern = 128 + 17 * n
-    nbytes = 8192 + 69632 * n + k**m * per_tuple + _pattern_count(k, m) * per_pattern
+    nbytes = 8192 + 69632 * n + k**m * per_tuple + _pattern_count(k, m) * (itemsize + 1) * n
     return nbytes, f"kernel-pattern table of {k}^{n} tuples"
 
 
@@ -287,10 +298,12 @@ def _pattern_table_charge(k, n):
 def _pattern_table(k, n):
     """canonical_pattern of every tuple in {1..k}^n (C order), vectorised.
 
-    Returns the pattern id of every tuple plus the pattern list.  Values are relabelled by first occurrence one position at a time over
-    all rows.  A canonical pattern is itself a tuple of the table and the
-    least one of its class, so the patterns, in C order of first occurrence,
-    are exactly the rows that equal their own pattern.
+    Returns the int32 pattern id of every tuple and the int8 row of each
+    pattern (the format of _noncrossing_local), both read-only.  Values are
+    relabelled by first occurrence one position at a time over all rows.  A
+    canonical pattern is itself a tuple of the table and the least one of its
+    class, so the patterns, in C order of first occurrence, are exactly the
+    rows that equal their own pattern.
     """
     shape = (k,) * n
     tuples = np.indices(shape, dtype=np.min_scalar_type(k)).reshape(n, -1)
@@ -306,8 +319,9 @@ def _pattern_table(k, n):
     home = np.ravel_multi_index(labels, shape)
     is_pattern = home == np.arange(len(home))
     ids = (np.cumsum(is_pattern) - 1)[home].astype(np.int32)
-    patterns = tuple(map(tuple, labels[:, is_pattern].T.tolist()))
-    return ids, patterns
+    rows = labels[:, is_pattern].T.astype(np.int8, order="C")
+    ids.flags.writeable = rows.flags.writeable = False  # cached and shared
+    return ids, rows
 
 
 def interval_blocks(p):

@@ -351,6 +351,15 @@ def test_check_magic_unread_key_exits_two_naming_it(capsys):
     assert err.startswith("error: unitary.k: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [["check-magic"], ["collapse", "--pi", "[[1]]", "--i", "[1]"]])
+def test_zero_point_permutation_exits_two_naming_sigma(capsys, command):
+    # check-magic passed the 0x0 magic unitary, and collapse blamed --i for it
+    spec = '{"kind": "permutation", "sigma": []}'
+    code, out, err = run_cli([command[0], spec, *command[1:]], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unitary.sigma: ") and len(err.splitlines()) == 1
+
+
 def test_check_magic_nan_projection_exits_two_naming_field(capsys):
     spec = {"kind": "block_pair", "d": 2, "projections": [[[1, 0], [0, 0]], [[1e200, 1e200], [1e200, -1e200]]]}
     code, out, err = run_cli(["check-magic", json.dumps(spec)], capsys)
@@ -727,6 +736,10 @@ def _scenario(tmp_path, **changes):
          "functional.max_order"),
         ({"unitaries": [{"kind": "block_pair", "d": 2, "seeds": [1, 2], "r": 2}]},
          "unitaries[0].r"),
+        # a zero-point permutation built a 0x0 magic unitary that each check mishandled
+        *[({"unitaries": [{"kind": "permutation", "sigma": []}], "checks": [{"name": name}]},
+           "unitaries[0].sigma") for name in ("relations", "collapse_lemma", "quantum_invariance",
+                                              "e_invariance", "classical_invariance")],
     ],
 )
 def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, field):
@@ -806,9 +819,10 @@ def test_out_of_range_parameter_exits_two_before_any_check_runs(tmp_path, capsys
     {"functional": json.loads(BERNOULLI.read_text())["functional"],
      "unitaries": [{"kind": "permutation", "sigma": [1]}],
      "checks": [{"name": "quantum_invariance", "n_max": 3000}]},
-    # 2^20 tuples of 2x2 values fit, but the kernel-pattern table peaks at 272 MiB
-    {"functional": _pinched([[0, 1]]),
-     "checks": [{"name": "classical_invariance", "k": 2, "n_max": 20}]},
+    # 2^21 tuples of 2x2 values and their kernel-pattern table each fit, but not together
+    # with the scan's shorter tensors, its orbit gather and its residuals
+    {"functional": {**_pinched([[0, 1]]), "elements": [{"diag": [1, -1]}, {"diag": [1, 1]}]},
+     "checks": [{"name": "classical_invariance", "k": 2, "n_max": 21}]},
     # 2^14 coaction entries fit, but the non-crossing partitions of 14 points need 2.5 GiB
     {"unitaries": [{"kind": "permutation", "sigma": [2, 1]}],
      "checks": [{"name": "collapse_lemma", "n_max": 14}]},
@@ -831,7 +845,7 @@ def test_out_of_range_parameter_exits_two_before_any_check_runs(tmp_path, capsys
      "unitaries": [{"kind": "permutation", "sigma": [1]}],
      "checks": [{"name": "e_invariance", "n_max": 12}]},
 ], ids=["one_point_n24", "bernoulli_n10", "free_d300_n7", "bernoulli_one_point_n3000",
-        "classical_k2_n20", "collapse_n14", "collapse_one_point_huge", "classical_k2_huge",
+        "classical_k2_n21", "collapse_n14", "collapse_one_point_huge", "classical_k2_huge",
         "cumulant_k3_n12", "concrete_one_dim_n12", "e_decorations_b4096_n12"])
 def test_oversize_scan_exits_two_before_any_work(tmp_path, capsys, changes):
     path = _scenario(tmp_path, **changes)

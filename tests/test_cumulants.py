@@ -37,6 +37,7 @@ from qexch.partitions import (
     Partition,
     _pattern_table,
     _pattern_table_charge,
+    _profile_counts_charge,
     canonical_pattern,
     delete_block,
     enumerate_noncrossing,
@@ -406,16 +407,16 @@ def test_word_length_cap():
 
 
 def test_moment_tensor_tuple_cap():
-    # 2^21 tuples: words over the length cap, and a pattern table over the budget;
-    # 4^11 tuples: a 64 MiB tensor whose pattern table alone is over the budget
+    # 2^22 tuples: words over the length cap, and a pattern table over the budget;
+    # 4^11 tuples: a 64 MiB tensor and its pattern table fit, its count matrix does not
     mf = CumulantMomentFunctional(semicircular_spec())
-    assert 16 * 4**11 <= MAX_BYTES < _pattern_table_charge(4, 11)[0]
-    assert _pattern_table_charge(2, 21)[0] > MAX_BYTES
+    assert 16 * 4**11 <= _pattern_table_charge(4, 11)[0] <= MAX_BYTES < _profile_counts_charge(4, 11)[0]
+    assert _pattern_table_charge(2, 22)[0] > MAX_BYTES
     identity = lambda k, n: mf.expectation_tensor(k, n, [np.eye(1)] * (n - 1))
     for route in (mf.scalar_moment_tensor, identity):
         with pytest.raises(ValueError):
-            route(2, 21)
-        with pytest.raises(ValueError, match=r"kernel-pattern table of 4\^11 tuples is too large"):
+            route(2, 22)
+        with pytest.raises(ValueError, match=r"block-size profile counts of 4\^11 tuples is too large"):
             route(4, 11)
 
 
@@ -445,9 +446,12 @@ def test_pattern_table_matches_canonical_pattern_loop():
             patterns = {}
             for tup in itertools.product(range(k), repeat=n):
                 ids.append(patterns.setdefault(canonical_pattern(tup), len(patterns)))
-            got_ids, got_patterns = _pattern_table(k, n)
+            got_ids, got_rows = _pattern_table(k, n)
             assert got_ids.tolist() == ids, (k, n)
-            assert got_patterns == tuple(patterns), (k, n)
+            assert got_rows.tolist() == [list(p) for p in patterns], (k, n)
+            assert (got_ids.dtype, got_rows.dtype) == (np.int32, np.int8)
+            assert got_rows.flags.c_contiguous
+            assert not got_ids.flags.writeable and not got_rows.flags.writeable
 
 
 def test_decorations_multiply_through_for_commutative_b():

@@ -3,6 +3,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qexch import algebra, exchangeability, magic
+from qexch import exchangeability, magic, partitions
 from qexch.algebra import (
     BPolynomial,
     ConcreteMomentFunctional,
@@ -441,9 +442,11 @@ def _workspace_scan_unitaries():
     return {"block_chain": chain, "block_pair": pair}
 
 
-def test_concurrent_scans_match_serial_scans():
-    # each thread contracts in its own workspace: a k=6 and a k=4 scan at once
-    mf = _RandomTensors(1, seed=23)
+@pytest.mark.parametrize("kind", ["random", "cumulant"])
+def test_concurrent_scans_match_serial_scans(kind):
+    # each thread contracts in its own workspace and reads the tensors its own scan
+    # keeps, while the other drops them: a k=6 and a k=4 scan of one oracle at once
+    mf = _RandomTensors(1, seed=23) if kind == "random" else _kept_tensor_oracle(kind)[0]
     unitaries = _workspace_scan_unitaries()
     serial = {name: check_quantum_invariance(mf, u, n_max=5).per_length
               for name, u in unitaries.items()}
@@ -540,38 +543,37 @@ def test_scans_against_several_unitaries_build_each_tensor_once(monkeypatch, kin
     shared = [check_quantum_invariance(mf, u, n_max=6) for u in unitaries]
     assert [u.k for u in unitaries] == [4, 4, 4, 6, 6]
     assert len(builds) == 12  # one per (k, n): k in {4, 6}, n in 1..6
-    assert sorted(mf._scalar_tensors) == [(k, n) for k in (4, 6) for n in range(1, 7)]
+    # the first k=6 scan dropped the k=4 tensors before it charged its working set
+    assert sorted(exchangeability._kept[mf]) == [(6, n) for n in range(1, 7)]
     for u, report in zip(unitaries, shared):
         fresh, _ = _kept_tensor_oracle(kind)
         assert check_quantum_invariance(fresh, u, n_max=6) == report
 
 
 @pytest.mark.parametrize("kind", ["cumulant", "concrete"])
-def test_kept_tensors_are_read_only_and_returned_again(kind):
-    mf, _ = _kept_tensor_oracle(kind)
-    tensor = mf.scalar_moment_tensor(4, 3)
-    assert mf.scalar_moment_tensor(4, 3) is tensor
-    assert not tensor.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        tensor[0, 0, 0] = 1.0
-    np.testing.assert_allclose(tensor, MomentFunctional.scalar_moment_tensor(mf, 4, 3), atol=1e-13)
-
-
-def test_tensor_over_the_kept_budget_is_returned_but_not_kept(monkeypatch):
-    # scalar B on C^1: a tensor request is charged exactly the 16 * 4^n bytes it keeps
-    mf = ConcreteMomentFunctional(scalar_context(np.eye(1)), [[[0.5]], [[-1.0]], [[2.0]], [[0.25]]])
-    builds = _count_builds(monkeypatch, mf, "_product_stack")
-    monkeypatch.setattr(algebra, "MAX_BYTES", 16 * 4**6)
-    small = mf.scalar_moment_tensor(4, 5)
-    assert (4, 5) in mf._scalar_tensors and not small.flags.writeable
-    # 4^6 values fit the budget alone, but not next to the 4^5 already kept
-    first = mf.scalar_moment_tensor(4, 6)
-    second = mf.scalar_moment_tensor(4, 6)
+def test_kept_tensors_are_read_only_and_returned_again(monkeypatch, kind):
+    mf, method = _kept_tensor_oracle(kind)
+    builds = _count_builds(monkeypatch, mf, method)
+    u = _sweep_unitaries()[0]
+    first = check_quantum_invariance(mf, u, n_max=3)
     assert len(builds) == 3
-    assert sorted(mf._scalar_tensors) == [(4, 5)]
-    assert first.flags.writeable and first is not second
-    assert np.array_equal(first, second)
-    np.testing.assert_allclose(first, MomentFunctional.scalar_moment_tensor(mf, 4, 6), atol=1e-13)
+    assert check_quantum_invariance(mf, u, n_max=3) == first
+    assert len(builds) == 3  # the second scan at k=4 built nothing
+    for (k, n), tensor in exchangeability._kept[mf].items():
+        assert not tensor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tensor[(0,) * n] = 1.0
+        np.testing.assert_allclose(tensor, MomentFunctional.scalar_moment_tensor(mf, k, n), atol=1e-13)
+
+
+def test_each_scan_keeps_only_the_tensors_it_read():
+    mf, _ = _kept_tensor_oracle("concrete")
+    for k, n_max in [(2, 5), (3, 4), (4, 3), (4, 2)]:
+        check_classical_exchangeability(mf, k, n_max)
+        assert sorted(exchangeability._kept[mf]) == [(k, n) for n in range(1, n_max + 1)]
+    # an E-invariance scan reads no scalar tensor, and drops every kept one
+    check_E_invariance(mf, from_permutation([2, 1, 3]), [np.eye(2)], n_max=2)
+    assert exchangeability._kept[mf] == {}
 
 
 # -- classical exchangeability ------------------------------------------------------
@@ -681,6 +683,28 @@ def test_classical_scan_covers_every_tuple_at_k7():
     worst = report.worst
     assert (worst.n, worst.indices) == (4, (7, 2, 7, 5))
     assert abs(worst.residual - 1e-3) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, k, n", [("concrete", 2, 16), ("concrete", 3, 10), ("cumulant", 4, 8)])
+def test_classical_scan_charge_bounds_its_traced_peak(monkeypatch, kind, k, n):
+    # one charge covers the scan, its kernel-pattern tables built cold included
+    charged = []
+    monkeypatch.setattr(exchangeability, "check_bytes", lambda nbytes, what: charged.append(nbytes))
+    if kind == "cumulant":
+        mf = CumulantMomentFunctional(random_spec(np.random.default_rng(40), 4))
+    else:
+        elements = [np.diag([1.0, -1.0]) * (v + 1) for v in range(k)]
+        mf = ConcreteMomentFunctional(scalar_context(np.eye(2) / 2), elements)
+    partitions._pattern_table.cache_clear()
+    partitions._profile_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        check_classical_exchangeability(mf, k, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= charged[-1], (peak, charged[-1])
 
 
 def test_classical_k_above_variable_count_rejected():

@@ -19,6 +19,7 @@ from qexch.partitions import (
     _noncrossing_charge,
     _noncrossing_local,
     _pattern_count,
+    _pattern_rows,
     _pattern_table,
     _pattern_table_charge,
     _peeling_steps,
@@ -181,7 +182,8 @@ def _size_profiles_by_filter(pattern):
 
 def _profile_rows(patterns):
     """_profile_counts as one ((sizes, count), ...) tuple per pattern, zero counts left out."""
-    counts, sizes = _profile_counts(tuple(patterns))
+    rows = _pattern_rows(patterns)
+    counts, sizes = _profile_counts(rows.shape, rows.tobytes())
     profiles = [tuple(int(s) for s in row if s) for row in sizes]
     return [tuple((prof, int(c)) for prof, c in zip(profiles, row) if c) for row in counts]
 
@@ -255,11 +257,11 @@ def test_pattern_table_charge_bounds_its_traced_peak(k):
         n += 1
     # the count matrix of the table's patterns, with the non-crossing table built cold
     for n in range(1, {2: 11, 3: 10}.get(k, 9)) if k <= 4 else ():
-        patterns = _pattern_table(k, n)[1]
+        rows = _pattern_table(k, n)[1]
         _profile_counts.cache_clear()
         _noncrossing_local.cache_clear()
         _nc_profile_groups.cache_clear()
-        peak = _traced_peak(lambda: _profile_counts(patterns))
+        peak = _traced_peak(lambda: _profile_counts(rows.shape, rows.tobytes()))
         assert peak <= _profile_counts_charge(k, n)[0], (k, n, peak)
 
 
