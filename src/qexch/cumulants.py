@@ -22,7 +22,6 @@ from .algebra import (
     frobenius,
 )
 from .partitions import (
-    _pattern_rows,
     _pattern_table,
     _pattern_table_charge,
     _peeling_steps,
@@ -246,14 +245,14 @@ class CumulantSpec:
     def kernel_sum(self, patterns):
         """Sums over non-crossing partitions below the kernels of the patterns.
 
-        One row per canonical pattern, a tuple or an int8 row (_pattern_rows).
-        Each admissible partition contributes the product of its block
-        cumulants; the restriction to partitions refining the kernel is
-        exactly the vanishing of mixed cumulants.  That product depends on the
-        block sizes alone, so the sums are the count matrix of the patterns
-        times one product per block-size profile.
+        One row per canonical pattern, int8 rows of one length such as
+        _pattern_table's or a list of equal-length tuples.  Each admissible
+        partition contributes the product of its block cumulants; the
+        restriction to partitions refining the kernel is exactly the vanishing
+        of mixed cumulants.  That product depends on the block sizes alone, so
+        the sums are the count matrix times one product per block-size profile.
         """
-        rows = _pattern_rows(patterns)
+        rows = np.asarray(patterns, dtype=np.int8)
         counts, sizes = _profile_counts(rows.shape, rows.tobytes())
         table = np.stack(
             [np.ones(self.b_dim, dtype=complex)]
@@ -308,12 +307,13 @@ class CumulantMomentFunctional(MomentFunctional):
         return np.diag(vec)
 
     def product_expectation(self, polys, variables):
-        """E[p_1(x_{v1}) ... p_m(x_{vm})] from one kernel_sum call.
+        """E[p_1(x_{v1}) ... p_m(x_{vm})] from one kernel_sum call per word length.
 
         Diagonal decorations multiply through the partition sum, so each
         polynomial reduces to one coefficient product per degree.  A degree
         tuple (n_1..n_m) stands for the word x_{v1}^{n_1} ... x_{vm}^{n_m};
-        the weights of tuples with one canonical pattern are added first.
+        the weights of tuples with one canonical pattern are added first, and
+        the weighted rows are summed in the order the patterns first occur.
         """
         polys, variables = self._check_product(polys, variables)
         factors = []
@@ -329,7 +329,11 @@ class CumulantMomentFunctional(MomentFunctional):
             weight = np.prod([c for _, c in combo], axis=0)
             pattern = canonical_pattern(word)
             weights[pattern] = weights.get(pattern, 0) + weight
-        rows = self.spec.kernel_sum(list(weights))
+        patterns = list(weights)
+        rows = np.empty((len(patterns), self.b_dim), dtype=complex)
+        for n in sorted(set(map(len, patterns))):
+            at = [r for r, pattern in enumerate(patterns) if len(pattern) == n]
+            rows[at] = self.spec.kernel_sum([patterns[r] for r in at])
         return np.diag((rows * np.array(list(weights.values()))).sum(axis=0))
 
     def phi(self, b):

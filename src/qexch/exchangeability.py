@@ -134,7 +134,8 @@ def _scan_lengths(mf, k, n_max, tol, u=None, decorations=None):
         for a in range(diffs.shape[1]):
             diffs[:, a, :, a] -= w.T
         v = diffs.view(float)
-        residuals = np.sqrt(np.einsum("raic,raic->i", v, v))
+        residuals = np.einsum("raic,raic->i", v, v)
+        np.sqrt(residuals, out=residuals)  # in place: a second array per length cost page faults
         at = np.unravel_index(_witness_index(residuals), (k,) * n)
         per_length.append(TupleRecord(n, tuple(int(x) + 1 for x in at), float(residuals.max())))
     return InvarianceReport(tolerance=tol, per_length=per_length)
@@ -183,8 +184,10 @@ def check_factorization(mf, variables, polys, l):
     """Residual of pulling E through the polynomial at a unique position.
 
     The position l is 1-based; its variable index must not occur anywhere
-    else in the tuple (that is a usage error, not a failed check).
+    else in the tuple (that is a usage error, not a failed check).  The
+    oracle's kept tensors are dropped first; none is read.
     """
+    _kept.pop(mf, None)
     variables = tuple(variables)
     polys = list(polys)
     if len(polys) != len(variables):
@@ -246,8 +249,9 @@ def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0):
     (a) every alternating product of E-centered random polynomials, three
     draws per tuple, has zero expectation; (b) every mixed cumulant
     vanishes.  The criteria agree in exact arithmetic; both residuals are
-    reported.
+    reported.  The oracle's kept tensors are dropped first; none is read.
     """
+    _kept.pop(mf, None)
     if n_max > MAX_TRANSFORM_ORDER:
         raise ValueError(f"n_max={n_max} exceeds the cumulant order cap {MAX_TRANSFORM_ORDER}")
     values = sorted(set(variables))

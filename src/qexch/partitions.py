@@ -144,37 +144,26 @@ def _nc_profile_groups(n):
     return tuple(groups)
 
 
-def _pattern_rows(patterns):
-    """Patterns as one int8 row each, padded with -1 after the last position; an
-    array of patterns of one length, such as _pattern_table's, is read as it is."""
-    if isinstance(patterns, np.ndarray):
-        return patterns.astype(np.int8, copy=False)
-    width = max(map(len, patterns))
-    return np.array([[*p] + [-1] * (width - len(p)) for p in patterns], dtype=np.int8)
-
-
 @lru_cache(maxsize=256)
 def _profile_counts(shape, data):
-    """The count matrix of the patterns in data, an int8 array of `shape` made by
-    _pattern_rows, and its block-size profiles.
+    """The count matrix of the patterns in data, an int8 array of `shape` (P, n)
+    holding one pattern of length n to a row, and its block-size profiles.
 
     counts[r, c] is how many non-crossing partitions refining the kernel of
     pattern r (the pattern agrees at each position with its block leader)
     have the block sizes of row c of `sizes`, padded with zeros.  A sum of
     terms that depend only on block sizes is counts @ (one term per row).
     """
-    table = np.frombuffer(data, dtype=np.int8).reshape(shape)
-    lengths = (table >= 0).sum(axis=1)
+    count, n = shape
+    values = np.frombuffer(data, dtype=np.int8).reshape(shape).T.copy()
+    agree = [values == values[x] for x in range(n)]  # [x][l, r]: r equal at x and l
     columns = {}
-    for n in np.unique(lengths).tolist():
-        rows = np.flatnonzero(lengths == n)
-        values = table[rows, :n].T
-        agree = [values == values[x] for x in range(n)]  # [x][l, r]: r equal at x and l
-        for profile, leaders in _nc_profile_groups(n):
-            below = np.ones((len(leaders), len(rows)), dtype=bool)
-            for x in range(1, n):  # position 0 leads its own block
-                below &= agree[x][leaders[:, x]]
-            columns.setdefault(profile, np.zeros(len(table)))[rows] += below.sum(axis=0)
+    for profile, leaders in _nc_profile_groups(n):
+        below = np.ones((len(leaders), count), dtype=bool)
+        for x in range(1, n):  # position 0 leads its own block
+            below &= agree[x][leaders[:, x]]
+        column = columns.setdefault(profile, np.zeros(count))
+        column += below.sum(axis=0)
     profiles = sorted(prof for prof, column in columns.items() if column.any())
     counts = np.column_stack([columns[prof] for prof in profiles])
     width = max(map(len, profiles))

@@ -97,6 +97,21 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert runs[scenario, "default"][:2] == (code, b"")
 
 
+@pytest.mark.parametrize("scenario", [FREE, BERNOULLI], ids=["free", "bernoulli"])
+def test_verify_loads_no_masked_arrays(scenario, tmp_path):
+    # numpy.ma costs a process about 1.4 MB; numpy 1.x imports it with numpy itself
+    alone = "import numpy, sys; print('numpy.ma' in sys.modules)"
+    verify = ("import sys, qexch.cli; qexch.cli.main(['verify', sys.argv[1], '--report', "
+              "sys.argv[2]]); print('numpy.ma' in sys.modules)")
+    loaded = {}
+    for name, code, args in (("numpy", alone, []),
+                             ("verify", verify, [str(scenario), str(tmp_path / "r.json")])):
+        out = subprocess.run([sys.executable, "-c", code, *args], env=_child_env(),
+                             capture_output=True, text=True, check=True, timeout=300).stdout
+        loaded[name] = out.splitlines()[-1] == "True"
+    assert not loaded["verify"] or loaded["numpy"]
+
+
 # -- verify -----------------------------------------------------------------------
 
 def test_free_fixture_passes(tmp_path, capsys):

@@ -576,6 +576,20 @@ def test_each_scan_keeps_only_the_tensors_it_read():
     assert exchangeability._kept[mf] == {}
 
 
+@pytest.mark.parametrize("check", ["freeness", "factorization"])
+def test_a_non_scan_check_drops_the_kept_tensors(check):
+    # it reads none of them, so it does not run beside the last scan's tensors
+    mf, _ = _kept_tensor_oracle("concrete")
+    check_classical_exchangeability(mf, 3, 3)
+    assert sorted(exchangeability._kept[mf]) == [(3, n) for n in range(1, 4)]
+    if check == "freeness":
+        check_freeness(mf, (1, 2), n_max=2)
+    else:
+        x = BPolynomial([(np.eye(2), np.eye(2))])
+        check_factorization(mf, (1, 2), [x, x], l=1)
+    assert mf not in exchangeability._kept
+
+
 # -- classical exchangeability ------------------------------------------------------
 
 def test_iid_diagonal_model_classically_exchangeable():

@@ -7,11 +7,13 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexch.algebra import MAX_BYTES
+from qexch.algebra import MAX_BYTES, BPolynomial, MomentFunctional, expand_product
+from qexch.cumulants import CumulantMomentFunctional, random_spec
 from qexch.partitions import (
     Partition,
     _all_partitions_charge,
@@ -19,7 +21,6 @@ from qexch.partitions import (
     _noncrossing_charge,
     _noncrossing_local,
     _pattern_count,
-    _pattern_rows,
     _pattern_table,
     _pattern_table_charge,
     _peeling_steps,
@@ -181,8 +182,9 @@ def _size_profiles_by_filter(pattern):
 
 
 def _profile_rows(patterns):
-    """_profile_counts as one ((sizes, count), ...) tuple per pattern, zero counts left out."""
-    rows = _pattern_rows(patterns)
+    """_profile_counts of patterns of one length as one ((sizes, count), ...) tuple per
+    pattern, zero counts left out."""
+    rows = np.asarray(patterns, dtype=np.int8)
     counts, sizes = _profile_counts(rows.shape, rows.tobytes())
     profiles = [tuple(int(s) for s in row if s) for row in sizes]
     return [tuple((prof, int(c)) for prof, c in zip(profiles, row) if c) for row in counts]
@@ -196,12 +198,36 @@ def test_size_profiles_match_filtered_enumeration(values):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.lists(st.lists(st.integers(0, 3), max_size=7), min_size=1, max_size=6))
-def test_mixed_length_profile_counts_match_filtered_enumeration(lists):
-    # product_expectation asks for patterns of several lengths at once, the empty one included
-    patterns = [canonical_pattern(values) for values in lists]
+@given(st.integers(0, 7), st.lists(st.lists(st.integers(0, 3), min_size=7, max_size=7),
+                                   min_size=1, max_size=6))
+def test_profile_counts_of_one_length_match_filtered_enumeration(n, lists):
+    # the rows of one length, as kernel_sum hands them over, the empty pattern included
+    patterns = [canonical_pattern(values[:n]) for values in lists]
     expected = [_size_profiles_by_filter(p) if p else (((), 1),) for p in patterns]
     assert _profile_rows(patterns) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_of_several_word_lengths_matches_word_expansion(monkeypatch, seed):
+    # a constant, a linear and a quadratic word per factor: patterns of lengths 0..6
+    rng = np.random.default_rng(seed)
+    mf = CumulantMomentFunctional(random_spec(rng, 6, b_dim=2))
+    polys = [BPolynomial([tuple(mf.random_coeff(rng) for _ in range(n + 1)) for n in range(3)])
+             for _ in range(3)]
+    lengths = []
+    kernel_sum = mf.spec.kernel_sum
+
+    def counting(patterns):
+        lengths.append({len(p) for p in patterns})
+        return kernel_sum(patterns)
+
+    monkeypatch.setattr(mf.spec, "kernel_sum", counting)
+    got = mf.product_expectation(polys, [1, 2, 1])
+    assert lengths == [{n} for n in range(7)]  # one call per word length
+    want = MomentFunctional.product_expectation(mf, polys, [1, 2, 1])
+    # relative to the size of the summed word moments, which sets the rounding
+    scale = sum(np.linalg.norm(mf.moment(v, c)) for v, c in expand_product(polys, [1, 2, 1]))
+    assert np.linalg.norm(got - want) <= 1e-12 * max(scale, 1.0)
 
 
 def test_enumerate_noncrossing_keeps_no_list_it_returns():
