@@ -99,11 +99,11 @@ def _parse_int_list(value, field, minimum=None):
     return _parse_list(value, field, partial(_parse_int, minimum=minimum))
 
 
-def _parse_dim(value, field, blocks=1):
-    """A dimension d >= 1 such that `blocks` complex d x d arrays fit MAX_BYTES."""
-    d = _parse_int(value, field, minimum=1)
+def _parse_dim(value, field, blocks=1, minimum=1):
+    """A dimension d >= minimum such that `blocks` complex d x d arrays fit MAX_BYTES."""
+    d = _parse_int(value, field, minimum=minimum)
     try:
-        algebra.check_bytes(16 * blocks * d * d, f"dimension {d}")
+        algebra.check_bytes(16 * blocks * d * d, f"dimension {d} with {blocks} {d}x{d} arrays")
     except ValueError as exc:
         _fail(field, str(exc))
     return d
@@ -213,16 +213,16 @@ def build_functional(spec, field="functional"):
             _fail(field, str(exc))
         return cumulants.CumulantMomentFunctional(spec_obj)
     if kind == "concrete":
-        dim = obj.get("dim", _parse_dim)  # the density, each element and E are d x d arrays
+        listed = obj.get("elements", _parse_list)  # the entries are read once dim is known
+        # the density, each element, and 4 for the state check and a pinching's mask and units
+        dim = obj.get("dim", partial(_parse_dim, blocks=len(listed) + 5))
         density = obj.get("density", partial(_parse_matrix, dim=dim))
         blocks = obj.get("b", partial(_parse_b, dim=dim), None)  # None: scalar B
-        mats = obj.get("elements", partial(_parse_list, item=partial(_parse_matrix, dim=dim)))
+        mats = [_parse_matrix(m, f"{field}.elements[{t}]", dim) for t, m in enumerate(listed)]
         obj.close()
-        try:  # the density's entries are finite, so only a pinching over budget fails here
-            ctx = (algebra.scalar_context(density) if blocks is None
-                   else algebra.pinching_context(blocks, density))
-        except ValueError as exc:
-            _fail(f"{field}.b", str(exc))
+        # raises nothing: _parse_b checked the blocks, and dim's charge covers E's mask and units
+        ctx = (algebra.scalar_context(density) if blocks is None
+               else algebra.pinching_context(blocks, density))
         for name, residual in ctx.residuals().items():  # a state, and phi o E = phi
             if not residual <= algebra.DEFAULT_TOL:
                 _fail(f"{field}.density", f"not a state: {name} residual {residual:.2e}")
@@ -269,8 +269,11 @@ def build_unitary(spec, seed, field):
         obj.close()
         if kind == "block_pair" and len(listed) != 2:
             _fail(field, f"block_pair needs exactly 2 projections, got {len(listed)}")
-        if source == "seeds":
-            qs = [magic.random_projection(d, rank, (seed, s)) for s in seeds]
+        try:  # each seeded projection is charged its QR working set, which d sizes
+            if source == "seeds":
+                qs = [magic.random_projection(d, rank, (seed, s)) for s in seeds]
+        except ValueError as exc:
+            _fail(f"{field}.d", str(exc))
         try:
             return magic.block_chain(qs)
         except ValueError as exc:
@@ -329,7 +332,9 @@ def _factorization(c, p, u):
 
 def _freeness(c, p, u):
     rep = exchangeability.check_freeness(c.mf, p["vars"], n_max=p["n_max"], tol=c.tol, seed=c.seed)
-    note = "criteria agree" if rep.consistent else "criteria DISAGREE"
+    notes = [f"{name} worst i={tuple(map(int, w))}" for name, w in
+             (("centered", rep.centered_worst), ("mixed", rep.mixed_worst)) if w]
+    note = ", ".join(notes + ["criteria agree" if rep.consistent else "criteria DISAGREE"])
     return max(rep.centered_max, rep.mixed_max, key=algebra._severity), rep.passed, note
 
 
@@ -380,7 +385,8 @@ CHECKS = {
         "n_max": (partial(_at_least_two, maximum=cumulants.MAX_TRANSFORM_ORDER), 4)}),
     "collapse_lemma": (_collapse_lemma, True, {"n_max": (_count, 4)}),
     "crossing_sum": (_crossing_sum, False, {
-        "d": (_at_least_two, 2), "s": (_at_least_two, 2), "pairs": (_count, 20),
+        "d": (partial(_parse_dim, blocks=13, minimum=2), 2),  # a pair and its probe: 12.5 arrays
+        "s": (_at_least_two, 2), "pairs": (_count, 20),
         "variant": (partial(_parse_str, choices=("plain", "capped")), "plain")}),
     "counterexample": (_counterexample, False, {"n": (partial(_at_least_two, maximum=3), 3)}),
 }
@@ -402,10 +408,10 @@ def _parse_check(value, field, unitaries):
     params = {key: obj.get(key, parse, v) for key, (parse, v) in table.items()}
     obj.close()
     if name == "factorization":  # E is pulled through the one variable at position l
-        variables, l = params["vars"], params["l"]
-        if l > len(variables) or variables.count(variables[l - 1]) > 1:
-            _fail(f"{field}.l", f"expected the position of a variable that occurs once "
-                                f"in vars {variables}, got {l}")
+        try:
+            exchangeability._factorization_pivot(params["vars"], params["l"])
+        except ValueError as exc:
+            _fail(f"{field}.l", str(exc))
     return name, params
 
 

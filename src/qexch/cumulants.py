@@ -168,8 +168,7 @@ def moments_to_cumulants(mf, variables):
     cumulant of the word on variables[:m].
     """
     variables = tuple(variables)
-    if len(variables) > MAX_TRANSFORM_ORDER:
-        raise ValueError(f"word length must be <= {MAX_TRANSFORM_ORDER}")
+    _check_order(len(variables))
     extractor = CumulantExtractor(mf)
     return {m: extractor.kappa_word(variables[:m]) for m in range(1, len(variables) + 1)}
 

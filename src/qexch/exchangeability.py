@@ -28,7 +28,7 @@ from .algebra import (
     frobenius,
     product_expectation,
 )
-from .cumulants import MAX_TRANSFORM_ORDER, check_mixed_cumulants
+from .cumulants import _check_order, check_mixed_cumulants
 from .magic import (
     MagicUnitary, _coaction_all, _coaction_charge, ensure_projection, verify_relations,
 )
@@ -164,7 +164,7 @@ def check_classical_exchangeability(mf, k, n_max, tol=DEFAULT_TOL):
     return _scan_lengths(mf, k, n_max, tol)
 
 
-def check_E_invariance(mf, u, decorations, n_max=3, tol=DEFAULT_TOL):
+def check_E_invariance(mf, u, decorations, n_max, tol=DEFAULT_TOL):
     """The B-valued version of quantum invariance.
 
     u-entries and expectation values live in different algebras, so the
@@ -180,6 +180,17 @@ def check_E_invariance(mf, u, decorations, n_max=3, tol=DEFAULT_TOL):
     return _scan_lengths(mf, u.k, n_max, tol, u, decorations)
 
 
+def _factorization_pivot(variables, l):
+    """The variable at the 1-based position l, which must occur nowhere else in variables."""
+    variables = tuple(variables)
+    if not 1 <= l <= len(variables):
+        raise ValueError(f"position l={l} outside 1..{len(variables)}")
+    pivot = variables[l - 1]
+    if variables.count(pivot) > 1:
+        raise ValueError(f"variable {pivot} at position {l} also occurs elsewhere in {variables}")
+    return pivot
+
+
 def check_factorization(mf, variables, polys, l):
     """Residual of pulling E through the polynomial at a unique position.
 
@@ -192,13 +203,7 @@ def check_factorization(mf, variables, polys, l):
     polys = list(polys)
     if len(polys) != len(variables):
         raise ValueError("need one polynomial per variable")
-    if not 1 <= l <= len(variables):
-        raise ValueError(f"position l={l} outside 1..{len(variables)}")
-    pivot = variables[l - 1]
-    if any(v == pivot for pos, v in enumerate(variables, 1) if pos != l):
-        raise ValueError(
-            f"variable {pivot} at position {l} also occurs elsewhere in {variables}"
-        )
+    pivot = _factorization_pivot(variables, l)
     lhs = product_expectation(mf, polys, variables)
     mean = product_expectation(mf, [polys[l - 1]], [pivot])
     # not validated: a non-finite mean must surface in the residual
@@ -243,7 +248,7 @@ class FreenessReport:
         return self.centered_pass and self.mixed_pass
 
 
-def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0):
+def check_freeness(mf, variables, n_max, tol=DEFAULT_TOL, seed=0):
     """Run both freeness criteria over the given variables.
 
     (a) every alternating product of E-centered random polynomials, three
@@ -252,8 +257,7 @@ def check_freeness(mf, variables, n_max=4, tol=DEFAULT_TOL, seed=0):
     reported.  The oracle's kept tensors are dropped first; none is read.
     """
     _kept.pop(mf, None)
-    if n_max > MAX_TRANSFORM_ORDER:
-        raise ValueError(f"n_max={n_max} exceeds the cumulant order cap {MAX_TRANSFORM_ORDER}")
+    _check_order(n_max)  # the longest mixed cumulant
     values = sorted(set(variables))
     for v in values:  # a single variable passes, but only one that exists
         mf._check_word((v,), None)

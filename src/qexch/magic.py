@@ -226,7 +226,7 @@ def random_projection(d, rank, seed):
     """Deterministic pseudo-random rank-`rank` orthogonal projection in M_d."""
     if not 0 <= rank <= d:
         raise ValueError(f"rank must be in 0..{d}, got {rank}")
-    check_bytes(16 * d * d, f"a {d}x{d} projection")
+    check_bytes(16 * 7 * d * d, f"a {d}x{d} projection with its QR working set of 7 such arrays")
     if rank == 0:
         return np.zeros((d, d), dtype=complex)
     if rank == d:
@@ -260,7 +260,9 @@ def _max_norm(stack):
 
 def verify_relations(u, tol=DEFAULT_TOL):
     """Residual report: projections, row/column orthogonality and sums,
-    and the derived orthogonality sum_k u_ik u_jk = delta_ij."""
+    and the derived orthogonality sum_k u_ik u_jk = delta_ij.  Orthogonality
+    is read one row or column at a time, so no array is larger than u's
+    k x k array of d x d entries."""
     ent = u.entries
     k, d = u.k, u.d
     eye = np.eye(d)
@@ -270,10 +272,9 @@ def verify_relations(u, tol=DEFAULT_TOL):
     res["hermitian"] = _max_norm(ent - ent.conj().transpose(0, 1, 3, 2))
     res["idempotent"] = _max_norm(np.einsum("ijab,ijbc->ijac", ent, ent) - ent)
 
-    row_pairs = np.einsum("ikab,ilbc->kliac", ent, ent)
-    res["row_orthogonality"] = _max_norm(row_pairs[off])
-    col_pairs = np.einsum("kiab,libc->kliac", ent, ent)
-    res["column_orthogonality"] = _max_norm(col_pairs[off])
+    for name, lines in (("row_orthogonality", ent), ("column_orthogonality", ent.swapaxes(0, 1))):
+        pairs = (np.einsum("kab,lbc->klac", line, line)[off] for line in lines)
+        res[name] = max(map(_max_norm, pairs), key=_severity)
 
     res["row_sums"] = _max_norm(ent.sum(axis=1) - eye)
     res["column_sums"] = _max_norm(ent.sum(axis=0) - eye)

@@ -188,7 +188,7 @@ def test_kinds_match_their_dense_expectation_maps(case):
     if max(map(len, blocks)) >= 2:
         with pytest.raises(ValueError, match="requires a commutative subalgebra B"):
             exchangeability.check_E_invariance(pinched, magic.from_permutation([2, 1]),
-                                               [np.eye(d)] * 2)
+                                               [np.eye(d)] * 2, n_max=3)
     else:
         assert pinched.context.is_commutative()
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -350,7 +351,9 @@ def test_check_magic_rejects_bad_spec(capsys):
     {"kind": "block_chain", "d": 1000000, "seeds": [1, 2]},
     # each projection fits, but the 4x4 array of them does not
     {"kind": "block_pair", "d": 4096, "seeds": [1, 2]},
-], ids=["permutation", "block_chain", "block_pair_4096"])
+    # the 4 d x d entries fit, but not the 7 arrays of the seeded projection's QR
+    {"kind": "block_chain", "d": 1549, "seeds": [1]},
+], ids=["permutation", "block_chain", "block_pair_4096", "block_chain_one_seed_1549"])
 def test_check_magic_oversized_d_exits_two_naming_field(capsys, spec):
     start = time.monotonic()
     code, out, err = run_cli(["check-magic", json.dumps(spec)], capsys)
@@ -693,9 +696,20 @@ def _scenario(tmp_path, **changes):
          "functional.b_dim"),
         ({"functional": {"kind": "cumulant", "cumulants": {"2": 1.0}, "b_dim": 0}},
          "functional.b_dim"),
-        # the first dim whose d x d complex array exceeds MAX_BYTES
+        # a dim whose one d x d complex array alone exceeds MAX_BYTES
         ({"functional": {"kind": "concrete", "dim": 4097, "density": {"diag": [1 / 4097] * 4097},
                          "elements": [{"diag": [1] * 4097}]}}, "functional.dim"),
+        # the first dims whose density, elements and state check exceed MAX_BYTES together:
+        # 6 d x d arrays with one element, 13 with eight (one array was charged)
+        ({"functional": {"kind": "concrete", "dim": 1673, "density": {"diag": [1 / 1673] * 1673},
+                         "elements": [{"diag": [1] * 1673}]}}, "functional.dim"),
+        ({"functional": {"kind": "concrete", "dim": 1137, "density": {"diag": [1 / 1137] * 1137},
+                         "elements": [{"diag": [t] * 1137} for t in range(8)]}},
+         "functional.dim"),
+        # the 4 d x d entries of one block fit, but not the 7 arrays of its projection's QR
+        ({"unitaries": [{"kind": "block_chain", "d": 2048, "seeds": [1]}]}, "unitaries[0].d"),
+        # a crossing_sum dimension asked numpy for 15 EiB
+        ({"checks": [{"name": "crossing_sum", "d": 10**9}]}, "checks[0].d"),
         ({"unitaries": [{"kind": "permutation", "sigma": [2, 1], "d": 1000000}]},
          "unitaries[0].d"),
         ({"unitaries": [{"kind": "block_chain", "d": 1000000, "seeds": [1]}]},
@@ -794,6 +808,8 @@ def test_misspelled_parameter_exits_two_before_any_check_runs(tmp_path, capsys, 
 @pytest.mark.parametrize("check, field", [
     ({"name": "crossing_sum", "s": 1}, "s"),
     ({"name": "crossing_sum", "d": 1}, "d"),
+    # the first d whose pair and probe, 13 d x d arrays, exceed MAX_BYTES
+    ({"name": "crossing_sum", "d": 1137}, "d"),
     ({"name": "crossing_sum", "variant": "cupped"}, "variant"),
     ({"name": "counterexample", "n": 4}, "n"),
     ({"name": "freeness", "n_max": 9}, "n_max"),
@@ -801,8 +817,9 @@ def test_misspelled_parameter_exits_two_before_any_check_runs(tmp_path, capsys, 
     ({"name": "freeness", "vars": [1], "n_max": 1}, "n_max"),
     ({"name": "factorization", "vars": [1, 2], "l": 3}, "l"),
     ({"name": "factorization", "vars": [1, 2, 1], "l": 3}, "l"),
-], ids=["crossing_s", "crossing_d", "crossing_variant", "counterexample_n", "freeness_n_max_9",
-        "freeness_n_max_1", "factorization_l_past_vars", "factorization_l_repeated"])
+], ids=["crossing_s", "crossing_d", "crossing_d_over_budget", "crossing_variant",
+        "counterexample_n", "freeness_n_max_9", "freeness_n_max_1", "factorization_l_past_vars",
+        "factorization_l_repeated"])
 def test_out_of_range_parameter_exits_two_before_any_check_runs(tmp_path, capsys, monkeypatch,
                                                                  check, field):
     # a range that the parameter alone decides is read with the scenario, not
@@ -816,6 +833,59 @@ def test_out_of_range_parameter_exits_two_before_any_check_runs(tmp_path, capsys
     )
     assert (code, out, calls) == (2, "", [])
     assert err.startswith(f"error: checks[1].{field}: ") and len(err.splitlines()) == 1
+
+
+def _charge_and_traced_peak(monkeypatch, build):
+    """(largest charge cli makes while build() runs, the peak bytes tracemalloc sees meanwhile)."""
+    charges, charge = [], algebra.check_bytes
+    monkeypatch.setattr(algebra, "check_bytes", lambda nbytes, what: charges.append(nbytes)
+                        or charge(nbytes, what))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return max(charges), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("count, b, dense", [
+    (1, None, True), (4, "diagonal", False), (4, "one block", True), (8, "one block", False),
+])
+def test_concrete_dim_charge_bounds_the_built_functionals_traced_peak(monkeypatch, count, b,
+                                                                      dense):
+    # one d x d array was charged; the density and 8 elements peaked at 12 of them
+    dim = 256
+    draws = np.random.default_rng(count)
+
+    def matrix(values):
+        return np.diag(values).tolist() if dense else {"diag": values.tolist()}
+
+    spec = {"kind": "concrete", "dim": dim, "density": matrix(np.full(dim, 1 / dim)),
+            "elements": [matrix(draws.standard_normal(dim)) for _ in range(count)]}
+    if b is not None:
+        spec["b"] = {"blocks": [list(range(dim))]} if b == "one block" else b
+    cli.build_functional(_pinched([[0, 1]]))  # the modules a first build imports are not sized
+    charge, peak = _charge_and_traced_peak(monkeypatch, lambda: cli.build_functional(spec))
+    assert peak <= charge, (peak, charge)
+
+
+@pytest.mark.parametrize("s", [2, 7])
+@pytest.mark.parametrize("variant", ["plain", "capped"])
+def test_crossing_sum_d_charge_bounds_the_checks_traced_peak(monkeypatch, s, variant):
+    # a d was charged nothing; a pair and its probe peaked at 12.5 d x d arrays
+    context = cli._Context(None, [], 1e-8, 0)
+
+    def run(d):
+        check = {"name": "crossing_sum", "d": d, "s": s, "variant": variant, "pairs": 2}
+        cli._crossing_sum(context, cli._parse_check(check, "checks[0]", [])[1], None)
+
+    run(2)  # the modules a first draw imports are not sized by d
+    charge, peak = _charge_and_traced_peak(monkeypatch, lambda: run(256))
+    assert peak <= charge, (peak, charge)
 
 
 @pytest.mark.parametrize("changes", [

@@ -895,7 +895,7 @@ def test_mixed_criterion_scans_every_variable_however_short_n_max():
 
 def test_single_variable_is_vacuously_free():
     mf = CumulantMomentFunctional(semicircular_spec())
-    report = check_freeness(mf, (1,))
+    report = check_freeness(mf, (1,), n_max=4)
     assert report.passed
     assert (report.centered_max, report.mixed_max) == (0.0, 0.0)
 
@@ -904,7 +904,7 @@ def test_single_variable_is_vacuously_free():
 def test_single_variable_freeness_names_a_variable_that_exists(variables):
     mf = bernoulli_functional(count=4)
     with pytest.raises(ValueError, match="variable index 5 outside 1..4"):
-        check_freeness(mf, variables)
+        check_freeness(mf, variables, n_max=4)
 
 
 # -- crossing sum probe ------------------------------------------------------------------------

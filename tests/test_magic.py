@@ -1,6 +1,7 @@
 """Magic unitary constructors, relations, word products, and collapse sums."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,32 @@ def test_random_projection_is_projection_and_deterministic():
         assert np.allclose(p, random_projection(4, 2, seed=seed))
 
 
+def _traced_peak(build):
+    """Peak bytes tracemalloc sees while build() runs, above what was traced before."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", [256, 512])
+def test_random_projection_charge_bounds_its_traced_peak(monkeypatch, d):
+    # the QR's working set: one d x d array was charged, and a draw peaked at 6 of them
+    charges = []
+    monkeypatch.setattr(magic, "check_bytes", lambda nbytes, what: charges.append(nbytes))
+    random_projection(4, 1, seed=0)  # the modules a first draw imports are not sized by d
+    for rank in (1, d // 2):
+        charges.clear()
+        peak = _traced_peak(lambda: random_projection(d, rank, seed=(3, rank)))
+        assert peak <= max(charges), (peak, charges)
+
+
 def test_noncommuting_pair_has_large_commutator():
     for seed in range(10):
         p, q = noncommuting_projection_pair(2, seed=seed)
@@ -158,6 +185,12 @@ def test_perturbed_entry_detected_at_its_own_scale():
     rep = verify_relations(MagicUnitary(bad), tol=1e-9)
     assert not rep.passed
     assert 1e-4 < rep.max_residual < 1e-2
+
+
+def test_relations_hold_one_lines_products_at_a_time():
+    # the products of every pair in every row at once peaked at 157 times the unitary
+    u = from_permutation(list(range(2, 33)) + [1], d=1)
+    assert _traced_peak(lambda: verify_relations(u)) <= 8 * u.entries.nbytes
 
 
 def test_relations_report_includes_derived_orthogonality():
