@@ -245,7 +245,8 @@ def build_unitary(spec, seed, field):
     kind = obj.get("kind", _parse_str)
     if kind == "permutation":
         sigma = obj.get("sigma", _parse_int_list)
-        d = obj.get("d", partial(_parse_dim, blocks=len(sigma) ** 2), 1)
+        # the k x k entries, and one more for the identity each entry is copied from
+        d = obj.get("d", partial(_parse_dim, blocks=len(sigma) ** 2 + 1), 1)
         obj.close()
         try:
             return magic.from_permutation(sigma, d=d)
@@ -257,7 +258,9 @@ def build_unitary(spec, seed, field):
         if source not in spec:
             _fail(field, "needs 'projections' or 'seeds'")
         listed = obj.get(source, _parse_list)  # the entries are read once d is known
-        d = obj.get("d", partial(_parse_dim, blocks=4 * max(len(listed), 1) ** 2))
+        # the 2r x 2r entries, the r projections, and 4 to validate one (block_chain)
+        r = max(len(listed), 1)
+        d = obj.get("d", partial(_parse_dim, blocks=4 * r * r + r + 4))
         if source == "projections":
             qs = [_parse_projection(m, f"{field}.projections[{t}]", d)
                   for t, m in enumerate(listed)]
@@ -326,7 +329,7 @@ def _factorization(c, p, u):
     for _ in range(p["trials"]):
         polys = [exchangeability._random_polynomial(c.mf, rng) for _ in p["vars"]]
         residuals.append(exchangeability.check_factorization(c.mf, p["vars"], polys, p["l"]))
-    worst = float(np.max(residuals))
+    worst = algebra._worst(residuals)[0]
     return worst, worst <= c.tol, ""
 
 
@@ -335,13 +338,13 @@ def _freeness(c, p, u):
     notes = [f"{name} worst i={tuple(map(int, w))}" for name, w in
              (("centered", rep.centered_worst), ("mixed", rep.mixed_worst)) if w]
     note = ", ".join(notes + ["criteria agree" if rep.consistent else "criteria DISAGREE"])
-    return max(rep.centered_max, rep.mixed_max, key=algebra._severity), rep.passed, note
+    return algebra._worst([rep.centered_max, rep.mixed_max])[0], rep.passed, note
 
 
 def _crossing_sum(c, p, u):
     # Fixed thresholds, not the tolerance: the probe of a non-commuting pair
     # must stay 1e-4 away from the identity, that of a pair (p, p) within 1e-10.
-    ok, worst_gap = True, 0.0
+    ok, gaps = True, []
     for t in range(p["pairs"]):
         commuting = t % 2 == 1
         if commuting:
@@ -351,9 +354,8 @@ def _crossing_sum(c, p, u):
         _, dist = exchangeability.crossing_sum_probe(a, b, p["s"], p["variant"])
         good = dist <= 1e-10 if commuting else dist > 1e-4
         ok = ok and good
-        gap = 0.0 if good else dist if commuting else 1e-4 - dist
-        worst_gap = max(worst_gap, gap, key=algebra._severity)
-    return worst_gap, ok, ""
+        gaps.append(0.0 if good else dist if commuting else 1e-4 - dist)
+    return algebra._worst(gaps)[0], ok, ""
 
 
 def _counterexample(c, p, u):
@@ -553,9 +555,11 @@ def cmd_cumulants(args):
     spec = _load_spec_argument(args.functional, "functional")
     n = _flag(args, "n", partial(_parse_int, minimum=1, maximum=cumulants.MAX_TRANSFORM_ORDER), 4)
     mf = build_functional(spec, "functional")
-    # m_n and kappa_n are B-valued; one state reduces both to numbers
-    table = cumulants.moments_to_cumulants(mf, (1,) * n)
-    rows = [(o, mf.phi(mf.moment((1,) * o)), mf.phi(table[o])) for o in range(1, n + 1)]
+    # m_n and kappa_n are B-valued; one state reduces both to numbers.  An overflow
+    # reaches the table as inf or NaN, as it reaches a check's residual, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = cumulants.moments_to_cumulants(mf, (1,) * n)
+        rows = [(o, mf.phi(mf.moment((1,) * o)), mf.phi(table[o])) for o in range(1, n + 1)]
     if args.format == "json":
         payload = [
             {"order": o, "moment": [m.real, m.imag], "kappa": [k.real, k.imag]}

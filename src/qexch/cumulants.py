@@ -17,7 +17,7 @@ from .algebra import (
     DEFAULT_TOL,
     MomentFunctional,
     ResidualReport,
-    _severity,
+    _worst,
     check_bytes,
     frobenius,
 )
@@ -33,21 +33,6 @@ from .partitions import (
 
 MAX_TRANSFORM_ORDER = 8
 MAX_WORD_LENGTH = 12
-
-
-def moment_family(ctx):
-    """The moment functionals rho_n(a_1..a_n) = E[a_1 ... a_n] of a context, for every n >= 1."""
-
-    def rho(args):
-        args = tuple(args)
-        if not args:
-            raise ValueError("the moment family starts at arity 1")
-        acc = args[0]
-        for a in args[1:]:
-            acc = acc @ a
-        return ctx.expect(acc)
-
-    return rho
 
 
 def rho_pi(rho, pi, args, peel="min"):
@@ -177,26 +162,23 @@ def check_mixed_cumulants(mf, values, n_max, tol=DEFAULT_TOL):
     """Scan every mixed tuple of length 2..n_max over the distinct `values`.
 
     A free family passes, any dependence shows up as a nonzero mixed
-    cumulant; the largest is reported with its tuple as witness.
+    cumulant; the largest is reported with its tuple as witness (algebra._worst),
+    and no tuple when every mixed cumulant is 0.
     """
     values = sorted(set(values))
     if len(values) < 2:
         raise ValueError("need at least two distinct variables")
     extractor = CumulantExtractor(mf)
-    worst = 0.0
-    worst_tuple = ()
-    checked = 0
+    tuples, norms = [()], [0.0]  # a leading 0 with no tuple, the witness of all zeros
     for m in range(2, n_max + 1):
         for tup in itertools.product(values, repeat=m):
-            if len(set(tup)) < 2:
-                continue
-            norm = frobenius(extractor.kappa_word(tup))
-            checked += 1
-            if _severity(norm) > _severity(worst):
-                worst, worst_tuple = norm, tup
+            if len(set(tup)) > 1:
+                norms.append(frobenius(extractor.kappa_word(tup)))
+                tuples.append(tup)
+    worst, at = _worst(norms)
     return ResidualReport(
-        f"mixed cumulants over {checked} tuples", {"mixed_cumulant": worst}, tol,
-        {"mixed_cumulant": worst_tuple},
+        f"mixed cumulants over {len(tuples) - 1} tuples", {"mixed_cumulant": worst}, tol,
+        {"mixed_cumulant": tuples[at]},
     )
 
 

@@ -22,7 +22,7 @@ from .algebra import (
     DEFAULT_TOL,
     BPolynomial,
     ConcreteMomentFunctional,
-    _severity,
+    _worst,
     center,
     check_bytes,
     frobenius,
@@ -54,27 +54,17 @@ class InvarianceReport:
 
     @property
     def worst(self):
-        return max(self.per_length, key=lambda r: _severity(r.residual), default=None)
+        """The record of the first length whose residual is within 1e-12 relative of the largest."""
+        at = _worst([r.residual for r in self.per_length])[1]
+        return None if at is None else self.per_length[at]
 
     @property
     def max_residual(self):
-        w = self.worst
-        return 0.0 if w is None else w.residual
+        return _worst([r.residual for r in self.per_length])[0]
 
     @property
     def passed(self):
         return self.max_residual <= self.tolerance
-
-
-def _witness_index(residuals):
-    """Flat index of the witness tuple of one length.
-
-    The first tuple in C order whose residual is within 1e-12 relative of
-    the maximum, or the first NaN or inf: many tuples often tie up to the
-    last bit, and the witness must not move with rounding noise.
-    """
-    peak = residuals.max()
-    return int(np.argmax(~np.isfinite(residuals) | (residuals >= peak * (1 - 1e-12))))
 
 
 def _check_scan(mf, k, n, u, r, decorations=0):
@@ -136,8 +126,9 @@ def _scan_lengths(mf, k, n_max, tol, u=None, decorations=None):
         v = diffs.view(float)
         residuals = np.einsum("raic,raic->i", v, v)
         np.sqrt(residuals, out=residuals)  # in place: a second array per length cost page faults
-        at = np.unravel_index(_witness_index(residuals), (k,) * n)
-        per_length.append(TupleRecord(n, tuple(int(x) + 1 for x in at), float(residuals.max())))
+        peak, at = _worst(residuals)  # the witness: the first tuple in C order near the peak
+        at = np.unravel_index(at, (k,) * n)
+        per_length.append(TupleRecord(n, tuple(int(x) + 1 for x in at), peak))
     return InvarianceReport(tolerance=tol, per_length=per_length)
 
 
@@ -266,8 +257,8 @@ def check_freeness(mf, variables, n_max, tol=DEFAULT_TOL, seed=0):
     # the longest product word, n_max factors of degree at most 2, before the first draw
     mf._check_word(values[:1] * (2 * n_max), None)
     rng = np.random.default_rng(seed)
-    centered_max = 0.0
-    centered_worst = ()
+    # a leading 0 with no tuple: a criterion whose residuals are all 0 names no witness
+    tuples, vals = [()], [0.0]
     for m in range(2, n_max + 1):
         for tup in itertools.product(values, repeat=m):
             if any(tup[t] == tup[t + 1] for t in range(m - 1)):
@@ -276,13 +267,13 @@ def check_freeness(mf, variables, n_max, tol=DEFAULT_TOL, seed=0):
                 polys = [
                     center(_random_polynomial(mf, rng), v, mf) for v in tup
                 ]
-                val = frobenius(product_expectation(mf, polys, tup))
-                if _severity(val) > _severity(centered_max):
-                    centered_max, centered_worst = val, tup
+                vals.append(frobenius(product_expectation(mf, polys, tup)))
+                tuples.append(tup)
+    centered_max, at = _worst(vals)
     mixed = check_mixed_cumulants(mf, values, n_max, tol=tol)
     return FreenessReport(
         centered_max=centered_max,
-        centered_worst=centered_worst,
+        centered_worst=tuples[at],
         mixed_max=mixed.max_residual,
         mixed_worst=mixed.witnesses["mixed_cumulant"],
         tolerance=tol,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     ResidualReport,
-    _severity,
+    _worst,
     as_matrix,
     check_bytes,
     frobenius,
@@ -38,7 +39,9 @@ class MagicUnitary:
             raise ValueError(f"entries must have shape (k, k, d, d), got {arr.shape}")
         if 0 in arr.shape:
             raise ValueError(f"a magic unitary needs k >= 1 and d >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # finite exactly when the extremes of the real and imaginary parts are: no mask is built
+        extremes = (f(part) for part in (arr.real, arr.imag) for f in (np.max, np.min))
+        if not all(map(math.isfinite, extremes)):
             raise ValueError("entries contain non-finite values")
         self.k = arr.shape[0]
         self.d = arr.shape[2]
@@ -164,7 +167,7 @@ def ensure_projection(q):
     q = as_matrix(q, name="projection")
     h = (q + q.conj().T) / 2
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = max(frobenius(q - h), frobenius(h @ h - h), key=_severity)
+        residual = _worst([frobenius(q - h), frobenius(h @ h - h)])[0]
     if not residual <= DEFAULT_TOL:
         raise ValueError(f"matrix is not a projection (residual {residual:.2e})")
     return h
@@ -189,23 +192,24 @@ def from_permutation(sigma, d=1):
 def block_chain(qs):
     """Block-diagonal 2r x 2r magic unitary from projections q_1..q_r.
 
-    Each q contributes a 2x2 block [[q, 1-q], [1-q, q]].
+    Each q contributes a 2x2 block [[q, 1-q], [1-q, q]].  Each q is validated
+    as it is written, so no two re-symmetrized copies are held at once.
     """
-    qs = [ensure_projection(q) for q in qs]
-    if not qs:
-        raise ValueError("need at least one projection")
-    d = qs[0].shape[0]
-    if any(q.shape[0] != d for q in qs):
-        raise ValueError("all projections must share one dimension")
     r = len(qs)
-    check_bytes(64 * r * r * d * d, f"a {2 * r}x{2 * r} magic unitary of {d}x{d} entries")
-    eye = np.eye(d)
-    entries = np.zeros((2 * r, 2 * r, d, d), dtype=complex)
+    if not r:
+        raise ValueError("need at least one projection")
     for t, q in enumerate(qs):
-        entries[2 * t, 2 * t] = q
-        entries[2 * t, 2 * t + 1] = eye - q
-        entries[2 * t + 1, 2 * t] = eye - q
-        entries[2 * t + 1, 2 * t + 1] = q
+        q = ensure_projection(q)
+        if not t:
+            d = q.shape[0]
+            check_bytes(64 * r * r * d * d, f"a {2 * r}x{2 * r} magic unitary of {d}x{d} entries")
+            entries = np.zeros((2 * r, 2 * r, d, d), dtype=complex)
+            eye = np.eye(d)
+        elif q.shape[0] != d:
+            raise ValueError("all projections must share one dimension")
+        entries[2 * t, 2 * t] = entries[2 * t + 1, 2 * t + 1] = q
+        np.subtract(eye, q, out=entries[2 * t, 2 * t + 1])  # 1 - q, with no temporary
+        entries[2 * t + 1, 2 * t] = entries[2 * t, 2 * t + 1]
     return MagicUnitary(entries)
 
 
@@ -252,10 +256,8 @@ def noncommuting_projection_pair(d, seed):
 
 
 def _max_norm(stack):
-    flat = np.asarray(stack).reshape(-1, stack.shape[-2] * stack.shape[-1])
-    if flat.size == 0:
-        return 0.0
-    return float(np.linalg.norm(flat, axis=1).max())
+    """The largest Frobenius norm of a stack of matrices, 0.0 for none (_worst)."""
+    return _worst(np.linalg.norm(stack.reshape(-1, stack.shape[-2] * stack.shape[-1]), axis=1))[0]
 
 
 def verify_relations(u, tol=DEFAULT_TOL):
@@ -274,7 +276,7 @@ def verify_relations(u, tol=DEFAULT_TOL):
 
     for name, lines in (("row_orthogonality", ent), ("column_orthogonality", ent.swapaxes(0, 1))):
         pairs = (np.einsum("kab,lbc->klac", line, line)[off] for line in lines)
-        res[name] = max(map(_max_norm, pairs), key=_severity)
+        res[name] = _worst([_max_norm(p) for p in pairs])[0]
 
     res["row_sums"] = _max_norm(ent.sum(axis=1) - eye)
     res["column_sums"] = _max_norm(ent.sum(axis=0) - eye)
@@ -383,6 +385,5 @@ def collapse_lemma_residual(u, n_max):
             ind = kernel_indicator(pi, u.k).reshape(-1)
             for a in range(u.d):
                 diff[:, a, a] -= ind
-            devs.append(np.linalg.norm(diff.reshape(-1, u.d * u.d), axis=1).max())
-    # np.max, unlike max(), lets a NaN through
-    return float(np.max(devs, initial=0.0))
+            devs.append(_max_norm(diff))
+    return _worst(devs)[0]

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 appear; tolerances are fixed here and match the library defaults.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -21,7 +22,6 @@ from qexch.algebra import (
 from qexch.cli import main as cli_main
 from qexch.cumulants import (
     CumulantMomentFunctional,
-    moment_family,
     moments_to_cumulants,
     random_spec,
     rho_pi,
@@ -47,6 +47,11 @@ from qexch.magic import (
 from qexch.partitions import Partition, enumerate_all, enumerate_noncrossing, is_noncrossing
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "qexch" / "fixtures"
+
+
+def moment_family(ctx):
+    """The moment functionals rho_n(a_1..a_n) = E[a_1 ... a_n] of a context, n >= 1."""
+    return lambda args: ctx.expect(functools.reduce(np.matmul, args))
 
 
 def report(number, description, ok, detail=""):

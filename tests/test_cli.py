@@ -92,7 +92,8 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
                 [sys.executable, "-m", "qexch.cli", "verify", str(scenario), "--report", str(report)],
                 env=_child_env(**preset), capture_output=True, timeout=300,
             )
-            runs[scenario, threads] = (proc.returncode, proc.stderr, report.read_bytes())
+            runs[scenario, threads] = (proc.returncode, proc.stderr, report.read_bytes(),
+                                       proc.stdout)  # the witnesses appear only on stdout
     for scenario, code in ((FREE, 0), (BERNOULLI, 1), (ALL_CHECKS, 0)):
         assert runs[scenario, "default"] == runs[scenario, "two"]
         assert runs[scenario, "default"][:2] == (code, b"")
@@ -418,6 +419,19 @@ def test_cumulants_reduces_kappa_by_the_functionals_state(capsys):
     assert kappas == pytest.approx([0.8, 0.0, 0.0, 0.0, 0.0, 0.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("spec, n", [
+    ({"kind": "cumulant", "cumulants": {"2": 1e308, "4": 1e308}}, "8"),
+    ({"kind": "concrete", "dim": 1, "density": [[1]], "elements": [[[1e200]]]}, "3"),
+], ids=["cumulant", "concrete"])
+def test_cumulants_table_overflow_is_silent_and_strict_json(capsys, spec, n):
+    # an overflowing moment reaches the table as inf or NaN, with no warning on stderr
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(["cumulants", json.dumps(spec), "--n", n, "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+    table = json.loads(out, parse_constant=_reject_constant)
+    assert "nan" in [x for row in table for x in row["moment"] + row["kappa"]]
+
+
 def test_cumulants_reads_integral_float_blocks_as_integers(capsys):
     # like every integer field, 0.0 is read as 0
     code, out, err = run_cli(["cumulants", json.dumps(_pinched([[0.0], [1]]))], capsys)
@@ -706,8 +720,12 @@ def _scenario(tmp_path, **changes):
         ({"functional": {"kind": "concrete", "dim": 1137, "density": {"diag": [1 / 1137] * 1137},
                          "elements": [{"diag": [t] * 1137} for t in range(8)]}},
          "functional.dim"),
-        # the 4 d x d entries of one block fit, but not the 7 arrays of its projection's QR
+        # the 4 d x d entries of one block fit, but not its 9 arrays with its projection and
+        # 4 to validate it (nor the 7 arrays of the projection's QR); 1366 is the first d refused
         ({"unitaries": [{"kind": "block_chain", "d": 2048, "seeds": [1]}]}, "unitaries[0].d"),
+        ({"unitaries": [{"kind": "block_chain", "d": 1366, "seeds": [1]}]}, "unitaries[0].d"),
+        ({"unitaries": [{"kind": "block_pair", "d": 874, "seeds": [1, 2]}]}, "unitaries[0].d"),
+        ({"unitaries": [{"kind": "permutation", "sigma": [1], "d": 2897}]}, "unitaries[0].d"),
         # a crossing_sum dimension asked numpy for 15 EiB
         ({"checks": [{"name": "crossing_sum", "d": 10**9}]}, "checks[0].d"),
         ({"unitaries": [{"kind": "permutation", "sigma": [2, 1], "d": 1000000}]},
@@ -888,7 +906,28 @@ def test_crossing_sum_d_charge_bounds_the_checks_traced_peak(monkeypatch, s, var
     assert peak <= charge, (peak, charge)
 
 
+@pytest.mark.parametrize("kind, r", [*(("seeds", r) for r in range(1, 5)),
+                                     *(("projections", r) for r in range(1, 5)),
+                                     ("permutation", 1), ("permutation", 3)])
+def test_unitary_d_charge_bounds_the_builds_traced_peak(monkeypatch, kind, r):
+    # the 4r^2 d x d entries of a block unitary were charged, and its build peaked at 7.6, 21.6,
+    # 44.8 and 76.5 such arrays for r = 1..4; a permutation's k^2 entries, at k^2 + 0.5
+    d = 256
+    if kind == "permutation":
+        spec = {"kind": "permutation", "sigma": list(range(r, 0, -1)), "d": d}
+    elif kind == "seeds":
+        spec = {"kind": "block_chain", "seeds": list(range(r)), "d": d}
+    else:
+        vectors = [np.random.default_rng(t).standard_normal(d) for t in range(r)]
+        spec = {"kind": "block_chain", "d": d,
+                "projections": [(np.outer(v, v) / (v @ v)).tolist() for v in vectors]}
+    cli.build_unitary(spec, 0, "u")  # the modules a first build imports are not sized
+    charge, peak = _charge_and_traced_peak(monkeypatch, lambda: cli.build_unitary(spec, 0, "u"))
+    assert peak <= charge, (peak, charge)
+
+
 @pytest.mark.parametrize("changes", [
+    # 1^24 tuples, but words of 24 > 12 letters: the pattern sums never ended@pytest.mark.parametrize("changes", [
     # 1^24 tuples, but words of 24 > 12 letters: the pattern sums never ended
     {"unitaries": [{"kind": "permutation", "sigma": [1]}],
      "checks": [{"name": "quantum_invariance", "n_max": 24}]},

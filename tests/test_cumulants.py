@@ -1,5 +1,6 @@
 """rho_pi evaluation, moment/cumulant transforms, and cumulant-backed oracles."""
 
+import functools
 import itertools
 import json
 import tracemalloc
@@ -28,7 +29,6 @@ from qexch.cumulants import (
     CumulantMomentFunctional,
     CumulantSpec,
     check_mixed_cumulants,
-    moment_family,
     moments_to_cumulants,
     random_spec,
     rho_pi,
@@ -49,6 +49,11 @@ from qexch.partitions import (
 def semicircular_spec(b_dim=1):
     """Unit variance, all other cumulants zero."""
     return CumulantSpec({2: np.ones(b_dim)}, b_dim=b_dim)
+
+
+def moment_family(ctx):
+    """The moment functionals rho_n(a_1..a_n) = E[a_1 ... a_n] of a context, n >= 1."""
+    return lambda args: ctx.expect(functools.reduce(np.matmul, args))
 
 
 NC10 = Partition(10, [[1, 10], [2, 5, 9], [3, 4], [6], [7, 8]])

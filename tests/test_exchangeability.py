@@ -12,11 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qexch import exchangeability, magic, partitions
+from qexch import cumulants, exchangeability, magic, partitions
 from qexch.algebra import (
     BPolynomial,
     ConcreteMomentFunctional,
     MomentFunctional,
+    _worst,
     pinching_context,
     scalar_context,
 )
@@ -29,7 +30,6 @@ from qexch.cumulants import (
 from qexch.exchangeability import (
     InvarianceReport,
     TupleRecord,
-    _witness_index,
     check_classical_exchangeability,
     check_E_invariance,
     check_factorization,
@@ -140,13 +140,73 @@ def test_witness_ignores_last_bit_noise_on_ties():
         step = rng.integers(-1, 2, size=residuals.size)
         toward = np.copysign(np.inf, step)
         noisy = np.where(step == 0, residuals, np.nextafter(residuals, toward))
-        assert _witness_index(noisy) == 10
+        peak, at = _worst(noisy)
+        assert at == 10 and peak == noisy.max()
 
 
 def test_witness_is_first_non_finite_residual():
-    assert _witness_index(np.array([1.0, np.inf, np.nan, 2.0])) == 1
-    assert _witness_index(np.array([1.0, 2.0, np.nan, np.inf])) == 2
-    assert _witness_index(np.zeros(5)) == 0
+    assert _worst(np.array([1.0, np.inf, np.nan, 2.0]))[1] == 1
+    assert _worst(np.array([1.0, 2.0, np.nan, np.inf]))[1] == 2
+    assert _worst(np.zeros(5)) == (0.0, 0)
+
+
+def test_worst_peak_of_non_finite_and_empty_residuals():
+    peak, at = _worst([1.0, np.nan, np.inf])
+    assert np.isnan(peak) and at == 1
+    assert _worst([1.0, -np.inf, np.nan]) == (np.inf, 1)  # -inf is the worst, and fails
+    assert _worst([3.0, -np.inf]) == (np.inf, 1)
+    assert _worst([]) == (0.0, None)
+    assert _worst([-2.0, -1.0 - 1e-13, -1.0]) == (-1.0, 1)  # within 1e-12 of |peak|
+
+
+def _noisy(norm, rng, seen):
+    """norm moved by -1, 0 or +1 ulp at random; each value returned is appended to seen."""
+    def noisy(a):
+        value, step = norm(a), rng.integers(-1, 2)
+        seen.append(value if step == 0 else float(np.nextafter(value, step * np.inf)))
+        return seen[-1]
+    return noisy
+
+
+def _standardized(v):
+    v = v - v.mean()
+    return v / np.sqrt(np.mean(v * v))
+
+
+def _commuting_pair(rng):
+    """Two classically independent standardized diagonal variables on C^4 (x) C^4."""
+    a, b = _standardized(rng.standard_normal(4)), _standardized(rng.standard_normal(4))
+    ctx = scalar_context(np.eye(16) / 16)
+    return ConcreteMomentFunctional(ctx, [np.kron(np.diag(a), np.eye(4)),
+                                          np.kron(np.eye(4), np.diag(b))])
+
+
+@pytest.mark.parametrize("s", [3, 7, 8, 9, 11])
+def test_mixed_witness_of_tied_cumulants_is_the_first_tuple(s):
+    # kappa(x1, x2, x1, x2) = kappa(x2, x1, x2, x1) exactly, but their rounding differs
+    # by a few ulp (at s = 8: 3.9999999999999982 against 3.9999999999999996)
+    report = check_mixed_cumulants(_commuting_pair(np.random.default_rng((s, 0, 1))), [1, 2], 4)
+    assert report.witnesses["mixed_cumulant"] == (1, 2, 1, 2)
+
+
+def test_ulp_noise_on_tied_mixed_cumulants_never_moves_the_witness(monkeypatch):
+    mf = _commuting_pair(np.random.default_rng((8, 0, 1)))
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(cumulants, "frobenius", _noisy(cumulants.frobenius, rng, []))
+    for _ in range(20):
+        assert check_mixed_cumulants(mf, [1, 2], 4).witnesses["mixed_cumulant"] == (1, 2, 1, 2)
+
+
+def test_ulp_noise_on_tied_centred_residuals_never_moves_the_witness(monkeypatch):
+    # every centred product reads 1 up to one ulp, so all tuples tie and the first is named
+    rng, seen = np.random.default_rng(1), []
+    monkeypatch.setattr(exchangeability, "frobenius", _noisy(lambda a: 1.0, rng, seen))
+    mf = CumulantMomentFunctional(semicircular_spec())
+    for seed in range(20):
+        seen.clear()
+        report = check_freeness(mf, (1, 2), n_max=3, seed=seed)
+        assert report.centered_worst == (1, 2)
+        assert report.centered_max == max(seen)  # the peak stays the largest, bit for bit
 
 
 class _NaNAtLength(CumulantMomentFunctional):
@@ -430,7 +490,7 @@ def test_scan_residuals_and_witnesses_match_literal_norms(check, k, d, n_max, se
             diff = _literal_coaction(u, w, n) - np.einsum("ac,ib->iacb", np.eye(d), w)
         norms = np.linalg.norm(diff.reshape(k**n, -1), axis=1)
         assert abs(rec.residual - norms.max()) <= 1e-12 * norms.max()
-        witness = np.unravel_index(_witness_index(norms), shape)
+        witness = np.unravel_index(_worst(norms)[1], shape)
         assert rec.indices == tuple(int(x) + 1 for x in witness)
 
 
