@@ -91,6 +91,9 @@ class SubalgebraWithExpectation:
     __slots__ = ("dim", "density", "mask", "_units")
 
     def __init__(self, density, mask=None, units=None):
+        for a in (density, mask):  # frozen in place, as MomentFunctional says
+            if a is not None:
+                a.flags.writeable = False
         self.dim, self.density, self.mask, self._units = density.shape[0], density, mask, units
 
     def phi(self, a):
@@ -304,7 +307,10 @@ class MomentFunctional:
     (max_word_length), None meaning no bound.
 
     An oracle must not change once built: exchangeability._scan_lengths keeps
-    the scalar moment tensors a scan reads for the oracle's next scan.
+    the scalar moment tensors a scan reads for the oracle's next scan.  So an
+    oracle takes its arrays read-only: each array a scan reads is frozen where
+    the oracle stores it, a d x d array in place (a caller's own array
+    included, so that none is copied), a short vector as a copy.
     """
 
     b_dim = None
@@ -435,11 +441,13 @@ class ConcreteMomentFunctional(MomentFunctional):
 
     def __init__(self, context, elements):
         self.context = context
-        self.elements = [
+        self.elements = tuple(
             as_matrix(x, context.dim, f"element {i + 1}") for i, x in enumerate(elements)
-        ]
+        )
         if not self.elements:
             raise ValueError("need at least one element")
+        for x in self.elements:
+            x.flags.writeable = False
         self.b_dim = context.dim
         self.variable_count = len(self.elements)
 

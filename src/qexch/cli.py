@@ -13,6 +13,11 @@ reads as `"seed": 1.0`, and a malformed value such as `--tol -1e-8` gives one
 `error: --flag: ...` line.  The tolerance is the --tol flag, then the scenario
 file's, then 1e-8.
 
+Malformed input names its field: a parser calls _fail, and `with _blame(field):`
+names a refusal by the library or a file that cannot be read or written.  main
+runs every command under one numpy error state that silences overflow and invalid
+operations: a non-finite residual fails its check, and a table shows inf or NaN.
+
 Importing this module before numpy sets OPENBLAS_NUM_THREADS=1 unless the
 caller has set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, so
 a `qexch` process runs its BLAS calls on the calling thread: a scenario's
@@ -29,6 +34,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -49,6 +55,15 @@ class ScenarioError(Exception):
 
 def _fail(field, message):
     raise ScenarioError(f"{field}: {message}")
+
+
+@contextmanager
+def _blame(field, errors=ValueError):
+    """An `errors` exception raised inside, as malformed input at field (_fail)."""
+    try:
+        yield
+    except errors as exc:
+        _fail(field, str(exc))
 
 
 def _finite(x):
@@ -102,10 +117,8 @@ def _parse_int_list(value, field, minimum=None):
 def _parse_dim(value, field, blocks=1, minimum=1):
     """A dimension d >= minimum such that `blocks` complex d x d arrays fit MAX_BYTES."""
     d = _parse_int(value, field, minimum=minimum)
-    try:
+    with _blame(field):
         algebra.check_bytes(16 * blocks * d * d, f"dimension {d} with {blocks} {d}x{d} arrays")
-    except ValueError as exc:
-        _fail(field, str(exc))
     return d
 
 
@@ -207,11 +220,8 @@ def build_functional(spec, field="functional"):
         b_dim = obj.get("b_dim", _parse_dim, 1)
         kappa = obj.get("cumulants", partial(_parse_cumulants, b_dim=b_dim))
         obj.close()
-        try:
-            spec_obj = cumulants.CumulantSpec(kappa, b_dim=b_dim)
-        except ValueError as exc:
-            _fail(field, str(exc))
-        return cumulants.CumulantMomentFunctional(spec_obj)
+        with _blame(field):
+            return cumulants.CumulantMomentFunctional(cumulants.CumulantSpec(kappa, b_dim=b_dim))
     if kind == "concrete":
         listed = obj.get("elements", _parse_list)  # the entries are read once dim is known
         # the density, each element, and 4 for the state check and a pinching's mask and units
@@ -226,18 +236,14 @@ def build_functional(spec, field="functional"):
         for name, residual in ctx.residuals().items():  # a state, and phi o E = phi
             if not residual <= algebra.DEFAULT_TOL:
                 _fail(f"{field}.density", f"not a state: {name} residual {residual:.2e}")
-        try:
+        with _blame(f"{field}.elements"):
             return algebra.ConcreteMomentFunctional(ctx, mats)
-        except ValueError as exc:
-            _fail(f"{field}.elements", str(exc))
     _fail(f"{field}.kind", f"unknown functional kind {kind!r}")
 
 
 def _parse_projection(value, field, d):
-    try:
+    with _blame(field):
         return magic.ensure_projection(_parse_matrix(value, field, d))
-    except ValueError as exc:
-        _fail(field, str(exc))
 
 
 def build_unitary(spec, seed, field):
@@ -248,10 +254,8 @@ def build_unitary(spec, seed, field):
         # the k x k entries, and one more for the identity each entry is copied from
         d = obj.get("d", partial(_parse_dim, blocks=len(sigma) ** 2 + 1), 1)
         obj.close()
-        try:
+        with _blame(f"{field}.sigma"):
             return magic.from_permutation(sigma, d=d)
-        except ValueError as exc:
-            _fail(f"{field}.sigma", str(exc))
     if kind in ("block_pair", "block_chain"):
         # exactly one of projections and seeds; rank goes only with seeds
         source = "projections" if "projections" in spec else "seeds"
@@ -272,15 +276,11 @@ def build_unitary(spec, seed, field):
         obj.close()
         if kind == "block_pair" and len(listed) != 2:
             _fail(field, f"block_pair needs exactly 2 projections, got {len(listed)}")
-        try:  # each seeded projection is charged its QR working set, which d sizes
-            if source == "seeds":
+        if source == "seeds":  # each projection is charged its QR working set, which d sizes
+            with _blame(f"{field}.d"):
                 qs = [magic.random_projection(d, rank, (seed, s)) for s in seeds]
-        except ValueError as exc:
-            _fail(f"{field}.d", str(exc))
-        try:
+        with _blame(field):
             return magic.block_chain(qs)
-        except ValueError as exc:
-            _fail(field, str(exc))
     _fail(f"{field}.kind", f"unknown unitary kind {kind!r}")
 
 
@@ -289,14 +289,14 @@ _Context = namedtuple("_Context", "mf unitaries tol seed")
 
 
 def _verdict(rep):
-    """(residual, passed, note) of a library report; the note names its worst tuple."""
-    w = getattr(rep, "worst", None)
-    note = "" if w is None else f"worst tuple n={w.n} i={tuple(map(int, w.indices))}"
-    return rep.max_residual, rep.passed, note
+    """(residual, passed, note) of an invariance report; the note names its worst tuple."""
+    return rep.max_residual, rep.passed, f"worst tuple n={rep.worst.n} i={rep.worst.indices}"
 
 
 def _relations(c, p, u):
-    return _verdict(magic.verify_relations(u, tol=c.tol))
+    rep = magic.verify_relations(u, tol=c.tol)
+    worst, at = algebra._worst(list(rep.residuals.values()))  # the note names the worst relation
+    return worst, rep.passed, f"worst {list(rep.residuals)[at]}"
 
 
 def _quantum_invariance(c, p, u):
@@ -410,19 +410,15 @@ def _parse_check(value, field, unitaries):
     params = {key: obj.get(key, parse, v) for key, (parse, v) in table.items()}
     obj.close()
     if name == "factorization":  # E is pulled through the one variable at position l
-        try:
+        with _blame(f"{field}.l"):
             exchangeability._factorization_pivot(params["vars"], params["l"])
-        except ValueError as exc:
-            _fail(f"{field}.l", str(exc))
     return name, params
 
 
 def _read_file(path, field):
-    """The text of the file at path; an unreadable file names the field."""
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        _fail(field, str(exc))
+    """The file's text as UTF-8, JSON's encoding in any locale; an error names the field."""
+    with _blame(field, (OSError, UnicodeError)):
+        return Path(path).read_text(encoding="utf-8")
 
 
 def _read_json(text, field):
@@ -462,12 +458,8 @@ def run_scenario(doc, tol, seed):
     for pos, (name, params) in enumerate(doc["checks"]):
         run, per_unitary, _ = CHECKS[name]
         for label, u in unitaries if per_unitary else [(None, None)]:
-            try:
-                # non-finite residuals fail closed, so overflow needs no warning
-                with np.errstate(over="ignore", invalid="ignore"):
-                    residual, passed, note = run(context, params, u)
-            except ValueError as exc:
-                _fail(f"checks[{pos}]", str(exc))
+            with _blame(f"checks[{pos}]"):
+                residual, passed, note = run(context, params, u)
             record = params if label is None else {"unitary": label, **params}
             records.append(
                 {"name": name, "params": record, "residual": float(residual), "pass": bool(passed)}
@@ -509,10 +501,8 @@ def _emit(args, report, lines):
     """Write the JSON report to --report, then the report or the lines to stdout."""
     text = _json_text(report)
     if args.report:
-        try:
+        with _blame("--report", OSError):
             Path(args.report).write_text(text)
-        except OSError as exc:
-            raise ScenarioError(f"--report: {exc}") from exc
     sys.stdout.write(text if args.format == "json" else "".join(f"{l}\n" for l in lines))
 
 
@@ -555,11 +545,9 @@ def cmd_cumulants(args):
     spec = _load_spec_argument(args.functional, "functional")
     n = _flag(args, "n", partial(_parse_int, minimum=1, maximum=cumulants.MAX_TRANSFORM_ORDER), 4)
     mf = build_functional(spec, "functional")
-    # m_n and kappa_n are B-valued; one state reduces both to numbers.  An overflow
-    # reaches the table as inf or NaN, as it reaches a check's residual, with no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = cumulants.moments_to_cumulants(mf, (1,) * n)
-        rows = [(o, mf.phi(mf.moment((1,) * o)), mf.phi(table[o])) for o in range(1, n + 1)]
+    # m_n and kappa_n are B-valued; one state reduces both to numbers
+    table = cumulants.moments_to_cumulants(mf, (1,) * n)
+    rows = [(o, mf.phi(mf.moment((1,) * o)), mf.phi(table[o])) for o in range(1, n + 1)]
     if args.format == "json":
         payload = [
             {"order": o, "moment": [m.real, m.imag], "kappa": [k.real, k.imag]}
@@ -578,16 +566,13 @@ def cmd_collapse(args):
     tol = _flag(args, "tol", _check_tol, algebra.DEFAULT_TOL)
     seed = _flag(args, "seed", _seed, 0)
     u = build_unitary(spec, seed, "unitary")
-    positive = partial(_parse_int_list, minimum=1)
-    i_tuple = tuple(positive(_read_json(args.i, "--i"), "--i"))
+    i_tuple = tuple(_counts(_read_json(args.i, "--i"), "--i"))
     if not i_tuple or max(i_tuple) > u.k:
         _fail("--i", f"expected a nonempty list of indices in 1..{u.k}, got {args.i}")
-    blocks = _parse_list(_read_json(args.pi, "--pi"), "--pi", positive)
-    try:
+    blocks = _parse_list(_read_json(args.pi, "--pi"), "--pi", _counts)
+    with _blame("--pi"):
         pi = partitions.Partition(len(i_tuple), blocks)
         value = magic.collapse_sum_all(u, pi)[tuple(x - 1 for x in i_tuple)]
-    except ValueError as exc:
-        _fail("--pi", str(exc))
     expected = magic.collapse_expected(i_tuple, pi)
     target = np.eye(u.d) if expected else np.zeros((u.d, u.d))
     residual = float(np.linalg.norm(value - target))
@@ -672,7 +657,8 @@ def main(argv=None):
         # argparse exits with 2 on bad usage, which matches the contract
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # the module docstring says why
+            return args.func(args)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

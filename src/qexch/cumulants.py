@@ -10,6 +10,7 @@ realize an identically distributed family with vanishing mixed cumulants.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 
 import numpy as np
 
@@ -189,7 +190,8 @@ class CumulantSpec:
     b_dim matrix.  kappa[n] is the order-n cumulant of a single variable;
     the cumulants of orders kappa does not list, and all cumulants mixing
     distinct variables, vanish.  `weights` define the state on B used for
-    scalar moments (uniform by default).
+    scalar moments (uniform by default).  Both are held as read-only copies,
+    kappa in a read-only mapping (MomentFunctional).
     """
 
     def __init__(self, kappa, b_dim=1, weights=None):
@@ -202,7 +204,7 @@ class CumulantSpec:
             order = int(order)
             if order < 1:
                 raise ValueError(f"cumulant orders start at 1, got {order}")
-            vec = np.atleast_1d(np.asarray(value, dtype=complex))
+            vec = np.array(value, dtype=complex, ndmin=1)  # a copy, frozen below
             if vec.shape != (self.b_dim,):
                 raise ValueError(
                     f"order-{order} value must have {self.b_dim} diagonal entries"
@@ -210,15 +212,17 @@ class CumulantSpec:
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"order-{order} value is not finite")
             table[order] = vec
-        self.kappa = table
+        self.kappa = MappingProxyType(table)
         if weights is None:
             weights = np.full(self.b_dim, 1.0 / self.b_dim)
-        self.weights = np.asarray(weights, dtype=complex)
+        self.weights = np.array(weights, dtype=complex)
         if self.weights.shape != (self.b_dim,):
             raise ValueError("weights must have one entry per diagonal component")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
         self._zero = np.zeros(self.b_dim, dtype=complex)
+        for a in (*table.values(), self.weights, self._zero):  # read-only, as MomentFunctional says
+            a.flags.writeable = False
 
     def value(self, order):
         return self.kappa.get(order, self._zero)

@@ -190,10 +190,7 @@ def check_factorization(mf, variables, polys, l):
     oracle's kept tensors are dropped first; none is read.
     """
     _kept.pop(mf, None)
-    variables = tuple(variables)
-    polys = list(polys)
-    if len(polys) != len(variables):
-        raise ValueError("need one polynomial per variable")
+    variables, polys = tuple(variables), list(polys)  # lhs checks one polynomial per variable
     pivot = _factorization_pivot(variables, l)
     lhs = product_expectation(mf, polys, variables)
     mean = product_expectation(mf, [polys[l - 1]], [pivot])

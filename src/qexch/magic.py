@@ -304,26 +304,16 @@ def word_product(u, i, j):
     return acc
 
 
-def interval_collapse_sum(u, i, pi):
-    """Sum of u-words over all j with ker j >= pi, for non-crossing pi.
-
-    Computed literally as the sum with one free index per block of pi.
-    For valid magic unitaries the result collapses to the identity when
-    ker i >= pi and to zero otherwise; that collapse is what callers
-    assert, not what this function assumes.
-    """
-    if not is_noncrossing(pi):
-        raise ValueError(
-            "crossing partition rejected; use unsafe_bruteforce_sum to probe it"
-        )
-    return unsafe_bruteforce_sum(u, i, pi)
-
-
 def unsafe_bruteforce_sum(u, i, pi):
-    """The same block sum without the non-crossing guard.
+    """Sum of u-words over all j with ker j >= pi, for any partition pi.
 
-    For crossing partitions the collapse identity can genuinely fail on
-    non-commuting representations; this entry point exists to measure that.
+    Computed literally as the sum with one free index per block of pi: the
+    reference that collapse_sum_all is tested against.  For valid magic
+    unitaries and non-crossing pi the result collapses to the identity when
+    ker i >= pi and to zero otherwise; that collapse is what callers assert,
+    not what this function assumes.  No non-crossing guard: for crossing pi
+    the collapse can genuinely fail on non-commuting representations, and
+    this entry point measures that.
     """
     i = tuple(i)
     if len(i) != pi.n:
@@ -344,8 +334,8 @@ def collapse_sum_all(u, pi):
     """Collapse sums for every index tuple i at once.
 
     Returns a new array of shape (k,)*n + (d, d); entry [i1-1, ..., in-1]
-    is interval_collapse_sum(u, (i1..in), pi).  Same block sum as the
-    scalar entry point, evaluated as the coaction on the tensor
+    is unsafe_bruteforce_sum(u, (i1..in), pi).  Same block sum as that
+    reference, evaluated as the coaction on the tensor
     1[ker j >= pi] and copied out of the coaction workspace.  The whole
     working set is charged before any work (_collapse_charge).
     """

@@ -288,7 +288,10 @@ def _pattern_table(k, n):
     """canonical_pattern of every tuple in {1..k}^n (C order), vectorised.
 
     Returns the int32 pattern id of every tuple and the int8 row of each
-    pattern (the format of _noncrossing_local), both read-only.  Values are
+    pattern, both read-only.  A row holds first-occurrence labels, not the
+    block leaders of _noncrossing_local: the tuple (1, 2, 1, 3) is the row
+    (0, 1, 0, 2) here and the leader row (0, 1, 0, 3) there.  _profile_counts
+    reads only which entries of a row are equal, so it takes either.  Values are
     relabelled by first occurrence one position at a time over all rows.  A
     canonical pattern is itself a tuple of the table and the least one of its
     class, so the patterns, in C order of first occurrence, are exactly the

@@ -39,9 +39,9 @@ from qexch.magic import (
     collapse_lemma_residual,
     collapse_sum_all,
     from_permutation,
-    interval_collapse_sum,
     noncommuting_projection_pair,
     random_projection,
+    unsafe_bruteforce_sum,
     verify_relations,
 )
 from qexch.partitions import Partition, enumerate_all, enumerate_noncrossing, is_noncrossing
@@ -168,7 +168,7 @@ def test_criterion_5_interval_collapse_lemma():
     units = [block_pair(*noncommuting_projection_pair(2, seed)) for seed in range(201, 206)]
     k = 4
     worst = max(collapse_lemma_residual(u, 6) for u in units)
-    # spot-check the scalar entry point against the batched contraction
+    # spot-check the literal block sum against the batched contraction
     rng = np.random.default_rng(3)
     spot = 0.0
     for _ in range(40):
@@ -177,7 +177,7 @@ def test_criterion_5_interval_collapse_lemma():
         pis = enumerate_noncrossing(n)
         pi = pis[int(rng.integers(0, len(pis)))]
         i = tuple(int(x) for x in rng.integers(1, k + 1, size=n))
-        single = interval_collapse_sum(u, i, pi)
+        single = unsafe_bruteforce_sum(u, i, pi)
         batched = collapse_sum_all(u, pi)[tuple(x - 1 for x in i)]
         spot = max(spot, float(np.linalg.norm(single - batched)))
     elapsed = time.monotonic() - start

@@ -27,6 +27,7 @@ FREE = FIXTURES / "free_semicircular.json"
 BERNOULLI = FIXTURES / "classical_bernoulli.json"
 ALL_CHECKS = Path(__file__).resolve().parent / "scenarios" / "all_checks.json"
 CONCRETE_DIM128 = ALL_CHECKS.with_name("concrete_dim128.json")
+AMALGAMATION = ALL_CHECKS.with_name("amalgamation.json")
 
 
 def run_cli(args, capsys):
@@ -206,6 +207,44 @@ def test_concrete_scenario_past_the_old_dimension_cap(tmp_path, capsys):
     assert out.splitlines()[-1] == "overall: FAIL"
 
 
+def test_amalgamation_scenario_is_free_over_its_b(tmp_path, capsys):
+    # kappa_2 = (1, 4) over B = C^2: free with amalgamation over B, so every check passes,
+    # but not free over C: phi(x1 x1 x2 x2) = (1 + 16) / 2, not phi(x1 x1)^2 = (5 / 2)^2
+    report_path = tmp_path / "amalgamation.json"
+    code, out, err = run_cli(["verify", str(AMALGAMATION), "--report", str(report_path)], capsys)
+    assert (code, err) == (0, "")
+    got = [(c["name"], c["params"].get("unitary"), c["pass"])
+           for c in json.loads(report_path.read_text())["checks"]]
+    unitaries = ["permutation#0", "block_pair#1", "block_chain#2"]
+    assert got == ([("quantum_invariance", u, True) for u in unitaries]
+                   + [("classical_invariance", None, True)]
+                   + [("e_invariance", u, True) for u in unitaries]
+                   + [("freeness", None, True), ("factorization", None, True)])
+    assert out.splitlines()[-1] == "overall: PASS"
+    mf = cli.build_functional(json.loads(AMALGAMATION.read_text())["functional"])
+    assert mf.b_dim == 2
+    assert mf.phi(mf.moment((1, 1, 2, 2))) == pytest.approx(8.5)
+    assert mf.phi(mf.moment((1, 1))) ** 2 == pytest.approx(6.25)
+
+
+def test_a_relations_line_names_its_worst_relation(tmp_path, capsys):
+    # q = diag(1 + 1e-9, 0) passes as a projection, so its block pair misses every relation
+    # that squares an entry by about 1e-9, and u11 u11 + u12 u12 = 1 by twice that
+    projections = [{"diag": [1 + 1e-9, 0]}, {"diag": [0, 1]}]
+    unitary = {"kind": "block_pair", "d": 2, "projections": projections}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"name": "s", "tolerance": 1e-12, "unitaries": [unitary],
+                                "functional": {"kind": "cumulant", "cumulants": {"2": 1.0}},
+                                "checks": [{"name": "relations"}]}))
+    code, out, _ = run_cli(["verify", str(path), "--report", str(tmp_path / "r.json")], capsys)
+    residuals = magic.verify_relations(cli.build_unitary(unitary, 0, "u")).residuals
+    worst = max(residuals, key=residuals.get)
+    assert worst == "orthogonal_matrix_rows" and residuals[worst] > 1.5e-9
+    assert code == 1
+    assert out.splitlines()[0] == (f"relations [block_pair#0]: residual={residuals[worst]:.3e} "
+                                   f"FAIL  (worst {worst})")
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
@@ -257,6 +296,25 @@ def test_invalid_json_exits_two(tmp_path, capsys):
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run_cli(["verify", str(tmp_path / "absent.json")], capsys)
     assert code == 2
+
+
+def test_a_file_is_read_as_utf8_whatever_the_locale(tmp_path, capsys):
+    # a decoding error used to reach the user with no field named, and a C locale
+    # refused a scenario whose name is not ASCII
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    for command, field in ((["verify"], "scenario file"), (["check-magic"], "unitary")):
+        code, _, err = run_cli([*command, str(bad)], capsys)
+        assert code == 2
+        assert err == (f"error: {field}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte\n")
+    scenario, report = tmp_path / "kappa.json", tmp_path / "r.json"
+    scenario.write_text(json.dumps({**json.loads(FREE.read_text()), "name": "free κ"},
+                                   ensure_ascii=False), encoding="utf-8")
+    ascii_locale = _child_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    subprocess.run([sys.executable, "-m", "qexch.cli", "verify", str(scenario), "--report",
+                    str(report)], env=ascii_locale, capture_output=True, check=True, timeout=300)
+    assert json.loads(report.read_text())["scenario"] == "free κ"
 
 
 def test_bad_tolerance_type_exits_two(tmp_path, capsys):

@@ -626,6 +626,42 @@ def test_kept_tensors_are_read_only_and_returned_again(monkeypatch, kind):
         np.testing.assert_allclose(tensor, MomentFunctional.scalar_moment_tensor(mf, k, n), atol=1e-13)
 
 
+def test_a_write_to_what_a_kept_tensor_was_built_from_raises():
+    # x1 and x2 are classically exchangeable; with x2 = diag(2, 0, 0, 0) they are not,
+    # and a scan that read the kept tensors would still say PASS
+    elements = [np.diag([1.0, -1, 1, -1]) + 0j, np.diag([1.0, 1, -1, -1]) + 0j]
+    mf = ConcreteMomentFunctional(scalar_context(np.eye(4) / 4 + 0j), elements)
+    assert check_classical_exchangeability(mf, 2, 3).max_residual == 0.0
+    assert isinstance(mf.elements, tuple) and elements[1] is mf.elements[1]  # frozen, not copied
+    with pytest.raises(ValueError, match="read-only"):
+        mf.elements[1][:] = np.diag([2, 0, 0, 0])
+    with pytest.raises(ValueError, match="read-only"):
+        mf.context.density[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        pinching_context([[0, 1], [2, 3]]).mask[0, 3] = 1.0
+    fresh = ConcreteMomentFunctional(scalar_context(np.eye(4) / 4), [x.copy() for x in mf.elements])
+    assert check_classical_exchangeability(mf, 2, 3) == check_classical_exchangeability(fresh, 2, 3)
+    written = [elements[0], np.diag([2, 0, 0, 0])]  # what the write would have made
+    fresh = ConcreteMomentFunctional(scalar_context(np.eye(4) / 4), written)
+    assert check_classical_exchangeability(fresh, 2, 3).max_residual == 2.0
+
+
+def test_a_cumulant_spec_holds_read_only_copies():
+    kappa2, weights = np.array([1.0, 4.0]), np.array([0.5, 0.5])
+    spec = CumulantSpec({2: kappa2}, b_dim=2, weights=weights)
+    mf = CumulantMomentFunctional(spec)
+    first = check_classical_exchangeability(mf, 2, 4)
+    kappa2[:], weights[:] = 0.0, 0.0  # the caller's arrays stay the caller's
+    for array in (spec.kappa[2], spec.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 9.0
+    with pytest.raises(TypeError):
+        spec.kappa[4] = np.ones(2)
+    assert check_classical_exchangeability(mf, 2, 4) == first
+    fresh = CumulantMomentFunctional(CumulantSpec({2: [1.0, 4.0]}, b_dim=2))
+    assert check_classical_exchangeability(fresh, 2, 4) == first
+
+
 def test_each_scan_keeps_only_the_tensors_it_read():
     mf, _ = _kept_tensor_oracle("concrete")
     for k, n_max in [(2, 5), (3, 4), (4, 3), (4, 2)]:
@@ -924,6 +960,8 @@ def test_factorization_precondition_is_an_error():
         check_factorization(mf, (1, 2, 1), polys, l=1)
     with pytest.raises(ValueError):
         check_factorization(mf, (1, 2, 1), polys, l=5)
+    with pytest.raises(ValueError, match="need one variable index per polynomial"):
+        check_factorization(mf, (1, 2), polys, l=1)
 
 
 # -- freeness ---------------------------------------------------------------------------------

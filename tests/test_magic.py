@@ -18,7 +18,6 @@ from qexch.magic import (
     collapse_sum_all,
     ensure_projection,
     from_permutation,
-    interval_collapse_sum,
     kernel_indicator,
     noncommuting_projection_pair,
     random_projection,
@@ -239,24 +238,24 @@ def test_word_product_index_errors():
 
 def test_collapse_rejects_crossing_partition():
     u = block_pair(*noncommuting_projection_pair(2, seed=3))
-    with pytest.raises(ValueError):
-        interval_collapse_sum(u, (1, 1, 1, 1), Partition(4, [[1, 3], [2, 4]]))
+    with pytest.raises(ValueError, match="crossing partition rejected"):
+        collapse_sum_all(u, Partition(4, [[1, 3], [2, 4]]))
 
 
 def test_collapse_block_pairs_identity_and_zero():
     u = block_pair(*noncommuting_projection_pair(2, seed=3))
     pi = Partition(4, [[1, 2], [3, 4]])
     assert np.linalg.norm(
-        interval_collapse_sum(u, (1, 1, 2, 2), pi) - np.eye(2)
+        unsafe_bruteforce_sum(u, (1, 1, 2, 2), pi) - np.eye(2)
     ) <= 1e-10
-    assert np.linalg.norm(interval_collapse_sum(u, (1, 2, 1, 2), pi)) <= 1e-10
+    assert np.linalg.norm(unsafe_bruteforce_sum(u, (1, 2, 1, 2), pi)) <= 1e-10
 
 
 def test_collapse_one_block_constant_tuple():
     u = block_pair(*noncommuting_projection_pair(2, seed=4))
     pi = Partition(3, [[1, 2, 3]])
     assert np.linalg.norm(
-        interval_collapse_sum(u, (2, 2, 2), pi) - np.eye(2)
+        unsafe_bruteforce_sum(u, (2, 2, 2), pi) - np.eye(2)
     ) <= 1e-12
 
 
@@ -265,7 +264,7 @@ def test_collapse_singletons_always_identity():
     pi = Partition(3, [[1], [2], [3]])
     for i in itertools.product(range(1, 5), repeat=3):
         assert np.linalg.norm(
-            interval_collapse_sum(u, i, pi) - np.eye(2)
+            unsafe_bruteforce_sum(u, i, pi) - np.eye(2)
         ) <= 1e-12
 
 
@@ -275,7 +274,7 @@ def test_collapse_matches_independent_filter_oracle():
     for n in (2, 3, 4):
         for pi in enumerate_noncrossing(n):
             i = tuple(int(x) for x in rng.integers(1, 5, size=n))
-            got = interval_collapse_sum(u, i, pi)
+            got = unsafe_bruteforce_sum(u, i, pi)
             assert np.allclose(got, collapse_oracle(u, i, pi), atol=1e-12)
 
 
@@ -292,7 +291,7 @@ def test_collapse_sum_all_agrees_with_scalar_entry_point():
     batch = collapse_sum_all(u, pi)
     for i in itertools.product(range(1, 5), repeat=3):
         idx = tuple(x - 1 for x in i)
-        assert np.allclose(batch[idx], interval_collapse_sum(u, i, pi), atol=1e-12)
+        assert np.allclose(batch[idx], unsafe_bruteforce_sum(u, i, pi), atol=1e-12)
     # every NC(n <= 4) on three unitaries and on random non-projection entries,
     # where nothing collapses and only the literal sum can agree; per partition
     # four random tuples and four constant on its blocks
@@ -319,7 +318,7 @@ def test_collapse_sum_all_agrees_with_scalar_entry_point():
                     tuples.append(tuple(i))
                 for i in tuples:
                     got = batch[tuple(x - 1 for x in i)]
-                    assert np.max(np.abs(got - interval_collapse_sum(u, i, pi))) <= 1e-12
+                    assert np.max(np.abs(got - unsafe_bruteforce_sum(u, i, pi))) <= 1e-12
 
 
 def test_collapse_sum_all_result_outlives_later_contractions():
