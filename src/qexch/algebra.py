@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,6 +36,13 @@ def check_bytes(nbytes, what):
     """
     if nbytes > MAX_BYTES:
         raise ValueError(f"{what} is too large: {nbytes} bytes, over the budget of {MAX_BYTES}")
+
+
+def _check_at_least(name, value, minimum):
+    """Reject a count parameter below its minimum, before any work: an empty
+    range of lengths or samples would otherwise pass with a residual of 0."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def as_matrix(a, dim=None, name="matrix", finite=True):
@@ -88,13 +96,15 @@ class SubalgebraWithExpectation:
     units as two index arrays).
     """
 
-    __slots__ = ("dim", "density", "mask", "_units")
+    __slots__ = ("dim", "_density", "_mask", "_units")
+    # never rebound, as MomentFunctional says
+    density, mask = property(attrgetter("_density")), property(attrgetter("_mask"))
 
     def __init__(self, density, mask=None, units=None):
         for a in (density, mask):  # frozen in place, as MomentFunctional says
             if a is not None:
                 a.flags.writeable = False
-        self.dim, self.density, self.mask, self._units = density.shape[0], density, mask, units
+        self.dim, self._density, self._mask, self._units = density.shape[0], density, mask, units
 
     def phi(self, a):
         return complex(np.trace(self.density @ a))
@@ -216,6 +226,7 @@ def verify_context(ctx, samples=20, tol=DEFAULT_TOL):
     B is spanned by the projections of the matrix units onto it, so E fixes
     B when it fixes each of them.
     """
+    _check_at_least("samples", samples, 1)
     rng = np.random.default_rng(0)
     d = ctx.dim
     # phi o E = phi is sampled below as state_compatibility, the axiom's reference
@@ -310,7 +321,8 @@ class MomentFunctional:
     the scalar moment tensors a scan reads for the oracle's next scan.  So an
     oracle takes its arrays read-only: each array a scan reads is frozen where
     the oracle stores it, a d x d array in place (a caller's own array
-    included, so that none is copied), a short vector as a copy.
+    included, so that none is copied), a short vector as a copy, and every
+    attribute that holds one is a read-only property, so none is rebound.
     """
 
     b_dim = None
@@ -439,9 +451,12 @@ class MomentFunctional:
 class ConcreteMomentFunctional(MomentFunctional):
     """Moments of explicit matrices inside a SubalgebraWithExpectation."""
 
+    # never rebound, as MomentFunctional says
+    context, elements = property(attrgetter("_context")), property(attrgetter("_elements"))
+
     def __init__(self, context, elements):
-        self.context = context
-        self.elements = tuple(
+        self._context = context
+        self._elements = tuple(
             as_matrix(x, context.dim, f"element {i + 1}") for i, x in enumerate(elements)
         )
         if not self.elements:

@@ -10,6 +10,7 @@ realize an identically distributed family with vanishing mixed cumulants.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -18,6 +19,7 @@ from .algebra import (
     DEFAULT_TOL,
     MomentFunctional,
     ResidualReport,
+    _check_at_least,
     _worst,
     check_bytes,
     frobenius,
@@ -166,6 +168,7 @@ def check_mixed_cumulants(mf, values, n_max, tol=DEFAULT_TOL):
     cumulant; the largest is reported with its tuple as witness (algebra._worst),
     and no tuple when every mixed cumulant is 0.
     """
+    _check_at_least("n_max", n_max, 2)
     values = sorted(set(values))
     if len(values) < 2:
         raise ValueError("need at least two distinct variables")
@@ -191,8 +194,10 @@ class CumulantSpec:
     the cumulants of orders kappa does not list, and all cumulants mixing
     distinct variables, vanish.  `weights` define the state on B used for
     scalar moments (uniform by default).  Both are held as read-only copies,
-    kappa in a read-only mapping (MomentFunctional).
+    kappa in a read-only mapping, behind read-only properties (MomentFunctional).
     """
+
+    kappa, weights = property(attrgetter("_kappa")), property(attrgetter("_weights"))
 
     def __init__(self, kappa, b_dim=1, weights=None):
         self.b_dim = int(b_dim)
@@ -212,10 +217,10 @@ class CumulantSpec:
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"order-{order} value is not finite")
             table[order] = vec
-        self.kappa = MappingProxyType(table)
+        self._kappa = MappingProxyType(table)
         if weights is None:
             weights = np.full(self.b_dim, 1.0 / self.b_dim)
-        self.weights = np.array(weights, dtype=complex)
+        self._weights = np.array(weights, dtype=complex)
         if self.weights.shape != (self.b_dim,):
             raise ValueError("weights must have one entry per diagonal component")
         if not np.all(np.isfinite(self.weights)):
@@ -259,11 +264,14 @@ class CumulantMomentFunctional(MomentFunctional):
 
     Moments are partition sums over non-crossing partitions refining the
     kernel of the variable tuple; because B is commutative, decorations
-    multiply straight through the partition sum.
+    multiply straight through the partition sum.  The spec is never rebound
+    (MomentFunctional).
     """
 
+    spec = property(attrgetter("_spec"))
+
     def __init__(self, spec):
-        self.spec = spec
+        self._spec = spec
         self.b_dim = spec.b_dim
         self.variable_count = None
         self.max_word_length = MAX_WORD_LENGTH

@@ -22,6 +22,7 @@ from .algebra import (
     DEFAULT_TOL,
     BPolynomial,
     ConcreteMomentFunctional,
+    _check_at_least,
     _worst,
     center,
     check_bytes,
@@ -108,6 +109,8 @@ def _scan_lengths(mf, k, n_max, tol, u=None, decorations=None):
     tuple, so w is subtracted in place on its d x d diagonal and each tuple's
     residual is reduced from it in one pass, before the next action.
     """
+    _check_at_least("k", k, 1)
+    _check_at_least("n_max", n_max, 1)
     kept = _kept[mf] = {key: t for key, t in _kept.get(mf, {}).copy().items()
                         if decorations is None and key[0] == k and key[1] <= n_max}
     _check_scan(mf, k, n_max, u, 1 if decorations is None else mf.b_dim**2)
@@ -244,6 +247,7 @@ def check_freeness(mf, variables, n_max, tol=DEFAULT_TOL, seed=0):
     vanishes.  The criteria agree in exact arithmetic; both residuals are
     reported.  The oracle's kept tensors are dropped first; none is read.
     """
+    _check_at_least("n_max", n_max, 2)  # the shortest alternating product
     _kept.pop(mf, None)
     _check_order(n_max)  # the longest mixed cumulant
     values = sorted(set(variables))

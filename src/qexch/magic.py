@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     ResidualReport,
+    _check_at_least,
     _worst,
     as_matrix,
     check_bytes,
@@ -366,6 +367,7 @@ def collapse_lemma_residual(u, n_max):
     The partitions and the collapse sums of the longest length are charged
     before the first contraction.
     """
+    _check_at_least("n_max", n_max, 1)
     check_bytes(*_noncrossing_charge(n_max))  # first: it is cheap for any n_max
     check_bytes(*_collapse_charge(u.k, n_max, u.d))
     devs = []

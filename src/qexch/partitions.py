@@ -266,6 +266,7 @@ def _pattern_count(k, n):
     return sum(row)
 
 
+@lru_cache(maxsize=256)  # every tensor request of a scan asks again
 def _pattern_table_charge(k, n):
     """(bytes, description) of _pattern_table(k, n), bounded above.
 

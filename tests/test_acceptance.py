@@ -10,7 +10,7 @@ import json
 import math
 import time
 from fractions import Fraction
-from pathlib import Path
+from importlib.resources import files
 
 import numpy as np
 
@@ -46,12 +46,19 @@ from qexch.magic import (
 )
 from qexch.partitions import Partition, enumerate_all, enumerate_noncrossing, is_noncrossing
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "qexch" / "fixtures"
+FIXTURES = files("qexch") / "fixtures"  # the checkout's copy, or the installed package's data
 
 
 def moment_family(ctx):
     """The moment functionals rho_n(a_1..a_n) = E[a_1 ... a_n] of a context, n >= 1."""
     return lambda args: ctx.expect(functools.reduce(np.matmul, args))
+
+
+def strict_json(text):
+    """text parsed as JSON, refusing the NaN, Infinity and -Infinity that JSON lacks."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 def report(number, description, ok, detail=""):
@@ -320,11 +327,14 @@ def test_criterion_11_cli_regression(tmp_path, capsys):
 
     bern_path = tmp_path / "bern.json"
     exit_bern = cli_main(["verify", str(bern), "--report", str(bern_path)]) == 1
+    silent = capsys.readouterr().err == ""
+    for p in (path, bern_path):
+        strict_json(p.read_text())
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "checks": []}))
     exit_bad = cli_main(["verify", str(bad)]) == 2
     capsys.readouterr()
 
-    ok = identical and exit_free and exit_bern and exit_bad
-    report(11, "byte-identical reports and 0/1/2 exit codes", ok)
+    ok = identical and exit_free and exit_bern and exit_bad and silent
+    report(11, "byte-identical reports, 0/1/2 exit codes, silent stderr, strict JSON", ok)

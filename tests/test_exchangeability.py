@@ -20,6 +20,7 @@ from qexch.algebra import (
     _worst,
     pinching_context,
     scalar_context,
+    verify_context,
 )
 from qexch.cumulants import (
     CumulantMomentFunctional,
@@ -644,6 +645,45 @@ def test_a_write_to_what_a_kept_tensor_was_built_from_raises():
     written = [elements[0], np.diag([2, 0, 0, 0])]  # what the write would have made
     fresh = ConcreteMomentFunctional(scalar_context(np.eye(4) / 4), written)
     assert check_classical_exchangeability(fresh, 2, 3).max_residual == 2.0
+
+
+def test_what_a_kept_tensor_was_built_from_cannot_be_rebound():
+    # mf.elements = (x1, diag(2, 0, 0, 0)) left a second scan at 0.0 where a fresh oracle reads 2.0
+    mf, _ = _kept_tensor_oracle("concrete")
+    cmf, _ = _kept_tensor_oracle("cumulant")
+    for oracle in (mf, cmf):
+        check_classical_exchangeability(oracle, 2, 3)
+    for owner, name in [(mf, "elements"), (mf, "context"), (mf.context, "density"),
+                        (mf.context, "mask"), (cmf, "spec"), (cmf.spec, "kappa"),
+                        (cmf.spec, "weights")]:
+        with pytest.raises(AttributeError):
+            setattr(owner, name, getattr(owner, name))
+
+
+# x1 = diag(1, -1, 1, -1) and x2 = diag(1, 1, -1, -1) in the trace state fail freeness at n_max 4
+EMPTY_MF = ConcreteMomentFunctional(scalar_context(np.eye(4) / 4),
+                                    [np.diag([1.0, -1, 1, -1]), np.diag([1.0, 1, -1, -1])])
+EMPTY_U = block_pair(*noncommuting_projection_pair(2, seed=11))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_freeness(EMPTY_MF, (1, 2), 1), "n_max must be >= 2, got 1"),
+    (lambda: check_freeness(EMPTY_MF, (1, 2), -2), "n_max must be >= 2, got -2"),
+    (lambda: check_mixed_cumulants(EMPTY_MF, (1, 2), 0), "n_max must be >= 2, got 0"),
+    (lambda: check_quantum_invariance(EMPTY_MF, EMPTY_U, 0), "n_max must be >= 1, got 0"),
+    (lambda: check_classical_exchangeability(EMPTY_MF, 2, -3), "n_max must be >= 1, got -3"),
+    (lambda: check_E_invariance(EMPTY_MF, EMPTY_U, [], 0), "n_max must be >= 1, got 0"),
+    (lambda: magic.collapse_lemma_residual(EMPTY_U, 0), "n_max must be >= 1, got 0"),
+    (lambda: magic.collapse_lemma_residual(EMPTY_U, -3), "n_max must be >= 1, got -3"),
+    (lambda: check_classical_exchangeability(CumulantMomentFunctional(semicircular_spec()), 0, 3),
+     "k must be >= 1, got 0"),
+    (lambda: verify_context(EMPTY_MF.context, samples=0), "samples must be >= 1, got 0"),
+], ids=["freeness_1", "freeness_negative", "mixed_0", "quantum_0", "classical_negative",
+        "e_invariance_0", "collapse_0", "collapse_negative", "classical_k_0", "samples_0"])
+def test_an_empty_range_is_refused_naming_its_parameter(call, message):
+    # each passed with a residual of 0, or raised a stray error, before any work was refused
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_a_cumulant_spec_holds_read_only_copies():
