@@ -675,7 +675,6 @@ def _verify_scenario(tmp_path, capsys, **changes):
         ({"unitaries": [{"kind": "block_chain", "d": 2, "projections": 5}]},
          "unitaries[0].projections"),
         ({"checks": [{"name": ["relations"]}]}, "checks[0].name"),
-        ({"checks": [{"name": "not_a_check"}]}, "checks[0].name"),
         ({"checks": [{"name": "quantum_invariance", "n_max": "3"}]}, "checks[0].n_max"),
         ({"checks": [{"name": "quantum_invariance", "n_max": 0}]}, "checks[0].n_max"),
         ({"checks": [{"name": "e_invariance", "n_max": 2.5}]}, "checks[0].n_max"),
@@ -814,6 +813,12 @@ def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, f
     code, out, err = _verify_scenario(tmp_path, capsys, **changes)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {field}: ") and len(err.splitlines()) == 1
+
+
+def test_unknown_check_name_is_named_in_the_error(tmp_path, capsys):
+    code, out, err = _verify_scenario(tmp_path, capsys, checks=[{"name": "not_a_check"}])
+    assert (code, out) == (2, "")
+    assert err == "error: checks[0].name: unknown check 'not_a_check'\n"
 
 
 def test_density_that_e_moves_is_refused_by_the_models_residual(tmp_path, capsys):
