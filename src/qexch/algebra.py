@@ -163,18 +163,23 @@ def scalar_context(density):
     return SubalgebraWithExpectation(as_matrix(density, name="density"))
 
 
+def check_blocks(blocks, d):
+    """Refuse blocks that are not a partition of 0..d-1: d >= 1, and no block empty."""
+    flat = sorted(x for b in blocks for x in b)
+    if not (d >= 1 and all(len(b) for b in blocks) and flat == list(range(d))):
+        raise ValueError(f"blocks must partition 0..{d - 1} into nonempty blocks, got {blocks}")
+
+
 def pinching_context(blocks, density=None):
     """Block-diagonal B with E[a] = sum_t P_t a P_t, in the normalized trace state
     unless a density is given.
 
-    blocks partition the coordinate set {0..d-1}; P_t projects onto the
-    coordinates of block t, so E keeps entry (x, y) exactly when x and y
-    share a block.
+    blocks partition the coordinate set {0..d-1} (check_blocks); P_t projects
+    onto the coordinates of block t, so E keeps entry (x, y) exactly when x
+    and y share a block.
     """
-    flat = sorted(x for b in blocks for x in b)
-    d = len(flat)
-    if not flat or flat != list(range(d)):
-        raise ValueError(f"blocks must partition 0..d-1, got {blocks}")
+    d = sum(len(b) for b in blocks)
+    check_blocks(blocks, d)
     count = sum(len(b) ** 2 for b in blocks)
     # the float mask, and B's matrix units as two index arrays: blocks in order,
     # each in itertools.product(block, repeat=2) order

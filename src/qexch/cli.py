@@ -95,11 +95,9 @@ def _parse_int(value, field, minimum=None, maximum=None):
     return value
 
 
-def _parse_str(value, field, choices=None):
+def _parse_str(value, field):
     if not isinstance(value, str):
         _fail(field, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        _fail(field, f"expected one of {', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -114,9 +112,9 @@ def _parse_int_list(value, field, minimum=None):
     return _parse_list(value, field, partial(_parse_int, minimum=minimum))
 
 
-def _parse_dim(value, field, blocks=1, minimum=1):
-    """A dimension d >= minimum such that `blocks` complex d x d arrays fit MAX_BYTES."""
-    d = _parse_int(value, field, minimum=minimum)
+def _parse_dim(value, field, blocks=1):
+    """A dimension d >= 1 such that `blocks` complex d x d arrays fit MAX_BYTES."""
+    d = _parse_int(value, field, minimum=1)
     with _blame(field):
         algebra.check_bytes(16 * blocks * d * d, f"dimension {d} with {blocks} {d}x{d} arrays")
     return d
@@ -207,9 +205,8 @@ def _parse_b(value, field, dim):
     obj = _Object(value, field)
     blocks = obj.get("blocks", partial(_parse_list, item=partial(_parse_int_list, minimum=0)))
     obj.close()
-    # checked against dim before pinching_context sizes its mask from the blocks
-    if sorted(x for b in blocks for x in b) != list(range(dim)):
-        _fail(field, f"blocks must partition 0..{dim - 1}, got {blocks}")
+    with _blame(field):  # checked against dim before pinching_context sizes its mask
+        algebra.check_blocks(blocks, dim)
     return blocks
 
 
@@ -341,23 +338,6 @@ def _freeness(c, p, u):
     return algebra._worst([rep.centered_max, rep.mixed_max])[0], rep.passed, note
 
 
-def _crossing_sum(c, p, u):
-    # Fixed thresholds, not the tolerance: the probe of a non-commuting pair
-    # must stay 1e-4 away from the identity, that of a pair (p, p) within 1e-10.
-    ok, gaps = True, []
-    for t in range(p["pairs"]):
-        commuting = t % 2 == 1
-        if commuting:
-            a = b = magic.random_projection(p["d"], 1, (c.seed, t))
-        else:
-            a, b = magic.noncommuting_projection_pair(p["d"], (c.seed, t))
-        _, dist = exchangeability.crossing_sum_probe(a, b, p["s"], p["variant"])
-        good = dist <= 1e-10 if commuting else dist > 1e-4
-        ok = ok and good
-        gaps.append(0.0 if good else dist if commuting else 1e-4 - dist)
-    return algebra._worst(gaps)[0], ok, ""
-
-
 def _counterexample(c, p, u):
     rep = exchangeability.finite_counterexample(p["n"])
     p.update(psi_u11=str(rep.psi_u11), psi_u11_u21=str(rep.psi_u11_u21))
@@ -386,10 +366,6 @@ CHECKS = {
         "vars": (_counts, [1, 2]),
         "n_max": (partial(_at_least_two, maximum=cumulants.MAX_TRANSFORM_ORDER), 4)}),
     "collapse_lemma": (_collapse_lemma, True, {"n_max": (_count, 4)}),
-    "crossing_sum": (_crossing_sum, False, {
-        "d": (partial(_parse_dim, blocks=13, minimum=2), 2),  # a pair and its probe: 12.5 arrays
-        "s": (_at_least_two, 2), "pairs": (_count, 20),
-        "variant": (partial(_parse_str, choices=("plain", "capped")), "plain")}),
     "counterexample": (_counterexample, False, {"n": (partial(_at_least_two, maximum=3), 3)}),
 }
 

@@ -306,6 +306,13 @@ def test_pinching_density_must_match_the_blocks():
         pinching_context([[0], [1]], np.eye(3) / 3)
 
 
+@pytest.mark.parametrize("blocks", [[[], [0, 1]], [[0], [], [1]], [[]], [], [[0], [0, 1]], [[1]]])
+def test_pinching_blocks_must_partition_into_nonempty_blocks(blocks):
+    # an empty block was dropped: [[], [0, 1]] built the one-block pinching of M_2
+    with pytest.raises(ValueError, match=r"^blocks must partition .* into nonempty blocks"):
+        pinching_context(blocks)
+
+
 def test_dimension_mismatch_rejected(rng):
     p = BPolynomial([(np.eye(2), np.eye(2))])
     with pytest.raises(ValueError):

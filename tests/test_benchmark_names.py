@@ -1,10 +1,15 @@
-"""Every library name the benchmark in perfbench/ reads still exists in qexch."""
+"""Every library name the benchmark in perfbench/ reads still exists in qexch, and every
+verdict its cli_verify workload gates on still holds."""
 
 import importlib
+import json
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
+
+from qexch import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,3 +45,19 @@ def test_every_name_the_benchmark_reads_resolves(perfbench):
         _resolve(name)
     for module, name in selftest.UNREACHED_BINDINGS:
         assert getattr(_resolve(module), name.rsplit(".", 1)[1]) is _resolve(name), (module, name)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_packaged_fixtures_meet_the_cli_verify_gate(perfbench, tmp_path, capsys, seed):
+    # an op of cli_verify fails unless each fixture gives its exit code and its exact
+    # (name, pass) sequence, so a change to cli.CHECKS or to a fixture that would fail
+    # the benchmark fails here first
+    workloads = importlib.import_module("workloads")
+    for fixture, code, expected in workloads.CLI_EXPECTED:
+        report = tmp_path / f"{fixture}.report.json"
+        args = ["verify", str(files("qexch") / "fixtures" / fixture), "--report", str(report),
+                "--seed", str(seed)]
+        assert cli.main(args) == code, fixture
+        records = json.loads(report.read_text())["checks"]
+        assert [(r["name"], r["pass"]) for r in records] == expected, fixture
+    assert capsys.readouterr().err == ""

@@ -221,8 +221,6 @@ ALL_CHECKS_EXPECTED = [
     ("collapse_lemma", {"n_max": 4, "unitary": "block_chain#2"}, 5.063932090937452e-16),
     ("freeness", {"n_max": 4, "vars": [1, 2]}, 2.842170943040401e-14),
     ("factorization", {"l": 2, "trials": 5, "vars": [1, 2, 1]}, 0.0),
-    ("crossing_sum", {"d": 2, "pairs": 6, "s": 2, "variant": "plain"}, 0.0),
-    ("crossing_sum", {"d": 3, "pairs": 6, "s": 3, "variant": "capped"}, 0.0),
     ("counterexample", {"n": 3, "psi_u11": "1/3", "psi_u11_u21": "0"}, 0.0),
 ]
 
@@ -230,6 +228,17 @@ ALL_CHECKS_EXPECTED = [
 def test_all_checks_scenario_reaches_every_check():
     names = {check["name"] for check in json.loads(ALL_CHECKS.read_text())["checks"]}
     assert names == set(CHECKS)
+
+
+def test_readme_check_table_lists_every_check_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| check | parameters (default) | runs | residual |\n|---|---|---|---|\n")
+    rows = table[1].split("\n\n", 1)[0].splitlines()
+    cells = [re.split(r"(?<!\\)\|", row) for row in rows]  # a cell writes a literal | as \|
+    assert [(row[1].strip(), row[3].strip()) for row in cells] == [
+        (f"`{name}`", "per unitary" if per_unitary else "once")
+        for name, (_, per_unitary, _) in CHECKS.items()]
+    assert "The eight checks." in readme and len(CHECKS) == 8  # the lead counts the rows
 
 
 def test_all_checks_scenario_pinned(tmp_path, capsys):
@@ -341,6 +350,24 @@ def test_tolerance_environment_variable_is_not_read(tmp_path, capsys, monkeypatc
     assert default[0] == 1
     monkeypatch.setenv("QEXCH_TOL", value)
     assert verify() == default
+
+
+def test_a_residual_equal_to_the_tolerance_passes(tmp_path, capsys):
+    # at --tol 0, exactly the records whose residual is exactly 0.0 pass: a verdict that
+    # read `residual < tol` would fail them all
+    code, _, report = run_verify(FREE, tmp_path, capsys, "--tol", "0")
+    assert (code, report["tolerance"]) == (1, 0.0)
+    assert all(c["pass"] is (c["residual"] == 0.0) for c in report["checks"])
+    assert [(c["name"], c["params"].get("unitary")) for c in report["checks"] if c["pass"]] == [
+        ("relations", "permutation#0"), ("quantum_invariance", "permutation#0"),
+        ("classical_invariance", None), ("collapse_lemma", "permutation#0"),
+        ("factorization", None), ("counterexample", None)]
+    code, out, err = run_cli(["check-magic", '{"kind": "permutation", "sigma": [2, 1]}',
+                              "--tol", "0", "--report", str(tmp_path / "m.json")], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 10 and lines[-1] == "PASS"
+    assert all(line.endswith(" 0.000e+00  ok") for line in lines[1:-1])
 
 
 # -- subcommands ------------------------------------------------------------------------
@@ -683,8 +710,6 @@ def _verify_scenario(tmp_path, capsys, **changes):
         ({"checks": [{"name": "freeness", "vars": "12"}]}, "checks[0].vars"),
         ({"checks": [{"name": "freeness", "n_max": 1}]}, "checks[0].n_max"),
         ({"checks": [{"name": "factorization", "trials": 1.5}]}, "checks[0].trials"),
-        ({"checks": [{"name": "crossing_sum", "d": 1}]}, "checks[0].d"),
-        ({"checks": [{"name": "crossing_sum", "variant": 5}]}, "checks[0].variant"),
         ({"checks": [{"name": "counterexample", "n": 4}]}, "checks[0].n"),
         ({"functional": {"kind": "cumulant", "cumulants": {"2": True}}},
          "functional.cumulants[2]"),
@@ -746,8 +771,6 @@ def _verify_scenario(tmp_path, capsys, **changes):
         ({"unitaries": [{"kind": "block_chain", "d": 1366, "seeds": [1]}]}, "unitaries[0].d"),
         ({"unitaries": [{"kind": "block_pair", "d": 874, "seeds": [1, 2]}]}, "unitaries[0].d"),
         ({"unitaries": [{"kind": "permutation", "sigma": [1], "d": 2897}]}, "unitaries[0].d"),
-        # a crossing_sum dimension asked numpy for 15 EiB
-        ({"checks": [{"name": "crossing_sum", "d": 10**9}]}, "checks[0].d"),
         ({"unitaries": [{"kind": "permutation", "sigma": [2, 1], "d": 1000000}]},
          "unitaries[0].d"),
         ({"unitaries": [{"kind": "block_chain", "d": 1000000, "seeds": [1]}]},
@@ -760,6 +783,8 @@ def _verify_scenario(tmp_path, capsys, **changes):
         ({"functional": _pinched(5)}, "functional.b.blocks"),
         ({"functional": _pinched([[0]])}, "functional.b"),
         ({"functional": _pinched([[0, 1], [1]])}, "functional.b"),
+        # a partition has no empty block; [[], [0, 1]] was read as the partition [[0, 1]]
+        ({"functional": _pinched([[], [0, 1]])}, "functional.b"),
         ({"functional": _pinched([list(range(300))])}, "functional.b"),
         ({"functional": {"kind": "cumulant", "cumulants": {"2": 1}, "max_order": -3}},
          "functional.max_order"),
@@ -815,10 +840,12 @@ def test_malformed_parameter_exits_two_naming_field(tmp_path, capsys, changes, f
     assert err.startswith(f"error: {field}: ") and len(err.splitlines()) == 1
 
 
-def test_unknown_check_name_is_named_in_the_error(tmp_path, capsys):
-    code, out, err = _verify_scenario(tmp_path, capsys, checks=[{"name": "not_a_check"}])
+# crossing_sum drew its own projection pairs and read neither the functional nor the unitaries
+@pytest.mark.parametrize("name", ["not_a_check", "crossing_sum"])
+def test_unknown_check_name_is_named_in_the_error(tmp_path, capsys, name):
+    code, out, err = _verify_scenario(tmp_path, capsys, checks=[{"name": name}])
     assert (code, out) == (2, "")
-    assert err == "error: checks[0].name: unknown check 'not_a_check'\n"
+    assert err == f"error: checks[0].name: unknown check '{name}'\n"
 
 
 def test_density_that_e_moves_is_refused_by_the_models_residual(tmp_path, capsys):
@@ -840,19 +867,13 @@ def test_misspelled_parameter_exits_two_before_any_check_runs(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("check, field", [
-    ({"name": "crossing_sum", "s": 1}, "s"),
-    ({"name": "crossing_sum", "d": 1}, "d"),
-    # the first d whose pair and probe, 13 d x d arrays, exceed MAX_BYTES
-    ({"name": "crossing_sum", "d": 1137}, "d"),
-    ({"name": "crossing_sum", "variant": "cupped"}, "variant"),
     ({"name": "counterexample", "n": 4}, "n"),
     ({"name": "freeness", "n_max": 9}, "n_max"),
     # one distinct variable at n_max 1 was a vacuous PASS
     ({"name": "freeness", "vars": [1], "n_max": 1}, "n_max"),
     ({"name": "factorization", "vars": [1, 2], "l": 3}, "l"),
     ({"name": "factorization", "vars": [1, 2, 1], "l": 3}, "l"),
-], ids=["crossing_s", "crossing_d", "crossing_d_over_budget", "crossing_variant",
-        "counterexample_n", "freeness_n_max_9", "freeness_n_max_1", "factorization_l_past_vars",
+], ids=["counterexample_n", "freeness_n_max_9", "freeness_n_max_1", "factorization_l_past_vars",
         "factorization_l_repeated"])
 def test_out_of_range_parameter_exits_two_before_any_check_runs(tmp_path, capsys, monkeypatch,
                                                                  check, field):
@@ -901,21 +922,6 @@ def test_concrete_dim_charge_bounds_the_built_functionals_traced_peak(monkeypatc
         spec["b"] = {"blocks": [list(range(dim))]} if b == "one block" else b
     cli.build_functional(_pinched([[0, 1]]))  # the modules a first build imports are not sized
     charge, peak = _charge_and_traced_peak(monkeypatch, lambda: cli.build_functional(spec))
-    assert peak <= charge, (peak, charge)
-
-
-@pytest.mark.parametrize("s", [2, 7])
-@pytest.mark.parametrize("variant", ["plain", "capped"])
-def test_crossing_sum_d_charge_bounds_the_checks_traced_peak(monkeypatch, s, variant):
-    # a d was charged nothing; a pair and its probe peaked at 12.5 d x d arrays
-    context = cli._Context(None, [], 1e-8, 0)
-
-    def run(d):
-        check = {"name": "crossing_sum", "d": d, "s": s, "variant": variant, "pairs": 2}
-        cli._crossing_sum(context, cli._parse_check(check, "checks[0]", [])[1], None)
-
-    run(2)  # the modules a first draw imports are not sized by d
-    charge, peak = _charge_and_traced_peak(monkeypatch, lambda: run(256))
     assert peak <= charge, (peak, charge)
 
 
@@ -1030,17 +1036,10 @@ def test_freeness_refuses_its_longest_product_before_any_expectation(tmp_path, c
     assert err == f"error: checks[0]: word length {2 * n_max} exceeds the cap 12\n"
 
 
-@pytest.mark.parametrize(
-    "name, target, fake",
-    [
-        ("crossing_sum", "crossing_sum_probe", lambda p, q, s, variant: (None, math.nan)),
-        ("freeness", "check_freeness",
-         lambda mf, variables, n_max, tol, seed: FreenessReport(0.0, (), math.nan, (), tol)),
-    ],
-)
-def test_nan_residual_is_the_checks_residual(tmp_path, capsys, monkeypatch, name, target, fake):
-    monkeypatch.setattr(exchangeability, target, fake)
-    code, _, _ = _verify_scenario(tmp_path, capsys, checks=[{"name": name}])
+def test_nan_residual_is_the_checks_residual(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(exchangeability, "check_freeness", lambda mf, variables, n_max, tol, seed:
+                        FreenessReport(0.0, (), math.nan, (), tol))
+    code, _, _ = _verify_scenario(tmp_path, capsys, checks=[{"name": "freeness"}])
     assert code == 1
     record = _strict_json((tmp_path / "r.json").read_text())["checks"][0]
     assert record["residual"] == "nan" and record["pass"] is False

@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -684,6 +685,24 @@ def test_an_empty_range_is_refused_naming_its_parameter(call, message):
     # each passed with a residual of 0, or raised a stray error, before any work was refused
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_the_tensor_length_cap_admits_its_own_length():
+    # 1^62 is one entry on numpy's longest admitted tensor, and 63 is refused before any work
+    mf = ConcreteMomentFunctional(scalar_context(np.eye(1)), [np.eye(1)])
+    assert mf.scalar_moment_tensor(1, 62).shape == (1,) * 62
+    report = check_classical_exchangeability(mf, 1, 62)
+    assert report.passed and len(report.per_length) == 62
+    for call in (mf.scalar_moment_tensor, partial(check_classical_exchangeability, mf)):
+        with pytest.raises(ValueError, match="^tensor length 63 exceeds the cap 62 "):
+            call(1, 63)
+
+
+def test_a_freeness_residual_equal_to_the_tolerance_passes():
+    # every residual of one semicircular variable is exactly 0.0, so tol 0 passes both criteria
+    report = check_freeness(CumulantMomentFunctional(semicircular_spec()), (1, 1), 2, tol=0.0)
+    assert (report.centered_max, report.mixed_max) == (0.0, 0.0)
+    assert report.centered_pass and report.mixed_pass and report.passed
 
 
 def test_a_cumulant_spec_holds_read_only_copies():
