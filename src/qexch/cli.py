@@ -332,9 +332,11 @@ def _factorization(c, p, u):
 
 def _freeness(c, p, u):
     rep = exchangeability.check_freeness(c.mf, p["vars"], n_max=p["n_max"], tol=c.tol, seed=c.seed)
-    notes = [f"{name} worst i={tuple(map(int, w))}" for name, w in
-             (("centered", rep.centered_worst), ("mixed", rep.mixed_worst)) if w]
-    note = ", ".join(notes + ["criteria agree" if rep.consistent else "criteria DISAGREE"])
+    # both residuals, each with its worst tuple if nonzero; no agreement of verdicts is
+    # claimed, which at a tight tol may differ by rounding alone
+    note = ", ".join(f"{name} {value:.3e}" + (f" at i={tuple(map(int, w))}" if w else "")
+                     for name, value, w in (("centered", rep.centered_max, rep.centered_worst),
+                                            ("mixed", rep.mixed_max, rep.mixed_worst)))
     return algebra._worst([rep.centered_max, rep.mixed_max])[0], rep.passed, note
 
 

@@ -71,18 +71,19 @@ class InvarianceReport:
 def _check_scan(mf, k, n, u, r, decorations=0):
     """Check a scan of lengths 1..n before any work: the oracle's request, then one charge at
     length n of every length's seed (r complex entries per tuple) and the decorations, 20
-    bytes per tuple of residuals and witness masks, and the request's arrays with u's two
-    workspace buffers and the seed's copy that _coaction_all reads, or for u = None the
-    larger of the request and the kernel-pattern table with the orbit gather's index and
-    value per tuple: the gather and its table come after the request's arrays are freed."""
+    bytes per tuple of residuals and witness masks, and the request's arrays with u's
+    contraction (its workspace buffer and the piece a position copies, _coaction_charge) and
+    the seed's copy that _coaction_all reads, or for u = None the larger of the request and
+    the kernel-pattern table with the orbit gather's index and value per tuple: the gather
+    and its table come after the request's arrays are freed."""
     mf._check_tensor(k, n)  # the length first: the charges compute k**n
     request = sum(nbytes for nbytes, _ in mf._tensor_charges(k, n))
     if u is None:
         table, what = _pattern_table_charge(k, n)
         acting = max(request, table + 24 * k**n)
     else:
-        buffer, what = _coaction_charge(k, n, u.d, r)
-        acting, what = request + 2 * buffer + 16 * r * k**n, f"{what} in two workspace buffers"
+        contraction, what = _coaction_charge(k, n, u.d, r)
+        acting = request + contraction + 16 * r * k**n
     seeds = 16 * r * (sum(k**m for m in range(1, n + 1)) + decorations)
     check_bytes(seeds + acting + 20 * k**n, f"scan working set: the {what}, the moment "
                 f"tensors of lengths 1..{n} and their residuals")

@@ -59,25 +59,29 @@ _buffers = threading.local()
 
 
 def _workspace(k, n, d, r):
-    """Two flat views of k**n * d * d * r entries into the calling thread's buffers.
+    """A flat view of k**n * d * d * r entries into the calling thread's buffer.
 
-    The two buffers are kept between calls, grow to the largest size asked
-    for so far and never shrink.  Growth is charged first, so a thread
-    holds at most 2 * MAX_BYTES: the transient peak of one contraction,
-    kept until the thread exits.
+    The one buffer is kept between calls, grows to the largest size asked
+    for so far and never shrinks.  Growth is charged first, with the piece
+    a position then copies (_coaction_charge), so a thread holds at most
+    MAX_BYTES: the transient peak of one contraction, kept until the
+    thread exits.
     """
     size = k**n * d * d * r
-    pair = getattr(_buffers, "pair", ())
-    if not pair or pair[0].size < size:
+    buffer = getattr(_buffers, "buffer", None)
+    if buffer is None or buffer.size < size:
         check_bytes(*_coaction_charge(k, n, d, r))
-        pair = _buffers.pair = ()  # the old pair is freed before the new one is allocated
-        pair = _buffers.pair = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
-    return pair[0][:size], pair[1][:size]
+        buffer = _buffers.buffer = None  # the old buffer is freed before the new one is allocated
+        buffer = _buffers.buffer = np.empty(size, dtype=complex)
+    return buffer[:size]
 
 
 # numpy's bundled OpenBLAS hands a zgemm of 2**16 or more multiply-adds to its
 # thread pool; every product of the coaction kernel stays below that.
 _GEMM_MACS = 1 << 16
+# each position is contracted in place in pieces of at most this many entries (256 KiB),
+# unless one product alone is larger (_coaction_charge)
+_PIECE = 1 << 14
 
 
 @functools.lru_cache(maxsize=256)
@@ -98,7 +102,7 @@ def _coaction_all(entries, w, n):
     so the matrix order of the word is preserved, and the running tensor
     stays laid out as (r, j_1..j_{s-1}, a, i_s..i_n, c), a being the row of
     the partial word: the pair (j_{s-1}, a) contracted next is adjacent, so
-    no position copies.  Position n multiplies w, read as
+    no position transposes.  Position n multiplies w, read as
     ((r j_1..j_{n-1}), j_n), by G[j, (a i c)] = u_ij[a, c]; each position
     s < n multiplies M[(a i), (j x)] = u_ij[a, x] into a reshape view of
     the running tensor.
@@ -106,9 +110,9 @@ def _coaction_all(entries, w, n):
     Every product is tiled below _GEMM_MACS multiply-adds, so the whole
     contraction runs on the calling thread.  Position n reads w as
     (-1, rows, k) tiles against a broadcast G; position s splits the
-    trailing axis of its view into (-1, cols) and does one batched matmul
-    over (batch, tile).  rows and cols are the largest divisors of their
-    axes under the cap (_tile).  numpy's OpenBLAS 0.3.31 gives a zgemm of
+    trailing axis of its view into (-1, cols) and does batched matmuls
+    over runs of (batch, tile).  rows and cols are the largest divisors of
+    their axes under the cap (_tile).  numpy's OpenBLAS 0.3.31 gives a zgemm of
     2**16 or more multiply-adds to its second thread (per-thread CPU
     ticks: 62 208 stayed on the caller, 65 536 moved); on two cores that
     thread burned as much CPU as the caller for no wall-time gain, and its
@@ -117,45 +121,64 @@ def _coaction_all(entries, w, n):
     keeps its value; only the sign of an exact zero may follow OpenBLAS's
     blocking.
 
-    Every position reads one of the calling thread's two workspace
-    buffers (see _workspace) and writes the other, so a call that does
-    not grow them maps no fresh pages.  The result is a transposed view of
-    the final (r, a, i_1..i_n, c) buffer: the caller may modify it in
-    place, and it stays valid until the same thread calls _coaction_all
-    again.  A caller that keeps it longer must copy it.  w must not be a
-    view of the workspace.
+    Position n writes the calling thread's one workspace buffer (see
+    _workspace), and each position s < n is contracted in it in place, a
+    piece at a time: a run of whole items of the batch when one item has
+    at most _PIECE entries, else a run of whole tiles inside one item.
+    numpy copies the input of a matmul whose output overlaps it, so every
+    product reads the previous position's values, and it is the very
+    product a second buffer would make; the only extra memory is that
+    copy of one piece.  A call that does not grow the buffer maps no
+    fresh pages for it.  The result is a transposed view of the final
+    (r, a, i_1..i_n, c) buffer: the caller may modify it in place, and it
+    stays valid until the same thread calls _coaction_all again.  A
+    caller that keeps it longer must copy it.  w must not be a view of
+    the workspace.
     """
     k, d = entries.shape[0], entries.shape[2]
     r = w.shape[1]
-    src, dst = _workspace(k, n, d, r)
+    buf = _workspace(k, n, d, r)
     g = entries.transpose(1, 2, 0, 3).reshape(k, d * k * d)
     m = entries.transpose(2, 0, 1, 3).reshape(d * k, k * d)
     rows = _tile(r * k ** (n - 1), k * d * k * d)
-    np.matmul(w.T.reshape(-1, rows, k), g, out=src.reshape(-1, rows, d * k * d))
+    np.matmul(w.T.reshape(-1, rows, k), g, out=buf.reshape(-1, rows, d * k * d))
     for s in range(n - 1, 0, -1):
         batch = r * k ** (s - 1)
         cols = _tile(k ** (n - s) * d, d * k * k * d)
-        src_tiles, dst_tiles = (
-            b.reshape(batch, k * d, -1, cols).transpose(0, 2, 1, 3) for b in (src, dst)
-        )
-        np.matmul(m, src_tiles, out=dst_tiles)
-        src, dst = dst, src
-    return src.reshape(r, d, k**n, d).transpose(2, 1, 3, 0)
+        tiles = buf.reshape(batch, k * d, -1, cols).transpose(0, 2, 1, 3)
+        items = max(1, _PIECE // (buf.size // batch))  # per piece; one when an item exceeds _PIECE
+        runs = max(1, _PIECE // (k * d * cols))  # tiles per piece; all of an item when it fits
+        for b in range(0, batch, items):
+            for t in range(0, tiles.shape[1], runs):
+                piece = tiles[b : b + items, t : t + runs]
+                np.matmul(m, piece, out=piece)
+    return buf.reshape(r, d, k**n, d).transpose(2, 1, 3, 0)
 
 
 def _coaction_charge(k, n, d, r=1):
-    """(bytes, description) of one coaction buffer: k**n * d * d * r complex entries."""
-    return 16 * k**n * d * d * r, f"coaction tensor with {k}^{n} {d}x{d} values of width {r}"
+    """(bytes, description) of one contraction: the buffer of k**n * d * d * r complex
+    entries and the piece of it that numpy copies to contract a position in place.
+
+    A piece has at most _PIECE entries, or is one tile (_tile) where a tile is larger.  A
+    tile reads fewer than _GEMM_MACS / (k * d) entries, below _PIECE when k * d >= 4,
+    unless _tile leaves it whole (k * d * k * d >= _GEMM_MACS); no tile is larger than one
+    batch item of k**n * d * d entries.
+    """
+    item = k**n * d * d
+    tile = item if k * d * k * d >= _GEMM_MACS else min(item, (_GEMM_MACS - 1) // (k * d))
+    piece = max(_PIECE, tile)
+    return 16 * (item * r + piece), f"coaction tensor with {k}^{n} {d}x{d} values of width {r}"
 
 
 def _collapse_charge(k, n, d):
     """(bytes, description) of collapse_sum_all's working set over {1..k}^n.
 
-    Three coaction tensors (the two workspace buffers and the returned
-    copy) and the float seed of k**n entries.
+    One contraction (_coaction_charge: the workspace buffer and a piece),
+    the returned copy of the buffer and the float seed of k**n entries.
     """
-    what = f"coaction tensor with {k}^{n} {d}x{d} values in two workspace buffers and a copy"
-    return 48 * k**n * d * d + 8 * k**n, f"collapse working set: the {what}, and its seed"
+    contraction, what = _coaction_charge(k, n, d)
+    return (contraction + 16 * k**n * d * d + 8 * k**n,
+            f"collapse working set: the {what}, its copy and its seed")
 
 
 def ensure_projection(q):
@@ -257,8 +280,17 @@ def noncommuting_projection_pair(d, seed):
 
 
 def _max_norm(stack):
-    """The largest Frobenius norm of a stack of matrices, 0.0 for none (_worst)."""
-    return _worst(np.linalg.norm(stack.reshape(-1, stack.shape[-2] * stack.shape[-1]), axis=1))[0]
+    """The largest Frobenius norm of a stack of matrices, 0.0 for none (_worst).
+
+    np.linalg.norm holds two complex temporaries of its input (the conjugate
+    and the product), so the stack is read in runs of half a piece (_PIECE)
+    and no run's temporaries outgrow a piece.  Each norm is a row's own, so
+    the largest is the whole stack's, bit for bit.
+    """
+    rows = stack.reshape(-1, stack.shape[-2] * stack.shape[-1])
+    step = max(1, _PIECE // 2 // rows.shape[1])
+    return _worst([_worst(np.linalg.norm(rows[t : t + step], axis=1))[0]
+                   for t in range(0, len(rows), step)])[0]
 
 
 def verify_relations(u, tol=DEFAULT_TOL):
@@ -378,4 +410,5 @@ def collapse_lemma_residual(u, n_max):
             for a in range(u.d):
                 diff[:, a, a] -= ind
             devs.append(_max_norm(diff))
+            del diff  # before the next collapse sum, whose charge holds one copy
     return _worst(devs)[0]

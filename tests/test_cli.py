@@ -370,6 +370,17 @@ def test_a_residual_equal_to_the_tolerance_passes(tmp_path, capsys):
     assert all(line.endswith(" 0.000e+00  ok") for line in lines[1:-1])
 
 
+def test_the_freeness_note_gives_both_residuals_and_no_agreement(tmp_path, capsys):
+    # the free fixture's centred criterion rounds to 2.8e-14 while its mixed cumulants are
+    # exactly 0: at --tol 0 the two verdicts differ by rounding alone, and the note says no more
+    _, out, _ = run_verify(FREE, tmp_path, capsys, "--tol", "0")
+    assert ("freeness: residual=2.842e-14 FAIL  (centered 2.842e-14 at i=(1, 2, 1), "
+            "mixed 0.000e+00)") in out.splitlines()
+    _, out, _ = run_verify(BERNOULLI, tmp_path, capsys)
+    assert ("freeness: residual=4.578e+02 FAIL  (centered 4.578e+02 at i=(2, 1, 2, 1), "
+            "mixed 4.000e+00 at i=(1, 2, 1, 2))") in out.splitlines()
+
+
 # -- subcommands ------------------------------------------------------------------------
 
 def test_check_magic_permutation(capsys):

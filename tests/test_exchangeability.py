@@ -380,22 +380,105 @@ def test_coaction_kernel_matches_literal_sum_on_dense_entries(k, d, r, n, seed):
 @pytest.mark.parametrize("k", [4, 6])
 @pytest.mark.parametrize("r", [1, 4])
 def test_coaction_kernel_products_stay_below_the_blas_thread_cap(monkeypatch, k, r):
-    # OpenBLAS hands a product of 2**16 multiply-adds or more to its thread pool
-    macs = []
+    # OpenBLAS hands a product of 2**16 multiply-adds or more to its thread pool; position n
+    # is one product, and the in-place products of each position s < n write every entry of
+    # the workspace exactly once, each a piece of at most _PIECE entries
+    d = 2
+    macs, writes, sizes = [], [], []  # writes and sizes: one entry per position
     matmul = np.matmul
 
-    def recording(a, b, **kwargs):
+    def recording(a, b, *, out):
         macs.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
-        return matmul(a, b, **kwargs)
+        buffer = magic._buffers.buffer
+        index = np.arange(buffer.size)  # each entry's position in the buffer, laid out as out
+        offset = (out.ctypes.data - buffer.ctypes.data) // buffer.itemsize
+        strides = [t // buffer.itemsize * index.itemsize for t in out.strides]
+        written = np.lib.stride_tricks.as_strided(index[offset:], out.shape, strides)
+        if not writes or sum(sizes[-1]) == buffer.size:
+            writes.append(np.zeros(buffer.size, dtype=int))
+            sizes.append([])
+        writes[-1] += np.bincount(written.ravel(), minlength=buffer.size)
+        sizes[-1].append(out.size)
+        return matmul(a, b, out=out)
 
     monkeypatch.setattr(np, "matmul", recording)
     rng = np.random.default_rng(k * r)
-    u = _dense_unitary(rng, k, 2)
+    u = _dense_unitary(rng, k, d)
     for n in range(1, 7):
-        macs.clear()
-        _coaction_all(u.entries, _random_w(rng, k**n, r), n)
-        assert len(macs) == n
+        macs.clear(), writes.clear(), sizes.clear()
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh workspace of k**n * d * d * r
+            pool.submit(_coaction_all, u.entries, _random_w(rng, k**n, r), n).result()
         assert max(macs) < magic._GEMM_MACS, (n, macs)
+        assert len(writes) == n and all((counts == 1).all() for counts in writes), n
+        assert len(sizes[0]) == 1
+        assert max((size for position in sizes[1:] for size in position), default=0) <= magic._PIECE
+
+
+def _ping_pong_coaction(entries, w, n):
+    """The coaction kernel with a second buffer: each position reads one and writes the other."""
+    k, d = entries.shape[0], entries.shape[2]
+    r = w.shape[1]
+    src, dst = (np.empty(k**n * d * d * r, dtype=complex) for _ in range(2))
+    g = entries.transpose(1, 2, 0, 3).reshape(k, d * k * d)
+    m = entries.transpose(2, 0, 1, 3).reshape(d * k, k * d)
+    rows = magic._tile(r * k ** (n - 1), k * d * k * d)
+    np.matmul(w.T.reshape(-1, rows, k), g, out=src.reshape(-1, rows, d * k * d))
+    for s in range(n - 1, 0, -1):
+        batch = r * k ** (s - 1)
+        cols = magic._tile(k ** (n - s) * d, d * k * k * d)
+        src_tiles, dst_tiles = (
+            b.reshape(batch, k * d, -1, cols).transpose(0, 2, 1, 3) for b in (src, dst)
+        )
+        np.matmul(m, src_tiles, out=dst_tiles)
+        src, dst = dst, src
+    return src.reshape(r, d, k**n, d).transpose(2, 1, 3, 0)
+
+
+@pytest.mark.parametrize("kind", ["dense", "block_chain"])
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("r", [1, 4])
+def test_coaction_kernel_in_place_equals_the_two_buffer_kernel_bitwise(kind, k, r):
+    # the same products on the same operands: only where each position's input lives differs;
+    # at k = 6, n = 6 one batch item of position 1 has more than _PIECE entries
+    d = 2
+    rng = np.random.default_rng((k, r))
+    if kind == "dense":
+        u = _dense_unitary(rng, k, d)
+    else:
+        u = block_chain([random_projection(d, 1, (k, r, t)) for t in range(k // 2)])
+    assert (k != 6) or 6**6 * d * d > magic._PIECE
+    for n in range(1, 7):
+        w = _random_w(rng, k**n, r)
+        assert np.array_equal(_coaction_all(u.entries, w, n), _ping_pong_coaction(u.entries, w, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coaction_kernel_in_place_equals_the_two_buffer_kernel_where_products_stay_whole(n):
+    # k * d * k * d reaches _GEMM_MACS, so _tile leaves each product whole: a piece of its own
+    k, d = 2, 128
+    assert k * d * k * d >= magic._GEMM_MACS
+    rng = np.random.default_rng(n)
+    u = _dense_unitary(rng, k, d)
+    w = _random_w(rng, k**n, 1)
+    assert np.array_equal(_coaction_all(u.entries, w, n), _ping_pong_coaction(u.entries, w, n))
+
+
+@pytest.mark.parametrize("k, d, n", [(3, 1, 10), (2, 1, 15), (6, 2, 6), (2, 100, 3), (2, 128, 3)])
+def test_coaction_charge_covers_the_largest_piece(monkeypatch, k, d, n):
+    # at k = 3, d = 1 a tile of 3 * 6561 entries is larger than _PIECE; at d = 128 one is untiled
+    pieces = []
+    matmul = np.matmul
+
+    def recording(a, b, *, out):
+        if np.shares_memory(b, out):
+            pieces.append(out.size)
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    entries = np.zeros((k, k, d, d), dtype=complex)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(_coaction_all, entries, np.ones((k**n, 1), dtype=complex), n).result()
+    assert 16 * (k**n * d * d + max(pieces)) <= magic._coaction_charge(k, n, d)[0], max(pieces)
 
 
 def _positionwise_coaction(entries, w, n):
@@ -549,19 +632,53 @@ def test_coaction_workspace_is_reused_and_bounded():
 
     def scans():
         check_quantum_invariance(mf, unitaries["block_chain"], n_max=6)
-        first = magic._buffers.pair
-        assert [b.size for b in first] == [6**6 * 2 * 2] * 2
+        first = magic._buffers.buffer
+        assert first.size == 6**6 * 2 * 2
         check_quantum_invariance(mf, unitaries["block_chain"], n_max=6)
-        assert all(a is b for a, b in zip(magic._buffers.pair, first))
+        assert magic._buffers.buffer is first
         check_quantum_invariance(mf, unitaries["block_pair"], n_max=5)
-        assert all(a is b for a, b in zip(magic._buffers.pair, first))
+        assert magic._buffers.buffer is first
+        kept = first.copy()
         with pytest.raises(ValueError, match="coaction tensor with 4\\^7 300x300"):
             check_quantum_invariance(mf, oversize, n_max=7)
-        assert all(a is b for a, b in zip(magic._buffers.pair, first))
-        assert [b.size for b in magic._buffers.pair] == [6**6 * 2 * 2] * 2
+        assert magic._buffers.buffer is first and first.size == 6**6 * 2 * 2
+        assert np.array_equal(first, kept)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         pool.submit(scans).result()
+
+
+def _traced_peak_in_a_fresh_thread(run):
+    """Peak bytes tracemalloc sees while run() runs in a new thread, whose workspace starts empty."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(run).result()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check", ["quantum", "e"])
+def test_coaction_scan_charge_bounds_its_traced_peak(monkeypatch, check):
+    # one charge covers the scan: the workspace buffer it grows, the pieces contracted in
+    # place, the moment tensors and the residuals
+    charged = []
+    monkeypatch.setattr(exchangeability, "check_bytes", lambda nbytes, what: charged.append(nbytes))
+    rng = np.random.default_rng(41)
+    u = block_chain([random_projection(2, 1, (41, t)) for t in range(3)])  # k = 6, d = 2
+    if check == "quantum":
+        mf = CumulantMomentFunctional(random_spec(rng, 4))
+        run = partial(check_quantum_invariance, mf, u, 6)
+    else:  # B = C^2, the diagonal: r = 4 entries per tuple
+        elements = [(x + x.conj().T) / 2 for x in rng.standard_normal((6, 2, 2)) + 0j]
+        mf = ConcreteMomentFunctional(pinching_context([[0], [1]]), elements)
+        run = partial(check_E_invariance, mf, u, [mf.random_coeff(rng) for _ in range(4)], 5)
+    partitions._pattern_table.cache_clear()
+    partitions._profile_counts.cache_clear()
+    peak = _traced_peak_in_a_fresh_thread(run)
+    assert peak <= charged[-1], (peak, charged[-1])
 
 
 # -- kept moment tensors -------------------------------------------------------------

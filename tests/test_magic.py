@@ -2,11 +2,12 @@
 
 import itertools
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from qexch import magic
+from qexch import magic, partitions
 from qexch.cumulants import CumulantMomentFunctional, CumulantSpec
 from qexch.exchangeability import check_quantum_invariance
 from qexch.magic import (
@@ -326,10 +327,45 @@ def test_collapse_sum_all_result_outlives_later_contractions():
     u = block_pair(*noncommuting_projection_pair(2, seed=7))
     first = collapse_sum_all(u, Partition(3, [[1, 2], [3]]))
     kept = first.copy()
-    assert not any(np.shares_memory(first, b) for b in magic._buffers.pair)
+    assert not np.shares_memory(first, magic._buffers.buffer)
     collapse_sum_all(u, Partition(3, [[1], [2], [3]]))
     check_quantum_invariance(CumulantMomentFunctional(CumulantSpec({2: 1.0})), u, n_max=3)
     assert np.array_equal(first, kept)
+
+
+def _traced_peak_in_a_fresh_thread(run):
+    """Peak bytes tracemalloc sees while run() runs in a new thread, whose workspace starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return _traced_peak(lambda: pool.submit(run).result())
+
+
+@pytest.mark.parametrize("kind", ["block_pair", "permutation"])
+def test_collapse_sum_all_charge_bounds_its_traced_peak(monkeypatch, kind):
+    # the workspace buffer, a piece contracted in place, the returned copy and the seed
+    if kind == "block_pair":
+        u = block_pair(*noncommuting_projection_pair(2, seed=42))
+    else:
+        u = from_permutation([2, 1, 4, 3], d=1)
+    charges = []
+    monkeypatch.setattr(magic, "check_bytes", lambda nbytes, what: charges.append(nbytes))
+    pi = Partition(8, [[1, 8], [2, 3], [4], [5, 6, 7]])
+    peak = _traced_peak_in_a_fresh_thread(lambda: collapse_sum_all(u, pi))
+    assert peak <= charges[0], (peak, charges)
+
+
+@pytest.mark.parametrize("kind, n_max", [("block_pair", 6), ("block_chain", 5)])
+def test_collapse_lemma_residual_charge_bounds_its_traced_peak(monkeypatch, kind, n_max):
+    # the non-crossing partitions of the longest length and its collapse working set: one
+    # difference is held at a time, and its norms are taken a piece at a time
+    if kind == "block_pair":
+        u = block_pair(*noncommuting_projection_pair(2, seed=43))
+    else:  # k = 6, d = 3
+        u = block_chain([random_projection(3, 1, (43, t)) for t in range(3)])
+    charges = []
+    monkeypatch.setattr(magic, "check_bytes", lambda nbytes, what: charges.append(nbytes))
+    partitions._noncrossing_local.cache_clear()
+    peak = _traced_peak_in_a_fresh_thread(lambda: collapse_lemma_residual(u, n_max))
+    assert peak <= charges[0] + charges[1], (peak, charges)
 
 
 def test_tile_is_the_largest_divisor_under_the_product_cap():
